@@ -2,8 +2,8 @@
 
 A feature record is one detection's RoI feature vector plus its predicted
 class and an ID/FP label.  The queue stores inlier features only, one ring
-buffer per class, each entry already augmented with the one-hot of its
-class so downstream consumers always see real[D+K] rows.
+buffer per class, and appends the one-hot of the class to every row it
+hands out, so downstream consumers always see real[D+K] rows.
 
 File formats
 ------------
@@ -23,7 +23,6 @@ holds the enum name (ID/FP/SYNTH_OUTLIER), integers also accepted.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -134,10 +133,11 @@ def append_one_hot(vectors: np.ndarray, class_ids: np.ndarray, num_classes: int)
 
 
 class FeatureQueue:
-    """Per-class FIFO buffers of one-hot-augmented inlier features.
+    """Per-class FIFO buffers of inlier features, one-hot appended on read.
 
     Only ID records may enter.  Eviction is strictly oldest-first per class
-    buffer; classes never interact.
+    buffer; classes never interact.  Each class is a ring buffer of raw
+    (D,) rows that grows by doubling up to capacity_per_class.
     """
 
     def __init__(self, dim: int, num_classes: int, capacity_per_class: int = 1000):
@@ -146,9 +146,9 @@ class FeatureQueue:
         self.dim = dim
         self.num_classes = num_classes
         self.capacity_per_class = capacity_per_class
-        self._buffers: list[deque] = [
-            deque(maxlen=capacity_per_class) for _ in range(num_classes)
-        ]
+        self._rows = [np.empty((0, dim)) for _ in range(num_classes)]
+        self._head = [0] * num_classes  # next write position
+        self._count = [0] * num_classes
 
     def push(self, rec: FeatureRecord) -> None:
         if rec.label != Label.ID:
@@ -157,7 +157,7 @@ class FeatureQueue:
             raise InputError(f"class_id {rec.class_id} out of range")
         if rec.vector.shape != (self.dim,):
             raise InputError(f"vector length {rec.vector.size} != queue dim {self.dim}")
-        self._buffers[rec.class_id].append(augment_one_hot(rec, self.num_classes))
+        self.push_many(rec.vector[None, :], [rec.class_id])
 
     def push_many(self, vectors: np.ndarray, class_ids: np.ndarray) -> None:
         """Bulk push of ID feature rows (already validated as inliers)."""
@@ -166,20 +166,47 @@ class FeatureQueue:
             raise InputError(f"expected (N, {self.dim}) vectors")
         if not np.all(np.isfinite(vectors)):
             raise InputError("feature vectors contain non-finite values")
-        augmented = append_one_hot(vectors, class_ids, self.num_classes)
         ids = np.asarray(class_ids, dtype=np.int64)
-        for row, cid in zip(augmented, ids):
-            self._buffers[cid].append(row)
+        if ids.shape != (len(vectors),):
+            raise InputError("class_ids must have one entry per vector")
+        if ids.size and (ids.min() < 0 or ids.max() >= self.num_classes):
+            raise InputError("class_id out of range for the queue")
+        for cid in range(self.num_classes):
+            self._write(cid, vectors[ids == cid])
+
+    def _write(self, cid: int, new: np.ndarray) -> None:
+        cap = self.capacity_per_class
+        new = new[-cap:]
+        m = len(new)
+        if m == 0:
+            return
+        rows, head, count = self._rows[cid], self._head[cid], self._count[cid]
+        if count + m > len(rows) and len(rows) < cap:
+            grown = np.empty((min(cap, max(count + m, 2 * len(rows))), self.dim))
+            grown[:count] = self._ordered(cid)
+            rows, head = grown, count
+            self._rows[cid] = rows
+        first = min(m, len(rows) - head)
+        rows[head : head + first] = new[:first]
+        rows[: m - first] = new[first:]
+        self._head[cid] = (head + m) % len(rows)
+        self._count[cid] = min(count + m, cap)
+
+    def _ordered(self, cid: int, idx: np.ndarray | None = None) -> np.ndarray:
+        """Rows of one class at oldest-first positions idx (default: all)."""
+        count = self._count[cid]
+        if idx is None:
+            idx = np.arange(count)
+        start = self._head[cid] - count
+        return self._rows[cid].take(start + idx, axis=0, mode="wrap")
 
     def occupancy(self) -> list[int]:
-        return [len(buf) for buf in self._buffers]
+        return list(self._count)
 
     def snapshot(self, class_id: int) -> np.ndarray:
         """Stored rows for one class, oldest first, shape (n, D+K)."""
-        buf = self._buffers[class_id]
-        if not buf:
-            return np.zeros((0, self.dim + self.num_classes))
-        return np.stack(list(buf))
+        rows = self._ordered(class_id)
+        return append_one_hot(rows, np.full(len(rows), class_id), self.num_classes)
 
     def sample(self, n_per_class: int, rng: np.random.Generator) -> np.ndarray:
         """n_per_class rows per class, uniform with replacement, class-major.
@@ -189,18 +216,18 @@ class FeatureQueue:
         """
         if n_per_class <= 0:
             raise InputError("n_per_class must be positive")
-        empty = [c for c, buf in enumerate(self._buffers) if not buf]
+        empty = [c for c, count in enumerate(self._count) if not count]
         if empty:
             raise NotReadyError(
                 f"feature queue empty for classes {empty}; "
                 "push inlier features before training the auto-encoder"
             )
-        blocks = []
-        for buf in self._buffers:
-            stored = np.stack(list(buf))
-            idx = rng.integers(0, len(buf), size=n_per_class)
-            blocks.append(stored[idx])
-        return np.vstack(blocks)
+        blocks = [
+            self._ordered(cid, rng.integers(0, count, size=n_per_class))
+            for cid, count in enumerate(self._count)
+        ]
+        class_ids = np.repeat(np.arange(self.num_classes), n_per_class)
+        return append_one_hot(np.concatenate(blocks), class_ids, self.num_classes)
 
 
 # --- persistence --------------------------------------------------------------

@@ -434,11 +434,18 @@ def load_checkpoint(path) -> dict[str, DenseNet]:
         (name_len,) = reader.unpack("<H")
         name = reader.take(name_len).decode("utf-8")
         (n_layers,) = reader.unpack("<I")
+        if n_layers == 0:
+            raise InputError(f"net {name!r} has no layers")
         layers = []
-        for _ in range(n_layers):
+        for i in range(n_layers):
             fan_in, fan_out, act_code = reader.unpack("<IIB")
             if act_code not in _ACT_NAME:
                 raise InputError(f"unknown activation code {act_code}")
+            if layers and layers[-1].fan_out != fan_in:
+                raise InputError(
+                    f"net {name!r} layer {i} takes {fan_in} inputs but layer "
+                    f"{i - 1} gives {layers[-1].fan_out}"
+                )
             w = np.frombuffer(reader.take(8 * fan_in * fan_out), dtype="<f8")
             b = np.frombuffer(reader.take(8 * fan_out), dtype="<f8")
             layers.append(

@@ -31,7 +31,7 @@ import numpy as np
 from . import nn
 from .datagen import GeneratorSpec, generate_features
 from .errors import InputError, LsvosError, NumericalFailure
-from .features import FeatureQueue, Label, append_one_hot, load_features
+from .features import FEATURE_VERSION, FeatureQueue, Label, append_one_hot, load_features
 from .metrics import EvaluationReport, build_report, ece
 from .models import (
     ModelBundle,
@@ -739,8 +739,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         package_version=lsvos.__version__,
         numpy_version=np.__version__,
         python_version=platform.python_version(),
-        checkpoint_format_version=1,
-        feature_format_version=1,
+        checkpoint_format_version=nn.CHECKPOINT_VERSION,
+        feature_format_version=FEATURE_VERSION,
         wall_clock_seconds=time.time() - started,
         outputs=outputs,
         created=datetime.now(timezone.utc).isoformat(),

@@ -155,11 +155,12 @@ def vos_synthesize(
     model = fit_gaussian_model(rows, class_ids, queue.num_classes)
     kept_blocks, kept_ids = [], []
     for cid in range(queue.num_classes):
-        draws = rng.standard_normal((n_candidates, dim)) @ model.cholesky.T + model.means[cid]
-        centered = draws - model.means[cid]
+        z = rng.standard_normal((n_candidates, dim))
+        draws = z @ model.cholesky.T + model.means[cid]
         # shared covariance: within one class, lowest log-likelihood is
-        # exactly largest Mahalanobis distance
-        maha = np.einsum("ij,jk,ik->i", centered, model.precision, centered)
+        # exactly largest Mahalanobis distance, and for a draw mean + L z
+        # with L L^T = cov that squared distance is exactly ||z||^2
+        maha = np.einsum("ij,ij->i", z, z)
         order = np.argsort(-maha, kind="stable")
         kept_blocks.append(draws[order[:n_per_class]])
         kept_ids.append(np.full(n_per_class, cid))

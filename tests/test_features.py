@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,58 @@ class TestQueue:
             b.push(_rec(v, int(c)))
         for cid in range(2):
             np.testing.assert_array_equal(a.snapshot(cid), b.snapshot(cid))
+
+
+class _DequeQueue:
+    """Reference queue: one deque(maxlen=capacity) of augmented rows per class."""
+
+    def __init__(self, dim, num_classes, capacity):
+        self.width = dim + num_classes
+        self.eye = np.eye(num_classes)
+        self.buffers = [deque(maxlen=capacity) for _ in range(num_classes)]
+
+    def push_many(self, vectors, class_ids):
+        for vec, cid in zip(vectors, class_ids):
+            self.buffers[cid].append(np.concatenate([vec, self.eye[cid]]))
+
+    def occupancy(self):
+        return [len(buf) for buf in self.buffers]
+
+    def snapshot(self, cid):
+        buf = self.buffers[cid]
+        return np.stack(list(buf)) if buf else np.zeros((0, self.width))
+
+    def sample(self, n_per_class, rng):
+        blocks = []
+        for buf in self.buffers:
+            idx = rng.integers(0, len(buf), size=n_per_class)
+            blocks.append(np.stack(list(buf))[idx])
+        return np.vstack(blocks)
+
+
+class TestQueueAgainstDequeReference:
+    @pytest.mark.parametrize("capacity", [1, 7, 50])
+    def test_random_batches_match_reference(self, capacity):
+        dim, k = 3, 4
+        rng = np.random.default_rng(capacity)
+        q = FeatureQueue(dim=dim, num_classes=k, capacity_per_class=capacity)
+        ref = _DequeQueue(dim, k, capacity)
+        for step in range(80):
+            # batch sizes up to several times the capacity, skewed class mix
+            size = int(rng.integers(0, 3 * capacity * k + 2))
+            vectors = rng.normal(size=(size, dim))
+            ids = rng.choice(k, size=size, p=[0.55, 0.25, 0.15, 0.05])
+            q.push_many(vectors, ids)
+            ref.push_many(vectors, ids)
+            assert q.occupancy() == ref.occupancy()
+            for cid in range(k):
+                np.testing.assert_array_equal(q.snapshot(cid), ref.snapshot(cid))
+            if all(ref.occupancy()):
+                rng_q, rng_ref = (np.random.default_rng(step) for _ in range(2))
+                n = int(rng.integers(1, 2 * capacity + 2))
+                np.testing.assert_array_equal(q.sample(n, rng_q), ref.sample(n, rng_ref))
+                assert rng_q.bit_generator.state == rng_ref.bit_generator.state
+        assert ref.occupancy() == [capacity] * k
 
 
 class TestPersistence:

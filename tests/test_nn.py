@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,32 @@ class TestCheckpoint:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(InputError):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [
+            # layer 0 is 3 -> 4 but layer 1 takes 5 inputs
+            ([(3, 4), (5, 2)], "'encoder' layer 1 takes 5 inputs but layer 0 gives 4"),
+            ([], "'encoder' has no layers"),
+        ],
+    )
+    def test_rejects_unchained_or_empty_net(self, tmp_path, shapes, message):
+        # written by hand, since save_checkpoint only writes well-formed nets
+        name = b"encoder"
+        parts = [
+            nn.CHECKPOINT_MAGIC,
+            struct.pack("<II", nn.CHECKPOINT_VERSION, 1),
+            struct.pack("<H", len(name)),
+            name,
+            struct.pack("<I", len(shapes)),
+        ]
+        for fan_in, fan_out in shapes:
+            parts.append(struct.pack("<IIB", fan_in, fan_out, 1))
+            parts.append(np.zeros(fan_in * fan_out + fan_out, dtype="<f8").tobytes())
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"".join(parts))
+        with pytest.raises(InputError, match=message):
             nn.load_checkpoint(path)
 
 

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import lsvos.features as features
 import lsvos.nn as nn
+import lsvos.pipeline as pipeline
 from lsvos.errors import InputError, NumericalFailure
 from lsvos.features import Label, save_features
 from lsvos.models import ModelBundle
@@ -205,6 +207,17 @@ class TestRunExperiment:
         card = json.loads((root / "model_card.json").read_text())
         assert card["feature_dim"] == 8
         assert card["loss_lambda"] == cfg.loss_lambda
+
+    def test_manifest_format_versions_come_from_the_modules(self, monkeypatch):
+        res = run_experiment(micro_cfg())
+        assert res.manifest.checkpoint_format_version == nn.CHECKPOINT_VERSION
+        assert res.manifest.feature_format_version == features.FEATURE_VERSION
+        # read at run time, not copied as literals
+        monkeypatch.setattr(nn, "CHECKPOINT_VERSION", 7)
+        monkeypatch.setattr(pipeline, "FEATURE_VERSION", 9)
+        res = run_experiment(micro_cfg())
+        assert res.manifest.checkpoint_format_version == 7
+        assert res.manifest.feature_format_version == 9
 
     def test_reruns_are_byte_identical_except_manifest(self, tmp_path):
         cfg = micro_cfg()

@@ -4,6 +4,7 @@ import pytest
 from lsvos import features, models, nn, synthesis
 from lsvos.errors import InputError, NotReadyError
 from lsvos.features import FeatureQueue, FeatureRecord, Label
+from lsvos.scoring import fit_gaussian_model
 from lsvos.synthesis import NoiseSpec
 
 
@@ -143,6 +144,29 @@ class TestVosSynthesize:
             kept = small.vectors[small.class_ids == cid]
             ranked = full.vectors[full.class_ids == cid]
             np.testing.assert_array_equal(kept, ranked[:10])
+
+    def test_kept_rows_are_the_largest_distances_in_descending_order(self):
+        # oracle: refit the Gaussian from the queue snapshots, redraw the
+        # candidates from the same stream and rank them by d^T P d
+        dim, k, n_keep, n_cand = 4, 3, 25, 500
+        q = _filled_queue(dim=dim, num_classes=k, per_class=300, seed=7)
+        batch = synthesis.vos_synthesize(q, n_keep, None, n_cand, nn.make_rng(8))
+        snaps = [q.snapshot(cid)[:, :dim] for cid in range(k)]
+        model = fit_gaussian_model(
+            np.vstack(snaps), np.repeat(np.arange(k), [len(s) for s in snaps]), k
+        )
+        rng = nn.make_rng(8)
+        for cid in range(k):
+            cands = rng.standard_normal((n_cand, dim)) @ model.cholesky.T + model.means[cid]
+            dist = np.array([d @ model.precision @ d for d in cands - model.means[cid]])
+            kept = batch.vectors[batch.class_ids == cid]
+            kept_dist = np.array([d @ model.precision @ d for d in kept - model.means[cid]])
+            for row in kept:
+                assert np.any(np.all(cands == row, axis=1))
+            assert np.all(np.diff(kept_dist) <= 1e-9 * kept_dist[:-1])
+            np.testing.assert_allclose(
+                kept_dist, np.sort(dist)[::-1][:n_keep], rtol=1e-9
+            )
 
     def test_one_dimensional_tail_cutoff(self):
         # keeping the lowest-likelihood 5% of a unit Gaussian leaves only
