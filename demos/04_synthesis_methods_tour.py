@@ -9,10 +9,10 @@ far each one lands from the inlier class centers.
 
 import numpy as np
 
-from lsvos.datagen import GeneratorSpec, generate_features
+from lsvos.datagen import generate_features
 from lsvos.features import FeatureQueue, Label
 from lsvos.models import encode, reconstruct
-from lsvos.pipeline import desk_preset, run_experiment
+from lsvos.pipeline import desk_preset, generator_spec, run_experiment
 from lsvos.synthesis import (
     METHODS,
     NoiseSpec,
@@ -33,8 +33,7 @@ print("auto-encoder fitted:", ae.trained,
 
 # Pull real inlier and false-positive features from the same generator
 # the pipeline used.
-spec = GeneratorSpec(dim=cfg.data_dim, num_classes=cfg.data_classes,
-                     fp_overlap=cfg.data_fp_overlap, seed=cfg.seed)
+spec = generator_spec(cfg)
 train, _ = generate_features(spec)
 u_id, id_classes = train.select(Label.ID)
 u_fp, _ = train.select(Label.FP)

@@ -12,19 +12,22 @@ import os
 import sys
 from pathlib import Path
 
-from .datagen import GeneratorSpec, generate_features, generate_scenes
+from .datagen import generate_features, generate_scenes
 from .errors import InputError, LsvosError
 from .features import Label, load_features, save_features
 from .geometry import save_scene
 from .metrics import EvaluationReport, build_report
 from .models import ModelBundle
 from .pipeline import (
+    SCORER_NAMES,
+    ExperimentConfig,
     ablate,
     apply_overrides,
     config_hash,
     desk_preset,
     evaluate_bundle,
     format_config,
+    generator_spec,
     load_config,
     run_experiment,
     sweep_from_specs,
@@ -61,25 +64,15 @@ def render_table(report: EvaluationReport) -> str:
 
 
 def cmd_generate(args) -> int:
-    spec = GeneratorSpec(
-        dim=args.dim,
-        num_classes=args.classes,
-        fp_overlap=args.fp_overlap,
-        fp_displacement=args.fp_displacement,
-        n_id_train=args.n_id_train,
-        n_fp_train=args.n_fp_train,
-        n_id_val=args.n_id_val,
-        n_fp_val=args.n_fp_val,
-        seed=args.seed,
-    )
+    cfg = _base_config(args)
     out = _resolve_out(args.out, "generate")
     out.mkdir(parents=True, exist_ok=True)
-    train, val = generate_features(spec)
+    train, val = generate_features(generator_spec(cfg))
     save_features(out / "train.vosf", train)
     save_features(out / "val.vosf", val)
     scenes_dir = out / "scenes"
     scenes_dir.mkdir(exist_ok=True)
-    scenes = generate_scenes(args.scenes, args.boxes, args.jitter, args.seed)
+    scenes = generate_scenes(args.scenes, args.boxes, args.jitter, cfg.seed)
     for i, scene in enumerate(scenes):
         save_scene(scenes_dir / f"scene_{i:03d}.csv", scene.preds, scene.gts)
     for split, ds in (("train", train), ("val", val)):
@@ -111,11 +104,12 @@ def cmd_evaluate(args) -> int:
             raise InputError(f"no report.json under {args.run}")
         report = EvaluationReport.from_json(report_path.read_text())
     elif args.checkpoint and args.data:
+        # the config's own parser and checks for the methods key
+        methods = apply_overrides(ExperimentConfig(), {"methods": args.methods}).methods
         bundle = ModelBundle.load(args.checkpoint)
         data = Path(args.data)
         train = load_features(data / "train.vosf", split="train")
         val = load_features(data / "val.vosf", split="val")
-        methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
         score_sets, ece_values = evaluate_bundle(bundle, train, val, methods)
         report = build_report(score_sets, "recomputed", 0, ece_values)
     else:
@@ -184,20 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     gen = subs.add_parser("generate", help="write synthetic feature and scene files")
-    gen.add_argument("--preset", choices=["desk"], default="desk")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--dim", type=int, default=64)
-    gen.add_argument("--classes", type=int, default=3)
-    gen.add_argument("--fp-overlap", type=float, default=0.5)
-    gen.add_argument("--fp-displacement", type=float, default=10.0)
-    gen.add_argument("--n-id-train", type=int, default=6000)
-    gen.add_argument("--n-fp-train", type=int, default=2000)
-    gen.add_argument("--n-id-val", type=int, default=2000)
-    gen.add_argument("--n-fp-val", type=int, default=700)
+    _add_config_flags(gen)
     gen.add_argument("--scenes", type=int, default=5)
     gen.add_argument("--boxes", type=int, default=8)
     gen.add_argument("--jitter", type=float, default=0.2)
-    gen.add_argument("--out", help="output directory")
     gen.set_defaults(func=cmd_generate)
 
     train = subs.add_parser("train", help="run the two-phase training pipeline")
@@ -215,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", help="feature directory with train.vosf and val.vosf")
     ev.add_argument(
         "--methods",
-        default="uncertainty,default_score,mahalanobis",
+        default=",".join(SCORER_NAMES),
         help="comma-separated scorers for --checkpoint mode",
     )
     ev.set_defaults(func=cmd_evaluate)

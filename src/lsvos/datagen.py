@@ -66,6 +66,8 @@ class GeneratorSpec:
         for name in ("n_id_train", "n_fp_train", "n_id_val", "n_fp_val"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.class_means is not None:
             self.class_means = np.asarray(self.class_means, dtype=np.float64)
             if self.class_means.shape != (self.num_classes, self.dim):

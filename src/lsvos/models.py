@@ -29,12 +29,6 @@ from .errors import InputError
 
 UNCERTAINTY_VARIANTS = ("sigmoid", "bce")
 
-DEFAULT_LATENT_DIM = 128
-DEFAULT_ENCODER_HIDDEN = (256, 128)
-DEFAULT_DECODER_HIDDEN = (128, 256)
-DEFAULT_UNCERTAINTY_HIDDEN = (256, 256)
-DEFAULT_CLASSIFIER_HIDDEN = (128,)
-
 
 @dataclass
 class AutoEncoder:
@@ -74,9 +68,10 @@ class AutoEncoder:
         dim: int,
         num_classes: int,
         rng: np.random.Generator,
-        latent_dim: int = DEFAULT_LATENT_DIM,
-        encoder_hidden: tuple[int, ...] = DEFAULT_ENCODER_HIDDEN,
-        decoder_hidden: tuple[int, ...] = DEFAULT_DECODER_HIDDEN,
+        *,
+        latent_dim: int,
+        encoder_hidden: tuple[int, ...],
+        decoder_hidden: tuple[int, ...],
     ) -> "AutoEncoder":
         encoder = nn.dense_net([dim + num_classes, *encoder_hidden, latent_dim], rng)
         decoder = nn.dense_net([latent_dim, *decoder_hidden, dim], rng)
@@ -143,7 +138,8 @@ class UncertaintyHead:
         cls,
         dim: int,
         rng: np.random.Generator,
-        hidden: tuple[int, ...] = DEFAULT_UNCERTAINTY_HIDDEN,
+        *,
+        hidden: tuple[int, ...],
     ) -> "UncertaintyHead":
         return cls(nn.dense_net([dim, *hidden, 1], rng))
 
@@ -220,7 +216,8 @@ class SurrogateClassifier:
         dim: int,
         num_classes: int,
         rng: np.random.Generator,
-        hidden: tuple[int, ...] = DEFAULT_CLASSIFIER_HIDDEN,
+        *,
+        hidden: tuple[int, ...],
     ) -> "SurrogateClassifier":
         if num_classes < 2:
             raise InputError("surrogate classifier needs at least 2 classes")
@@ -279,17 +276,23 @@ class ModelBundle:
         dim: int,
         num_classes: int,
         rng: np.random.Generator,
-        latent_dim: int = DEFAULT_LATENT_DIM,
-        encoder_hidden: tuple[int, ...] = DEFAULT_ENCODER_HIDDEN,
-        decoder_hidden: tuple[int, ...] = DEFAULT_DECODER_HIDDEN,
-        uncertainty_hidden: tuple[int, ...] = DEFAULT_UNCERTAINTY_HIDDEN,
-        classifier_hidden: tuple[int, ...] = DEFAULT_CLASSIFIER_HIDDEN,
+        *,
+        latent_dim: int,
+        encoder_hidden: tuple[int, ...],
+        decoder_hidden: tuple[int, ...],
+        uncertainty_hidden: tuple[int, ...],
+        classifier_hidden: tuple[int, ...],
     ) -> "ModelBundle":
         ae = AutoEncoder.build(
-            dim, num_classes, rng, latent_dim, encoder_hidden, decoder_hidden
+            dim,
+            num_classes,
+            rng,
+            latent_dim=latent_dim,
+            encoder_hidden=encoder_hidden,
+            decoder_hidden=decoder_hidden,
         )
-        head = UncertaintyHead.build(dim, rng, uncertainty_hidden)
-        clf = SurrogateClassifier.build(dim, num_classes, rng, classifier_hidden)
+        head = UncertaintyHead.build(dim, rng, hidden=uncertainty_hidden)
+        clf = SurrogateClassifier.build(dim, num_classes, rng, hidden=classifier_hidden)
         return cls(ae, head, clf)
 
     def save(self, path) -> None:

@@ -25,6 +25,7 @@ import time
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .errors import InputError, LsvosError, NumericalFailure
 from .features import FEATURE_VERSION, FeatureQueue, Label, append_one_hot, load_features
 from .metrics import EvaluationReport, build_report, ece
 from .models import (
+    UNCERTAINTY_VARIANTS,
     ModelBundle,
     ae_gradients,
     classifier_gradients,
@@ -56,14 +58,17 @@ from .synthesis import (
 )
 
 SCORER_NAMES = ("uncertainty", "default_score", "mahalanobis")
-UNCERTAINTY_VARIANTS = ("sigmoid", "bce")
 HISTORY_HEADER = "phase,epoch,step,loss_total,loss_ae,loss_clf,loss_unc,queue_occupancy"
 VOS_CANDIDATES = 10000
 
 
 @dataclass
 class ExperimentConfig:
-    """Flat experiment knobs; one attribute per dotted config key."""
+    """Flat experiment knobs; one attribute per dotted config key.
+
+    The dotted key is the attribute name with its first "_" turned into
+    "."; its type selects how the value is parsed and rendered.
+    """
 
     dataset: str = "synthetic"
     data_dim: int = 64
@@ -99,29 +104,27 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.dataset:
             raise InputError("dataset must be 'synthetic' or a feature directory")
-        if self.data_dim <= 0 or self.data_classes < 2:
-            raise InputError("data.dim must be positive and data.classes at least 2")
-        if not 0.0 <= self.data_fp_overlap <= 1.0:
-            raise InputError(f"data.fp_overlap must be in [0, 1], got {self.data_fp_overlap}")
-        for key in ("data_n_id_train", "data_n_fp_train", "data_n_id_val", "data_n_fp_val"):
-            if getattr(self, key) <= 0:
-                raise InputError(f"{_ATTR_TO_KEY[key]} must be positive")
+        for key, (attr, parse, _) in _KEYS.items():
+            value = getattr(self, attr)
+            if parse is float and not math.isfinite(value):
+                raise InputError(f"{key} must be finite, got {value}")
+        if self.data_classes < 2:
+            raise InputError("data.classes must be at least 2")
+        generator_spec(self)  # GeneratorSpec checks the other data.* keys
         if self.model_latent_dim <= 0:
             raise InputError("model.latent_dim must be positive")
-        for key in (
+        for attr in (
             "model_encoder_hidden",
             "model_decoder_hidden",
             "model_uncertainty_hidden",
             "model_classifier_hidden",
         ):
-            if any(h <= 0 for h in getattr(self, key)):
-                raise InputError(f"{_ATTR_TO_KEY[key]} layer widths must be positive")
-        if not math.isfinite(self.noise_alpha) or self.noise_alpha < 0.0:
-            raise InputError(f"noise.alpha must be finite and non-negative, got {self.noise_alpha}")
-        if not math.isfinite(self.noise_beta) or self.noise_beta < 0.0:
-            raise InputError(f"noise.beta must be finite and non-negative, got {self.noise_beta}")
-        if not math.isfinite(self.loss_lambda) or self.loss_lambda < 0.0:
-            raise InputError(f"loss.lambda must be finite and non-negative, got {self.loss_lambda}")
+            if any(h <= 0 for h in getattr(self, attr)):
+                raise InputError(f"{_dotted(attr)} layer widths must be positive")
+        for attr in ("noise_alpha", "noise_beta", "loss_lambda"):
+            value = getattr(self, attr)
+            if value < 0.0:
+                raise InputError(f"{_dotted(attr)} must be non-negative, got {value}")
         if self.loss_variant not in UNCERTAINTY_VARIANTS:
             raise InputError(
                 f"loss.variant must be one of {UNCERTAINTY_VARIANTS}, got {self.loss_variant!r}"
@@ -145,110 +148,95 @@ class ExperimentConfig:
             raise InputError("methods must not repeat")
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
+def generator_spec(cfg: ExperimentConfig) -> GeneratorSpec:
+    """The synthetic feature generator for the config's data.* keys and seed."""
+    return GeneratorSpec(
+        dim=cfg.data_dim,
+        num_classes=cfg.data_classes,
+        class_separation=cfg.data_class_separation,
+        cov_scale=cfg.data_cov_scale,
+        fp_overlap=cfg.data_fp_overlap,
+        fp_displacement=cfg.data_fp_displacement,
+        n_id_train=cfg.data_n_id_train,
+        n_fp_train=cfg.data_n_fp_train,
+        n_id_val=cfg.data_n_id_val,
+        n_fp_val=cfg.data_n_fp_val,
+        seed=cfg.seed,
+    )
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    return value
+def _dotted(attr: str) -> str:
+    return attr.replace("_", ".", 1)
 
 
-def _parse_hidden(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split(","))
+def _split_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",")]
 
 
-def _parse_methods(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _fmt_hidden(value: tuple[int, ...]) -> str:
-    return ",".join(str(v) for v in value)
-
-
-def _fmt_float(value: float) -> str:
-    return repr(float(value))
-
-
-# dotted key -> (attribute, parser, formatter)
-KEY_MAP = {
-    "dataset": ("dataset", str, str),
-    "data.dim": ("data_dim", _parse_int, str),
-    "data.classes": ("data_classes", _parse_int, str),
-    "data.class_separation": ("data_class_separation", _parse_float, _fmt_float),
-    "data.cov_scale": ("data_cov_scale", _parse_float, _fmt_float),
-    "data.fp_overlap": ("data_fp_overlap", _parse_float, _fmt_float),
-    "data.fp_displacement": ("data_fp_displacement", _parse_float, _fmt_float),
-    "data.n_id_train": ("data_n_id_train", _parse_int, str),
-    "data.n_fp_train": ("data_n_fp_train", _parse_int, str),
-    "data.n_id_val": ("data_n_id_val", _parse_int, str),
-    "data.n_fp_val": ("data_n_fp_val", _parse_int, str),
-    "model.latent_dim": ("model_latent_dim", _parse_int, str),
-    "model.encoder_hidden": ("model_encoder_hidden", _parse_hidden, _fmt_hidden),
-    "model.decoder_hidden": ("model_decoder_hidden", _parse_hidden, _fmt_hidden),
-    "model.uncertainty_hidden": ("model_uncertainty_hidden", _parse_hidden, _fmt_hidden),
-    "model.classifier_hidden": ("model_classifier_hidden", _parse_hidden, _fmt_hidden),
-    "noise.alpha": ("noise_alpha", _parse_float, _fmt_float),
-    "noise.beta": ("noise_beta", _parse_float, _fmt_float),
-    "loss.lambda": ("loss_lambda", _parse_float, _fmt_float),
-    "loss.variant": ("loss_variant", str, str),
-    "synth.method": ("synth_method", str, str),
-    "train.phase1_epochs": ("train_phase1_epochs", _parse_int, str),
-    "train.phase2_epochs": ("train_phase2_epochs", _parse_int, str),
-    "train.epoch_scale": ("train_epoch_scale", _parse_float, _fmt_float),
-    "train.lr": ("train_lr", _parse_float, _fmt_float),
-    "train.batch_size": ("train_batch_size", _parse_int, str),
-    "queue.capacity": ("queue_capacity", _parse_int, str),
-    "sample.n_per_class": ("sample_n_per_class", _parse_int, str),
-    "seed": ("seed", _parse_int, str),
-    "methods": ("methods", _parse_methods, _fmt_hidden),
+# field type -> (parser, formatter)
+_CODECS = {
+    int: (int, str),
+    float: (float, lambda v: repr(float(v))),
+    str: (str, str),
+    # blank text is an empty tuple; an empty element is a bad value
+    tuple[int, ...]: (
+        lambda text: tuple(int(p) for p in _split_list(text)) if text.strip() else (),
+        lambda v: ",".join(str(x) for x in v),
+    ),
+    # empty elements are dropped
+    tuple[str, ...]: (
+        lambda text: tuple(p for p in _split_list(text) if p),
+        ",".join,
+    ),
 }
-_ATTR_TO_KEY = {attr: key for key, (attr, _, _) in KEY_MAP.items()}
+
+# dotted key -> (attribute, parser, formatter), derived from the fields
+_KEYS = {
+    _dotted(name): (name, *_CODECS[hint])
+    for name, hint in get_type_hints(ExperimentConfig).items()
+}
+
+
+def _field_updates(entries, heading: str) -> dict[str, object]:
+    """Field updates from (where, "key = value") entries.
+
+    Every malformed entry, unknown key and bad value is collected before
+    raising, so one error message lists every problem; `where` prefixes
+    the problems of its entry.
+    """
+    updates: dict[str, object] = {}
+    problems: list[str] = []
+    for where, text in entries:
+        key, sep, value = (part.strip() for part in text.partition("="))
+        if not sep:
+            problems.append(f"{where}expected 'key = value', got {text.strip()!r}")
+        elif key not in _KEYS:
+            problems.append(f"{where}unknown key {key!r}")
+        else:
+            attr, parse, _ = _KEYS[key]
+            try:
+                updates[attr] = parse(value)
+            except (ValueError, TypeError):
+                problems.append(f"{where}bad value {value!r} for key {key!r}")
+    if problems:
+        raise InputError(f"{heading}: " + "; ".join(problems))
+    return updates
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse "key = value" lines; '#' starts a comment, blanks ignored.
-
-    All offending keys and values are collected before raising, so one
-    error message lists every problem in the file.
-    """
-    values: dict[str, object] = {}
-    problems: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            problems.append(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in KEY_MAP:
-            problems.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        attr, parser, _ = KEY_MAP[key]
-        try:
-            values[attr] = parser(value)
-        except (ValueError, TypeError):
-            problems.append(f"line {lineno}: bad value {value!r} for key {key!r}")
-    if problems:
-        raise InputError("config errors: " + "; ".join(problems))
-    cfg = ExperimentConfig(**values)
+    """Parse "key = value" lines; '#' starts a comment, blanks ignored."""
+    lines = ((n, raw.split("#", 1)[0]) for n, raw in enumerate(text.splitlines(), start=1))
+    entries = [(f"line {n}: ", line) for n, line in lines if line.strip()]
+    cfg = ExperimentConfig(**_field_updates(entries, "config errors"))
     cfg.validate()
     return cfg
 
 
 def format_config(cfg: ExperimentConfig) -> str:
     """Canonical rendering: one key per line, sorted by dotted key."""
-    lines = []
-    for key in sorted(KEY_MAP):
-        attr, _, fmt = KEY_MAP[key]
-        lines.append(f"{key} = {fmt(getattr(cfg, attr))}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key} = {fmt(getattr(cfg, attr))}\n" for key, (attr, _, fmt) in sorted(_KEYS.items())
+    )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -259,25 +247,7 @@ def apply_overrides(cfg: ExperimentConfig, pairs) -> ExperimentConfig:
     """New config with "dotted.key=value" strings (or a dict) applied."""
     if isinstance(pairs, dict):
         pairs = [f"{k}={v}" for k, v in pairs.items()]
-    updates: dict[str, object] = {}
-    problems: list[str] = []
-    for pair in pairs:
-        if "=" not in pair:
-            problems.append(f"expected key=value, got {pair!r}")
-            continue
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        if key not in KEY_MAP:
-            problems.append(f"unknown key {key!r}")
-            continue
-        attr, parser, _ = KEY_MAP[key]
-        try:
-            updates[attr] = parser(value.strip())
-        except (ValueError, TypeError):
-            problems.append(f"bad value {value.strip()!r} for key {key!r}")
-    if problems:
-        raise InputError("override errors: " + "; ".join(problems))
-    out = replace(cfg, **updates)
+    out = replace(cfg, **_field_updates([("", pair) for pair in pairs], "override errors"))
     out.validate()
     return out
 
@@ -398,20 +368,7 @@ class _Optimizer:
 
 def _load_datasets(cfg: ExperimentConfig):
     if cfg.dataset == "synthetic":
-        spec = GeneratorSpec(
-            dim=cfg.data_dim,
-            num_classes=cfg.data_classes,
-            class_separation=cfg.data_class_separation,
-            cov_scale=cfg.data_cov_scale,
-            fp_overlap=cfg.data_fp_overlap,
-            fp_displacement=cfg.data_fp_displacement,
-            n_id_train=cfg.data_n_id_train,
-            n_fp_train=cfg.data_n_fp_train,
-            n_id_val=cfg.data_n_id_val,
-            n_fp_val=cfg.data_n_fp_val,
-            seed=cfg.seed,
-        )
-        return generate_features(spec)
+        return generate_features(generator_spec(cfg))
     root = Path(cfg.dataset)
     train_path = root / "train.vosf"
     val_path = root / "val.vosf"
@@ -773,7 +730,7 @@ def sweep_from_specs(specs: list[str]) -> list[dict[str, str]]:
             raise InputError(f"sweep spec must be key=v1,v2,..., got {spec!r}")
         key, _, values = spec.partition("=")
         key = key.strip()
-        if key not in KEY_MAP:
+        if key not in _KEYS:
             raise InputError(f"unknown sweep key {key!r}")
         parts = [v.strip() for v in values.split(",") if v.strip()]
         if not parts:

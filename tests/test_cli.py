@@ -8,14 +8,16 @@ from pathlib import Path
 import pytest
 
 from lsvos.cli import main
-from lsvos.pipeline import ExperimentConfig, format_config
+from lsvos.datagen import generate_features
+from lsvos.features import save_features
+from lsvos.pipeline import ExperimentConfig, format_config, generator_spec, load_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 GEN_SMALL = [
-    "--dim", "8", "--classes", "3",
-    "--n-id-train", "200", "--n-fp-train", "80",
-    "--n-id-val", "100", "--n-fp-val", "50",
+    "--set", "data.dim=8", "--set", "data.classes=3",
+    "--set", "data.n_id_train=200", "--set", "data.n_fp_train=80",
+    "--set", "data.n_id_val=100", "--set", "data.n_fp_val=50",
     "--scenes", "2", "--boxes", "4",
 ]
 
@@ -55,7 +57,7 @@ def sha256_tree(root):
 class TestGenerate:
     def test_writes_files_and_summary(self, tmp_path, capsys):
         out = tmp_path / "gen"
-        code = main(["generate", "--seed", "7", "--out", str(out), *GEN_SMALL])
+        code = main(["generate", "--set", "seed=7", "--out", str(out), *GEN_SMALL])
         assert code == 0
         assert (out / "train.vosf").is_file()
         assert (out / "val.vosf").is_file()
@@ -67,19 +69,19 @@ class TestGenerate:
 
     def test_same_seed_identical_checksums(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["generate", "--seed", "7", "--out", str(a), *GEN_SMALL]) == 0
-        assert main(["generate", "--seed", "7", "--out", str(b), *GEN_SMALL]) == 0
+        assert main(["generate", "--set", "seed=7", "--out", str(a), *GEN_SMALL]) == 0
+        assert main(["generate", "--set", "seed=7", "--out", str(b), *GEN_SMALL]) == 0
         assert sha256_tree(a) == sha256_tree(b)
 
     def test_different_seed_changes_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["generate", "--seed", "7", "--out", str(a), *GEN_SMALL]) == 0
-        assert main(["generate", "--seed", "8", "--out", str(b), *GEN_SMALL]) == 0
+        assert main(["generate", "--set", "seed=7", "--out", str(a), *GEN_SMALL]) == 0
+        assert main(["generate", "--set", "seed=8", "--out", str(b), *GEN_SMALL]) == 0
         assert sha256_tree(a) != sha256_tree(b)
 
     def test_fp_overlap_out_of_range_fails(self, tmp_path, capsys):
         code = main(
-            ["generate", "--fp-overlap", "1.2", "--out", str(tmp_path / "x"), *GEN_SMALL]
+            ["generate", "--set", "data.fp_overlap=1.2", "--out", str(tmp_path / "x"), *GEN_SMALL]
         )
         assert code == 1
         assert "fp_overlap" in capsys.readouterr().err
@@ -91,10 +93,21 @@ class TestGenerate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_file_gives_the_generator_files(self, tmp_path):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(micro_config_text(data_fp_overlap=0.25, data_cov_scale=2.0))
+        out = tmp_path / "gen"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        train, val = generate_features(generator_spec(load_config(cfg_path)))
+        save_features(tmp_path / "train.vosf", train)
+        save_features(tmp_path / "val.vosf", val)
+        for name in ("train.vosf", "val.vosf"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
     def test_env_var_default_output_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LSVOS_OUT", str(tmp_path / "root"))
         monkeypatch.chdir(tmp_path)
-        assert main(["generate", "--seed", "1", *GEN_SMALL]) == 0
+        assert main(["generate", "--set", "seed=1", *GEN_SMALL]) == 0
         assert (tmp_path / "root" / "generate" / "train.vosf").is_file()
 
 
@@ -136,6 +149,14 @@ class TestTrain:
         assert code == 1
         assert "whatsthis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override", ["data.cov_scale=0", "data.dim=4", "data.class_separation=-1", "seed=-1"]
+    )
+    def test_dry_run_rejects_what_the_generator_rejects(self, override, capsys):
+        code = main(["train", "--set", override, "--dry-run"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_set_flag_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(micro_config_text())
@@ -162,7 +183,7 @@ class TestEvaluateAndReport:
 
     def test_evaluate_checkpoint_mode(self, run_dir, tmp_path, capsys):
         data = tmp_path / "data"
-        assert main(["generate", "--seed", "5", "--out", str(data), *GEN_SMALL]) == 0
+        assert main(["generate", "--set", "seed=5", "--out", str(data), *GEN_SMALL]) == 0
         capsys.readouterr()
         code = main(
             [
@@ -176,6 +197,26 @@ class TestEvaluateAndReport:
         stdout = capsys.readouterr().out
         assert "uncertainty" in stdout
         assert "default_score" not in stdout
+
+    @pytest.mark.parametrize(
+        "methods, message",
+        [("uncertainty,uncertainty", "repeat"), ("uncertainty,bogus", "bogus")],
+    )
+    def test_evaluate_checkpoint_mode_checks_methods(
+        self, run_dir, tmp_path, methods, message, capsys
+    ):
+        data = tmp_path / "data"
+        assert main(["generate", "--set", "seed=5", "--out", str(data), *GEN_SMALL]) == 0
+        code = main(
+            [
+                "evaluate",
+                "--checkpoint", str(run_dir / "model.ckpt"),
+                "--data", str(data),
+                "--methods", methods,
+            ]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_evaluate_needs_a_source(self, capsys):
         assert main(["evaluate"]) == 1
@@ -231,7 +272,7 @@ class TestAblate:
 
 def run_generate_script(exe, tmp_path, **kwargs):
     proc = subprocess.run(
-        [str(exe), "generate", "--seed", "3", "--out", str(tmp_path / "g"), *GEN_SMALL],
+        [str(exe), "generate", "--set", "seed=3", "--out", str(tmp_path / "g"), *GEN_SMALL],
         capture_output=True,
         text=True,
         **kwargs,

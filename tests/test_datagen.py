@@ -55,6 +55,10 @@ class TestGeneratorSpec:
             with pytest.raises(InputError):
                 small_spec(**{field: 0})
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InputError):
+            small_spec(seed=-1)
+
     def test_rejects_dim_below_twice_class_count(self):
         with pytest.raises(InputError):
             small_spec(dim=5)

@@ -10,6 +10,7 @@ from lsvos.models import (
     SurrogateClassifier,
     UncertaintyHead,
 )
+from lsvos.pipeline import ExperimentConfig
 
 import oracles
 
@@ -28,7 +29,17 @@ def _identity_ae(dim, num_classes, latent=None):
 
 class TestArchitecture:
     def test_default_dims(self):
-        bundle = ModelBundle.build(64, 3, nn.make_rng(0))
+        cfg = ExperimentConfig()
+        bundle = ModelBundle.build(
+            cfg.data_dim,
+            cfg.data_classes,
+            nn.make_rng(0),
+            latent_dim=cfg.model_latent_dim,
+            encoder_hidden=cfg.model_encoder_hidden,
+            decoder_hidden=cfg.model_decoder_hidden,
+            uncertainty_hidden=cfg.model_uncertainty_hidden,
+            classifier_hidden=cfg.model_classifier_hidden,
+        )
         card = bundle.model_card()
         assert card["encoder_dims"] == [67, 256, 128, 128]
         assert card["decoder_dims"] == [128, 128, 256, 64]
@@ -37,7 +48,9 @@ class TestArchitecture:
         assert card["latent_dim"] == 128
 
     def test_relu_on_hidden_identity_on_last(self):
-        ae = AutoEncoder.build(8, 2, nn.make_rng(0))
+        ae = AutoEncoder.build(
+            8, 2, nn.make_rng(0), latent_dim=4, encoder_hidden=(16, 8), decoder_hidden=(8, 16)
+        )
         assert [l.activation for l in ae.encoder.layers] == ["relu", "relu", "identity"]
         assert [l.activation for l in ae.decoder.layers] == ["relu", "relu", "identity"]
 
@@ -54,9 +67,9 @@ class TestArchitecture:
 
     def test_bundle_heads_consume_raw_features(self):
         rng = nn.make_rng(0)
-        ae = AutoEncoder.build(8, 2, rng)
-        head = UncertaintyHead.build(9, rng)
-        clf = SurrogateClassifier.build(8, 2, rng)
+        ae = AutoEncoder.build(8, 2, rng, latent_dim=4, encoder_hidden=(8,), decoder_hidden=(8,))
+        head = UncertaintyHead.build(9, rng, hidden=(8,))
+        clf = SurrogateClassifier.build(8, 2, rng, hidden=(8,))
         with pytest.raises(InputError):
             ModelBundle(ae, head, clf)
 
@@ -177,7 +190,7 @@ class TestUncertaintyLoss:
 
     def test_converges_below_minus_1_9_on_separated_clusters(self):
         rng = nn.make_rng(42)
-        head = UncertaintyHead.build(4, rng)
+        head = UncertaintyHead.build(4, rng, hidden=(256, 256))
         u_id = rng.normal(size=(64, 4)) - 5.0
         u_ood = rng.normal(size=(64, 4)) + 5.0
         params = nn.parameters(head.net)
@@ -210,14 +223,14 @@ class TestClassifierAndTotal:
 
     def test_default_score_at_least_one_over_k(self):
         rng = nn.make_rng(3)
-        clf = SurrogateClassifier.build(4, 5, rng)
+        clf = SurrogateClassifier.build(4, 5, rng, hidden=(128,))
         scores = models.default_score(clf, rng.normal(size=(50, 4)))
         assert np.all(scores >= 1.0 / 5.0)
         assert np.all(scores <= 1.0)
 
     def test_classifier_loss_matches_nn(self):
         rng = nn.make_rng(4)
-        clf = SurrogateClassifier.build(3, 2, rng)
+        clf = SurrogateClassifier.build(3, 2, rng, hidden=(128,))
         u = rng.normal(size=(8, 3))
         ids = rng.integers(0, 2, size=8)
         loss, grads = models.classifier_gradients(clf, u, ids)

@@ -1,16 +1,21 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lsvos.features as features
 import lsvos.nn as nn
 import lsvos.pipeline as pipeline
 from lsvos.errors import InputError, NumericalFailure
 from lsvos.features import Label, save_features
-from lsvos.models import ModelBundle
+from lsvos.models import UNCERTAINTY_VARIANTS, ModelBundle
 from lsvos.pipeline import (
+    SCORER_NAMES,
     ExperimentConfig,
     RunManifest,
     ablate,
@@ -24,6 +29,9 @@ from lsvos.pipeline import (
     run_experiment,
     sweep_from_specs,
 )
+from lsvos.synthesis import METHODS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def micro_cfg(**overrides):
@@ -116,11 +124,64 @@ class TestConfig:
             {"train_phase1_epochs": -1},
             {"train_epoch_scale": 0.0},
             {"model_encoder_hidden": (64, 0)},
+            {"train_epoch_scale": math.nan},
+            {"train_lr": math.nan},
+            {"data_cov_scale": math.inf},
+            {"noise_beta": math.inf},
         ],
     )
     def test_validate_rejects(self, overrides):
         with pytest.raises(InputError):
             micro_cfg(**overrides).validate()
+
+    def test_pinned_config_hashes(self):
+        # every report.json carries this hash, so the rendering must not move
+        assert config_hash(ExperimentConfig()) == (
+            "b273ccf977ed91b08faaadc5d9fd5f27d9439c06994c1abab286ec2145d26ef7"
+        )
+        assert config_hash(desk_preset()) == (
+            "f553e143df2024fc88d934a943420b8023f432ee1c0d897cb4290a496d02c3c2"
+        )
+
+    @pytest.mark.parametrize(
+        "line, attr, expected",
+        [
+            ("model.encoder_hidden = 128,,64", None, None),
+            ("model.encoder_hidden =", "model_encoder_hidden", ()),
+            ("model.encoder_hidden = 128, 64", "model_encoder_hidden", (128, 64)),
+            (
+                "methods = uncertainty,,mahalanobis",
+                "methods",
+                ("uncertainty", "mahalanobis"),
+            ),
+            ("seed = 1.5", None, None),
+            ("train.lr = 1e-3", "train_lr", 0.001),
+            ("dataset = some/dir", "dataset", "some/dir"),
+        ],
+    )
+    def test_parse_edge_cases(self, line, attr, expected):
+        if attr is None:
+            with pytest.raises(InputError) as err:
+                parse_config(line + "\n")
+            assert "bad value" in str(err.value)
+        else:
+            assert getattr(parse_config(line + "\n"), attr) == expected
+
+    def test_float_formats_back_canonically(self):
+        cfg = parse_config("train.lr = 1e-3\n")
+        assert "train.lr = 0.001\n" in format_config(cfg)
+
+    def test_readme_defaults_block_matches_format_config(self):
+        text = README.read_text()
+        section = text.split("## Configuration", 1)[1]
+        block = section.split("```", 2)[1]
+
+        def normalize(line):
+            return re.sub(r"\s+", " ", line.split("#", 1)[0]).strip()
+
+        documented = [normalize(ln) for ln in block.splitlines() if normalize(ln)]
+        rendered = [normalize(ln) for ln in format_config(ExperimentConfig()).splitlines()]
+        assert documented == rendered
 
     def test_desk_preset_is_valid_and_scaled(self):
         cfg = desk_preset()
@@ -132,6 +193,69 @@ class TestConfig:
         assert effective_epochs(0, 0.2) == 0
         assert effective_epochs(1, 0.01) == 1
         assert effective_epochs(50, 1.0) == 50
+
+
+_WIDTHS = st.lists(st.integers(1, 4096), max_size=3).map(tuple)
+_FLOATS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_POSITIVE_FLOATS = st.floats(
+    min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs drawn from the ranges that validate() accepts."""
+    classes = draw(st.integers(2, 64))
+    return ExperimentConfig(
+        dataset=draw(
+            st.just("synthetic")
+            | st.text("abcxyz0123456789_-./", min_size=1, max_size=20)
+        ),
+        data_dim=draw(st.integers(2 * classes, 100_000)),
+        data_classes=classes,
+        data_class_separation=draw(_FLOATS),
+        data_cov_scale=draw(_POSITIVE_FLOATS),
+        data_fp_overlap=draw(st.floats(0.0, 1.0)),
+        data_fp_displacement=draw(_FLOATS),
+        data_n_id_train=draw(st.integers(1, 10**9)),
+        data_n_fp_train=draw(st.integers(1, 10**9)),
+        data_n_id_val=draw(st.integers(1, 10**9)),
+        data_n_fp_val=draw(st.integers(1, 10**9)),
+        model_latent_dim=draw(st.integers(1, 4096)),
+        model_encoder_hidden=draw(_WIDTHS),
+        model_decoder_hidden=draw(_WIDTHS),
+        model_uncertainty_hidden=draw(_WIDTHS),
+        model_classifier_hidden=draw(_WIDTHS),
+        noise_alpha=draw(_FLOATS),
+        noise_beta=draw(_FLOATS),
+        loss_lambda=draw(_FLOATS),
+        loss_variant=draw(st.sampled_from(UNCERTAINTY_VARIANTS)),
+        synth_method=draw(st.sampled_from(METHODS)),
+        train_phase1_epochs=draw(st.integers(0, 10**6)),
+        train_phase2_epochs=draw(st.integers(0, 10**6)),
+        train_epoch_scale=draw(_POSITIVE_FLOATS),
+        train_lr=draw(_POSITIVE_FLOATS),
+        train_batch_size=draw(st.integers(1, 10**6)),
+        queue_capacity=draw(st.integers(1, 10**6)),
+        sample_n_per_class=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**63)),
+        methods=tuple(
+            draw(st.lists(st.sampled_from(SCORER_NAMES), min_size=1, unique=True))
+        ),
+    )
+
+
+class TestConfigProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_parse_inverts_format(self, cfg):
+        assert parse_config(format_config(cfg)) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_overrides_of_every_rendered_line_rebuild_the_config(self, cfg):
+        lines = [ln for ln in format_config(cfg).splitlines() if ln.strip()]
+        assert apply_overrides(ExperimentConfig(), lines) == cfg
 
 
 class TestSweepSpecs:
