@@ -1,6 +1,6 @@
 """
-Feature records, the per-class FIFO queue, and feature files
-=============================================================
+Feature datasets, the per-class FIFO queue, and feature files
+==============================================================
 
 Walks the feature containers from the ground up: build a dataset by
 hand, attach one-hot class context, watch the bounded queue evict its
@@ -15,25 +15,25 @@ import numpy as np
 from lsvos.features import (
     FeatureDataset,
     FeatureQueue,
-    FeatureRecord,
     Label,
     append_one_hot,
     load_features,
+    make_records,
     one_hot,
+    record_dtype,
     save_features,
 )
 
 rng = np.random.default_rng(0)
 
-# A feature record is one detection's penultimate-layer vector plus the
-# class the detector assigned and a label telling us whether the
-# detection was real (ID) or spurious (FP).
+# A dataset is one record array: per detection its penultimate-layer
+# vector, the class the detector assigned and a label telling us
+# whether the detection was real (ID) or spurious (FP).
 dim, num_classes = 6, 3
-records = []
-for i in range(12):
-    cls = i % num_classes
-    label = Label.ID if i < 9 else Label.FP
-    records.append(FeatureRecord(vector=rng.standard_normal(dim), class_id=cls, label=label))
+class_ids = np.arange(12) % num_classes
+labels = np.where(np.arange(12) < 9, Label.ID, Label.FP)
+records = make_records(rng.standard_normal((12, dim)), class_ids, labels)
+print("record fields:", records.dtype.names)
 
 ds = FeatureDataset(dim=dim, num_classes=num_classes,
                     class_names=["car", "pedestrian", "cyclist"], records=records)
@@ -54,7 +54,7 @@ print("conditioned shape:", conditioned.shape, "(last 3 columns are the class)")
 # survivors are exactly the last 5 pushed.
 queue = FeatureQueue(dim=1, num_classes=1, capacity_per_class=5)
 for value in range(8):
-    queue.push(FeatureRecord(vector=np.array([float(value)]), class_id=0, label=Label.ID))
+    queue.push_many(np.array([[float(value)]]), [0])
 print("occupancy after 8 pushes into capacity 5:", queue.occupancy())
 print("surviving values (oldest first):", queue.snapshot(0)[:, 0])
 
@@ -71,9 +71,7 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "features.vosf"
     save_features(path, ds)
     back = load_features(path)
-    same = all(
-        np.array_equal(a.vector.astype(np.float32), b.vector.astype(np.float32))
-        and a.class_id == b.class_id and a.label == b.label
-        for a, b in zip(ds.records, back.records)
-    )
+    # the file holds float32 vectors, so compare at that precision
+    wire = records.astype(record_dtype(dim, "<f4"))
+    same = np.array_equal(wire.astype(records.dtype), back.records)
     print("file size:", path.stat().st_size, "bytes, round trip identical:", same)

@@ -16,7 +16,6 @@ from lsvos.pipeline import desk_preset, generator_spec, run_experiment
 from lsvos.synthesis import (
     METHODS,
     NoiseSpec,
-    as_dataset,
     linear_mix,
     lsvos_synthesize,
     noisy_id,
@@ -85,8 +84,7 @@ jitter = noisy_id(u_id, rng)
 print("linear mix toward FPs:", f"{np.linalg.norm(mix.vectors - means[0], axis=1).mean():.2f} from class 0 center")
 print("pure noise rows:", noise.vectors.shape, "| jittered inliers:", jitter.vectors.shape)
 
-# Every batch records how it was made and converts to a labeled dataset.
+# Every batch records how it was made.
 print("\nmethods available:", METHODS)
-ds = as_dataset(vos, num_classes=spec.num_classes)
-print("as_dataset labels:", ds.counts(), "| method:", vos.method,
+print("vos batch:", vos.vectors.shape, "| method:", vos.method,
       "| provenance:", vos.provenance)

@@ -132,12 +132,11 @@ def cmd_ablate(args) -> int:
     for row in result.rows:
         line = "".join(f"{row['overrides'].get(k, ''):>24}" for k in keys)
         line += f"{row['status']:>9}"
-        if row["status"] == "ok":
-            for m in method_names:
-                line += f"{row['metrics'][m]['auroc']:>22.4f}"
-        else:
+        if row["status"] != "ok":
             failures += 1
-            line += "".join(f"{'-':>22}" for _ in method_names)
+        for m in method_names:
+            block = row.get("metrics", {}).get(m)
+            line += f"{block['auroc']:>22.4f}" if block else f"{'-':>22}"
         print(line)
     print(f"wrote {out}")
     if failures:

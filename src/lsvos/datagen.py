@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .features import FeatureDataset, FeatureRecord, Label
+from .features import FeatureDataset, Label, make_records
 from .geometry import Box3D, Detection
 
 SCENE_CLASSES = ("car", "pedestrian", "cyclist")
@@ -117,13 +117,6 @@ def _fp_block(spec: GeneratorSpec, n: int, rng: np.random.Generator):
     return base + dists[:, None] * spec.fp_directions()[class_ids], class_ids
 
 
-def _records(vectors, class_ids, label, prefix):
-    return [
-        FeatureRecord(vec, int(cid), label, source_id=f"{prefix}_{i}")
-        for i, (vec, cid) in enumerate(zip(vectors, class_ids))
-    ]
-
-
 def generate_features(spec: GeneratorSpec) -> tuple[FeatureDataset, FeatureDataset]:
     """(train, val) datasets of labeled ID and FP features."""
     streams = np.random.SeedSequence(spec.seed).spawn(4)
@@ -134,10 +127,11 @@ def generate_features(spec: GeneratorSpec) -> tuple[FeatureDataset, FeatureDatas
         ("train", spec.n_id_train, spec.n_fp_train, rngs[0], rngs[1]),
         ("val", spec.n_id_val, spec.n_fp_val, rngs[2], rngs[3]),
     ):
-        id_vecs, id_cls = _id_block(spec, n_id, rng_id)
-        fp_vecs, fp_cls = _fp_block(spec, n_fp, rng_fp)
-        records = _records(id_vecs, id_cls, Label.ID, f"{split}_id") + _records(
-            fp_vecs, fp_cls, Label.FP, f"{split}_fp"
+        records = np.concatenate(
+            [
+                make_records(*_id_block(spec, n_id, rng_id), Label.ID),
+                make_records(*_fp_block(spec, n_fp, rng_fp), Label.FP),
+            ]
         )
         splits.append(
             FeatureDataset(spec.dim, spec.num_classes, class_names, records, split)

@@ -1,29 +1,28 @@
-"""Feature records, the per-class FIFO queue, and feature-file persistence.
+"""Feature datasets, the per-class FIFO queue, and feature-file persistence.
 
-A feature record is one detection's RoI feature vector plus its predicted
-class and an ID/FP label.  The queue stores inlier features only, one ring
-buffer per class, and appends the one-hot of the class to every row it
-hands out, so downstream consumers always see real[D+K] rows.
+A dataset is one structured record array: per detection its predicted
+class, an ID/FP label and its RoI feature vector.  The queue stores
+inlier features only, one ring buffer per class, and appends the one-hot
+of the class to every row it hands out, so downstream consumers always
+see real[D+K] rows.
 
-File formats
-------------
-Binary (preferred), little-endian:
+File format
+-----------
+Binary, little-endian:
     magic    4 bytes  b"VOSF"
     version  u32      currently 1
     D        u32      feature dimension
     K        u32      number of classes
     count    u64      number of records
     per record: class_id u16, label u8, D float32 feature values
-Labels on the wire: 0 = ID, 1 = FP, 2 = SYNTH_OUTLIER.
-
-CSV alternative, header ``class_id,label,f0..f{D-1}``; the label column
-holds the enum name (ID/FP/SYNTH_OUTLIER), integers also accepted.
+Labels on the wire: 0 = ID, 1 = FP, 2 = SYNTH_OUTLIER.  In memory the
+records keep the same fields with float64 vectors.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -40,34 +39,42 @@ class Label(IntEnum):
     SYNTH_OUTLIER = 2
 
 
-@dataclass
-class FeatureRecord:
-    """One detection's feature vector with its predicted class and label."""
+def record_dtype(dim: int, vec: str = "<f8") -> np.dtype:
+    """Record layout: class_id u16, label u8, a (dim,) vector of type vec."""
+    try:
+        return np.dtype([("class_id", "<u2"), ("label", "u1"), ("vec", vec, (dim,))])
+    except ValueError as exc:
+        raise InputError(f"feature dimension {dim} does not fit a record") from exc
 
-    vector: np.ndarray
-    class_id: int
-    label: Label
-    source_id: str = ""
 
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector)
-        if self.vector.ndim != 1:
-            raise InputError(f"feature vector must be 1-D, got shape {self.vector.shape}")
-        if not np.all(np.isfinite(self.vector)):
-            raise InputError("feature vector contains non-finite values")
-        if self.class_id < 0:
-            raise InputError(f"class_id must be non-negative, got {self.class_id}")
-        self.label = Label(self.label)
+def make_records(vectors: np.ndarray, class_ids: np.ndarray, labels) -> np.ndarray:
+    """Record array from (N, D) vectors, N class ids and one label or N labels."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2:
+        raise InputError(f"vectors must be (N, D), got shape {vectors.shape}")
+    ids = np.asarray(class_ids, dtype=np.int64)
+    if ids.shape != (len(vectors),):
+        raise InputError("class_ids must have one entry per vector")
+    if ids.size and (ids.min() < 0 or ids.max() > np.iinfo(np.uint16).max):
+        raise InputError("class_id out of the u16 range")
+    codes = np.asarray(labels, dtype=np.int64)
+    if codes.size and (codes.min() < 0 or codes.max() >= len(Label)):
+        raise InputError("unknown label code")
+    records = np.empty(len(vectors), dtype=record_dtype(vectors.shape[1]))
+    records["class_id"] = ids
+    records["label"] = codes
+    records["vec"] = vectors
+    return records
 
 
 @dataclass
 class FeatureDataset:
-    """A bag of records with consistent dimension D and class count K."""
+    """Records of one dtype, record_dtype(dim), and a class count K."""
 
     dim: int
     num_classes: int
     class_names: list[str]
-    records: list[FeatureRecord]
+    records: np.ndarray
     split: str = "train"
 
     def __post_init__(self):
@@ -79,31 +86,29 @@ class FeatureDataset:
             )
         if self.split not in ("train", "val"):
             raise InputError(f"split must be 'train' or 'val', got {self.split!r}")
-        for rec in self.records:
-            if rec.vector.shape != (self.dim,):
-                raise InputError(
-                    f"record vector length {rec.vector.size} != dataset dim {self.dim}"
-                )
-            if rec.class_id >= self.num_classes:
-                raise InputError(f"class_id {rec.class_id} out of range [0, {self.num_classes})")
+        expected = record_dtype(self.dim)
+        records = self.records
+        if not (isinstance(records, np.ndarray) and records.ndim == 1 and records.dtype == expected):
+            raise InputError(f"records must be a 1-D array of {expected}")
+        if len(records):
+            top = int(records["class_id"].max())
+            if top >= self.num_classes:
+                raise InputError(f"class_id {top} out of range [0, {self.num_classes})")
+            code = int(records["label"].max())
+            if code >= len(Label):
+                raise InputError(f"unknown label code {code}")
+        if not np.isfinite(records["vec"]).all():
+            raise InputError("feature vectors contain non-finite values")
 
     def select(self, label: Label | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(vectors, class_ids) for records with the given label (None = all)."""
-        chosen = [r for r in self.records if label is None or r.label == label]
-        if not chosen:
-            return (
-                np.zeros((0, self.dim), dtype=np.float64),
-                np.zeros(0, dtype=np.int64),
-            )
-        vectors = np.stack([r.vector for r in chosen]).astype(np.float64)
-        class_ids = np.array([r.class_id for r in chosen], dtype=np.int64)
-        return vectors, class_ids
+        labels = self.records["label"]
+        chosen = labels == label if label is not None else np.ones(len(labels), bool)
+        return self.records["vec"][chosen], self.records["class_id"][chosen].astype(np.int64)
 
     def counts(self) -> dict[str, int]:
-        out = {lab.name: 0 for lab in Label}
-        for rec in self.records:
-            out[rec.label.name] += 1
-        return out
+        tally = np.bincount(self.records["label"], minlength=len(Label))
+        return {lab.name: int(tally[lab]) for lab in Label}
 
 
 def one_hot(class_ids: np.ndarray, num_classes: int) -> np.ndarray:
@@ -115,17 +120,8 @@ def one_hot(class_ids: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def augment_one_hot(rec: FeatureRecord, num_classes: int) -> np.ndarray:
-    """concat(vector, e_class): real[D] record -> real[D+K] row."""
-    if rec.class_id >= num_classes:
-        raise InputError(f"class_id {rec.class_id} >= K = {num_classes}")
-    return np.concatenate(
-        [rec.vector.astype(np.float64), one_hot([rec.class_id], num_classes)[0]]
-    )
-
-
 def append_one_hot(vectors: np.ndarray, class_ids: np.ndarray, num_classes: int) -> np.ndarray:
-    """Vectorized augment: (N, D) plus ids -> (N, D+K)."""
+    """concat(vectors, e_class): (N, D) plus ids -> (N, D+K)."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2:
         raise InputError("vectors must be (N, D)")
@@ -135,7 +131,7 @@ def append_one_hot(vectors: np.ndarray, class_ids: np.ndarray, num_classes: int)
 class FeatureQueue:
     """Per-class FIFO buffers of inlier features, one-hot appended on read.
 
-    Only ID records may enter.  Eviction is strictly oldest-first per class
+    Only ID features may enter.  Eviction is strictly oldest-first per class
     buffer; classes never interact.  Each class is a ring buffer of raw
     (D,) rows that grows by doubling up to capacity_per_class.
     """
@@ -149,15 +145,6 @@ class FeatureQueue:
         self._rows = [np.empty((0, dim)) for _ in range(num_classes)]
         self._head = [0] * num_classes  # next write position
         self._count = [0] * num_classes
-
-    def push(self, rec: FeatureRecord) -> None:
-        if rec.label != Label.ID:
-            raise InputError("queue holds inlier (ID) features only")
-        if rec.class_id >= self.num_classes:
-            raise InputError(f"class_id {rec.class_id} out of range")
-        if rec.vector.shape != (self.dim,):
-            raise InputError(f"vector length {rec.vector.size} != queue dim {self.dim}")
-        self.push_many(rec.vector[None, :], [rec.class_id])
 
     def push_many(self, vectors: np.ndarray, class_ids: np.ndarray) -> None:
         """Bulk push of ID feature rows (already validated as inliers)."""
@@ -233,21 +220,14 @@ class FeatureQueue:
 # --- persistence --------------------------------------------------------------
 
 
-def _record_dtype(dim: int) -> np.dtype:
-    return np.dtype([("class_id", "<u2"), ("label", "u1"), ("vec", "<f4", (dim,))])
-
-
 def save_features(path, dataset: FeatureDataset) -> None:
     """Write a dataset to the binary feature format (float32 on the wire)."""
     header = FEATURE_MAGIC + struct.pack(
         "<IIIQ", FEATURE_VERSION, dataset.dim, dataset.num_classes, len(dataset.records)
     )
-    table = np.zeros(len(dataset.records), dtype=_record_dtype(dataset.dim))
-    for i, rec in enumerate(dataset.records):
-        table[i] = (rec.class_id, int(rec.label), rec.vector.astype("<f4"))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(table.tobytes())
+        fh.write(dataset.records.astype(record_dtype(dataset.dim, "<f4")).tobytes())
 
 
 def load_features(path, split: str = "train", class_names: list[str] | None = None) -> FeatureDataset:
@@ -260,65 +240,12 @@ def load_features(path, split: str = "train", class_names: list[str] | None = No
     version, dim, num_classes, count = struct.unpack("<IIIQ", data[4:head_len])
     if version != FEATURE_VERSION:
         raise InputError(f"unsupported feature file version {version}")
-    dtype = _record_dtype(dim)
-    body = data[head_len:]
-    if len(body) != count * dtype.itemsize:
+    if num_classes > 1 << 16:
+        raise InputError(f"{num_classes} classes do not fit the u16 class_id field")
+    wire = record_dtype(dim, "<f4")
+    if len(data) - head_len != count * wire.itemsize:
         raise InputError("feature file truncated or padded")
-    table = np.frombuffer(body, dtype=dtype)
-    records = []
-    for row in table:
-        try:
-            label = Label(int(row["label"]))
-        except ValueError as exc:
-            raise InputError(f"unknown label code {int(row['label'])}") from exc
-        records.append(
-            FeatureRecord(np.array(row["vec"]), int(row["class_id"]), label)
-        )
-    if class_names is None:
-        class_names = [f"class_{i}" for i in range(num_classes)]
-    return FeatureDataset(dim, num_classes, class_names, records, split)
-
-
-def save_features_csv(path, dataset: FeatureDataset) -> None:
-    """CSV with header class_id,label,f0..f{D-1}; labels by enum name."""
-    cols = ",".join(f"f{i}" for i in range(dataset.dim))
-    lines = [f"class_id,label,{cols}"]
-    for rec in dataset.records:
-        values = ",".join(repr(float(v)) for v in rec.vector.astype(np.float32))
-        lines.append(f"{rec.class_id},{rec.label.name},{values}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_features_csv(
-    path,
-    split: str = "train",
-    num_classes: int | None = None,
-    class_names: list[str] | None = None,
-) -> FeatureDataset:
-    """Read the CSV feature format; K defaults to max class_id + 1."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise InputError("empty feature CSV")
-    header = lines[0].split(",")
-    if header[:2] != ["class_id", "label"]:
-        raise InputError("feature CSV must start with class_id,label columns")
-    dim = len(header) - 2
-    records = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != dim + 2:
-            raise InputError(f"feature CSV row has {len(parts)} fields, expected {dim + 2}")
-        raw_label = parts[1]
-        try:
-            label = Label[raw_label] if not raw_label.isdigit() else Label(int(raw_label))
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"unknown label {raw_label!r}") from exc
-        vector = np.array([float(v) for v in parts[2:]], dtype=np.float32)
-        records.append(FeatureRecord(vector, int(parts[0]), label))
-    if num_classes is None:
-        num_classes = max(r.class_id for r in records) + 1
+    records = np.frombuffer(data, wire, offset=head_len).astype(record_dtype(dim))
     if class_names is None:
         class_names = [f"class_{i}" for i in range(num_classes)]
     return FeatureDataset(dim, num_classes, class_names, records, split)

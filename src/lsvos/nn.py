@@ -432,7 +432,11 @@ def load_checkpoint(path) -> dict[str, DenseNet]:
     nets: dict[str, DenseNet] = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        raw = reader.take(name_len)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"net name {raw!r} is not valid UTF-8") from exc
         (n_layers,) = reader.unpack("<I")
         if n_layers == 0:
             raise InputError(f"net {name!r} has no layers")

@@ -19,13 +19,7 @@ import numpy as np
 
 from . import models
 from .errors import InputError, NotReadyError, NumericalFailure
-from .features import (
-    FeatureDataset,
-    FeatureQueue,
-    FeatureRecord,
-    Label,
-    append_one_hot,
-)
+from .features import FeatureQueue, append_one_hot
 from .scoring import fit_gaussian_model
 
 METHODS = ("lsvos", "vos", "linear_mix", "random_noise", "noisy_id")
@@ -218,24 +212,3 @@ def noisy_id(
         raise InputError("u_id must be a non-empty (M, D) matrix")
     vectors = u_id + rng.uniform(0.0, 1.0, size=u_id.shape)
     return SynthBatch(vectors, "noisy_id", seed=seed)
-
-
-def as_dataset(
-    batch: SynthBatch,
-    num_classes: int,
-    class_names: list[str] | None = None,
-    split: str = "train",
-) -> FeatureDataset:
-    """Wrap a synth batch as SYNTH_OUTLIER records for feature-file output."""
-    ids = (
-        batch.class_ids
-        if batch.class_ids is not None
-        else np.zeros(batch.vectors.shape[0], dtype=np.int64)
-    )
-    records = [
-        FeatureRecord(vec, int(cid), Label.SYNTH_OUTLIER, source_id=batch.method)
-        for vec, cid in zip(batch.vectors, ids)
-    ]
-    if class_names is None:
-        class_names = [f"class_{i}" for i in range(num_classes)]
-    return FeatureDataset(batch.vectors.shape[1], num_classes, class_names, records, split)

@@ -73,6 +73,20 @@ class TestGenerate:
         assert main(["generate", "--set", "seed=7", "--out", str(b), *GEN_SMALL]) == 0
         assert sha256_tree(a) == sha256_tree(b)
 
+    def test_generated_feature_files_are_pinned(self, tmp_path):
+        # the wire bytes of a small generate run; a change here changes
+        # every .vosf file the generator writes
+        out = tmp_path / "gen"
+        assert main(["generate", "--set", "seed=7", "--out", str(out), *GEN_SMALL]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("train.vosf", "val.vosf")
+        }
+        assert digests == {
+            "train.vosf": "4300433ca379f4db901c37319790c2b3858d1482ac1a7e1fbbc16f96c0dbd3f3",
+            "val.vosf": "efd4802e7208385ce7d2dacef17770a29023e1644e659b5e6f87b3cb3446e333",
+        }
+
     def test_different_seed_changes_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["generate", "--set", "seed=7", "--out", str(a), *GEN_SMALL]) == 0
@@ -218,6 +232,14 @@ class TestEvaluateAndReport:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    def test_evaluate_rejects_a_checkpoint_with_a_non_utf8_name(self, run_dir, capsys):
+        ckpt = run_dir / "model.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes().replace(b"encoder", b"\xffncoder", 1))
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(run_dir)])
+        assert code == 1
+        assert "UTF-8" in capsys.readouterr().err
+
     def test_evaluate_needs_a_source(self, capsys):
         assert main(["evaluate"]) == 1
         assert "--run" in capsys.readouterr().err
@@ -268,6 +290,28 @@ class TestAblate:
         captured = capsys.readouterr()
         assert "error" in captured.out
         assert "1 of 2 runs failed" in captured.err
+
+    def test_sweep_of_a_scorer_subset_prints_a_dash_for_the_rest(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(micro_config_text())
+        out = tmp_path / "ab"
+        code = main(
+            [
+                "ablate", "--config", str(cfg_path),
+                "--sweep", "methods=uncertainty",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        header, row = [ln.split() for ln in capsys.readouterr().out.splitlines()[:2]]
+        assert header == [
+            "methods", "status", "uncertainty_auroc", "default_score_auroc", "mahalanobis_auroc",
+        ]
+        assert row[:2] == ["uncertainty", "ok"]
+        float(row[2])
+        assert row[3:] == ["-", "-"]
+        cells = (out / "ablation.csv").read_text().splitlines()[1].split(",")
+        assert cells[2] != "" and cells[5:] == [""] * 6
 
 
 def run_generate_script(exe, tmp_path, **kwargs):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsvos import models, nn
 from lsvos.errors import InputError
@@ -270,3 +272,40 @@ class TestBundleCheckpoint:
         nn.save_checkpoint(path, {"encoder": nn.dense_net([3, 2], nn.make_rng(0))})
         with pytest.raises(InputError):
             ModelBundle.load(path)
+
+
+@pytest.fixture(scope="module")
+def ckpt_file(tmp_path_factory):
+    bundle = ModelBundle.build(3, 2, nn.make_rng(1), latent_dim=2,
+                               encoder_hidden=(3,), decoder_hidden=(3,),
+                               uncertainty_hidden=(2,), classifier_hidden=(2,))
+    root = tmp_path_factory.mktemp("ckpt")
+    bundle.save(root / "bundle.ckpt")
+    return (root / "bundle.ckpt").read_bytes(), root / "mutated.ckpt"
+
+
+def _load_or_input_error(path, data):
+    path.write_bytes(data)
+    try:
+        ModelBundle.load(path)
+    except InputError:
+        pass
+
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestMalformedCheckpoints:
+    @FUZZ
+    @given(cut=st.integers(min_value=0, max_value=100_000))
+    def test_truncated_file_loads_or_raises_input_error(self, ckpt_file, cut):
+        data, path = ckpt_file
+        _load_or_input_error(path, data[: cut % len(data)])
+
+    @FUZZ
+    @given(at=st.integers(min_value=0, max_value=100_000), mask=st.integers(1, 255))
+    def test_flipped_byte_loads_or_raises_input_error(self, ckpt_file, at, mask):
+        data, path = ckpt_file
+        mutated = bytearray(data)
+        mutated[at % len(data)] ^= mask
+        _load_or_input_error(path, bytes(mutated))

@@ -297,6 +297,15 @@ class TestCheckpoint:
             nn.load_checkpoint(path)
 
 
+    def test_rejects_a_name_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(path, {"ab": nn.dense_net([2, 1], nn.make_rng(0))})
+        data = path.read_bytes().replace(b"ab", b"\xff\xfe", 1)
+        path.write_bytes(data)
+        with pytest.raises(InputError, match="UTF-8"):
+            nn.load_checkpoint(path)
+
+
 class TestRngHelpers:
     def test_spawned_streams_reproducible_and_distinct(self):
         a = nn.spawn_rngs(123, 3)

@@ -469,7 +469,7 @@ class TestEvaluateBundle:
         train, val = generate_features(spec)
         id_only = FeatureDataset(
             8, 3, val.class_names,
-            [r for r in val.records if r.label == Label.ID], "val",
+            val.records[val.records["label"] == Label.ID], "val",
         )
         res = run_experiment(cfg)
         with pytest.raises(InputError):

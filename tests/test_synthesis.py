@@ -3,7 +3,7 @@ import pytest
 
 from lsvos import features, models, nn, synthesis
 from lsvos.errors import InputError, NotReadyError
-from lsvos.features import FeatureQueue, FeatureRecord, Label
+from lsvos.features import FeatureDataset, FeatureQueue, Label, make_records
 from lsvos.scoring import fit_gaussian_model
 from lsvos.synthesis import NoiseSpec
 
@@ -188,7 +188,7 @@ class TestVosSynthesize:
 
     def test_empty_class_not_ready(self):
         q = FeatureQueue(dim=2, num_classes=2)
-        q.push(FeatureRecord(np.zeros(2), 0, Label.ID))
+        q.push_many(np.zeros((1, 2)), [0])
         with pytest.raises(NotReadyError):
             synthesis.vos_synthesize(q, 5, None, 50, nn.make_rng(0))
 
@@ -271,10 +271,11 @@ class TestPersistence:
     def test_synth_batch_saved_as_outlier_records(self, tmp_path):
         rng = nn.make_rng(6)
         batch = synthesis.random_noise(8, 3, rng)
-        ds = synthesis.as_dataset(batch, num_classes=2)
-        assert all(r.label == Label.SYNTH_OUTLIER for r in ds.records)
+        records = make_records(batch.vectors, np.zeros(8, dtype=int), Label.SYNTH_OUTLIER)
+        ds = FeatureDataset(3, 2, ["a", "b"], records)
+        assert ds.counts()["SYNTH_OUTLIER"] == 8
         path = tmp_path / "synth.vosf"
         features.save_features(path, ds)
         back = features.load_features(path)
-        assert all(r.label == Label.SYNTH_OUTLIER for r in back.records)
+        assert back.counts() == {"ID": 0, "FP": 0, "SYNTH_OUTLIER": 8}
         assert len(back.records) == 8
