@@ -28,15 +28,11 @@ AUPR_POSITIVE_CHOICES = ("id", "ood")
 def _averaged_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the average of their rank range."""
     order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
+    s = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], s.size) - 1
     ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -97,30 +97,17 @@ def _stacked(ae: AutoEncoder) -> nn.DenseNet:
     return nn.DenseNet(ae.encoder.layers + ae.decoder.layers)
 
 
-def ae_loss(ae: AutoEncoder, x: np.ndarray) -> float:
-    """Reconstruction MSE against the first D input columns."""
+def ae_gradients(ae: AutoEncoder, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """Reconstruction MSE against the first D input columns, and its gradients.
+
+    The gradient list lines up with parameters(encoder) + parameters(decoder).
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != ae.encoder.input_dim:
         raise InputError(
             f"expected (M, {ae.encoder.input_dim}) augmented features, got {x.shape}"
         )
-    recon = reconstruct(ae, x)
-    loss, _ = nn.loss_and_grad(recon, "mse", x[:, : ae.feature_dim])
-    return loss
-
-
-def ae_gradients(
-    ae: AutoEncoder, x: np.ndarray
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """(loss, encoder grads, decoder grads) for one augmented batch."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != ae.encoder.input_dim:
-        raise InputError(
-            f"expected (M, {ae.encoder.input_dim}) augmented features, got {x.shape}"
-        )
-    loss, grads = nn.gradients(_stacked(ae), x, "mse", x[:, : ae.feature_dim])
-    split = 2 * len(ae.encoder.layers)
-    return loss, grads[:split], grads[split:]
+    return nn.gradients(_stacked(ae), x, "mse", x[:, : ae.feature_dim])
 
 
 @dataclass
@@ -172,28 +159,16 @@ def _stack_uncertainty_batch(
     return batch, is_ood
 
 
-def uncertainty_loss(
-    head: UncertaintyHead,
-    u_id: np.ndarray,
-    u_ood: np.ndarray,
-    variant: str = "sigmoid",
-) -> float:
-    """mean_ood[-sigma(f)] + mean_id[-(1-sigma(f))] (or the bce variant).
-
-    A single-sided batch contributes only its own term.
-    """
-    batch, is_ood = _stack_uncertainty_batch(head, u_id, u_ood)
-    out = nn.forward(head.net, batch)
-    loss, _ = nn.loss_and_grad(out, _variant_kind(variant), is_ood)
-    return loss
-
-
 def uncertainty_gradients(
     head: UncertaintyHead,
     u_id: np.ndarray,
     u_ood: np.ndarray,
     variant: str = "sigmoid",
 ) -> tuple[float, list[np.ndarray]]:
+    """Loss mean_ood[-sigma(f)] + mean_id[-(1-sigma(f))] (or bce) and its gradients.
+
+    A single-sided batch contributes only its own term.
+    """
     batch, is_ood = _stack_uncertainty_batch(head, u_id, u_ood)
     return nn.gradients(head.net, batch, _variant_kind(variant), is_ood)
 
@@ -226,12 +201,6 @@ class SurrogateClassifier:
     @property
     def num_classes(self) -> int:
         return self.net.output_dim
-
-
-def classifier_loss(clf: SurrogateClassifier, u: np.ndarray, class_ids: np.ndarray) -> float:
-    out = nn.forward(clf.net, u)
-    loss, _ = nn.loss_and_grad(out, "cross-entropy", class_ids)
-    return loss
 
 
 def classifier_gradients(

@@ -67,17 +67,6 @@ class DenseNet:
         return self.layers[-1].fan_out
 
 
-def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
-    """Fresh PCG64 generator; the only entry point for randomness."""
-    return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """n independent generators derived from one seed, order-stable."""
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n)]
-
-
 def dense_net(
     dims: list[int] | tuple[int, ...],
     rng: np.random.Generator,
@@ -114,14 +103,6 @@ def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
     raise InputError(f"unknown activation {activation!r}")
 
 
-def _activation_grad(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return (z > 0.0).astype(z.dtype)
-    if activation == "identity":
-        return np.ones_like(z)
-    raise InputError(f"unknown activation {activation!r}")
-
-
 def _check_batch(net: DenseNet, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -141,7 +122,8 @@ def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Run the net on a (B, D_in) batch, returning (B, D_out)."""
     a = _check_batch(net, x)
     for i, layer in enumerate(net.layers):
-        z = a @ layer.weights + layer.bias
+        z = a @ layer.weights
+        z += layer.bias
         a = _apply_activation(z, layer.activation)
         if not np.all(np.isfinite(a)):
             raise NumericalFailure(f"non-finite activation after layer {i}")
@@ -153,7 +135,8 @@ def forward_cached(net: DenseNet, x: np.ndarray):
     a = _check_batch(net, x)
     caches = []
     for i, layer in enumerate(net.layers):
-        z = a @ layer.weights + layer.bias
+        z = a @ layer.weights
+        z += layer.bias
         caches.append((a, z))
         a = _apply_activation(z, layer.activation)
         if not np.all(np.isfinite(a)):
@@ -161,27 +144,29 @@ def forward_cached(net: DenseNet, x: np.ndarray):
     return a, caches
 
 
-def backward(net: DenseNet, caches, d_out: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def backward(net: DenseNet, caches, d_out: np.ndarray) -> list[np.ndarray]:
     """Backprop d_out = dL/d(output) through the net.
 
-    Returns (grads, d_input) where grads matches parameters(net):
-    [dW0, db0, dW1, db1, ...].
+    Returns grads matching parameters(net): [dW0, db0, dW1, db1, ...].
+    The gradient with respect to the net's input is never formed.
     """
     grads: list[np.ndarray] = []
     da = d_out
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         a_prev, z = caches[i]
-        dz = da * _activation_grad(z, layer.activation)
+        # the bool mask casts to 1.0/0.0, so this equals da * relu'(z) bit for bit
+        dz = da * (z > 0.0) if layer.activation == "relu" else da
         dw = a_prev.T @ dz
         db = dz.sum(axis=0)
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
             raise NumericalFailure(f"non-finite gradient at layer {i}")
         grads.append(db)
         grads.append(dw)
-        da = dz @ layer.weights.T
+        if i:
+            da = dz @ layer.weights.T
     grads.reverse()
-    return grads, da
+    return grads
 
 
 def parameters(net: DenseNet) -> list[np.ndarray]:
@@ -191,21 +176,6 @@ def parameters(net: DenseNet) -> list[np.ndarray]:
         out.append(layer.weights)
         out.append(layer.bias)
     return out
-
-
-def with_parameters(net: DenseNet, params: list[np.ndarray]) -> DenseNet:
-    """Same architecture, new parameter arrays."""
-    if len(params) != 2 * len(net.layers):
-        raise InputError(
-            f"expected {2 * len(net.layers)} parameter arrays, got {len(params)}"
-        )
-    layers = []
-    for i, layer in enumerate(net.layers):
-        w, b = params[2 * i], params[2 * i + 1]
-        if w.shape != layer.weights.shape or b.shape != layer.bias.shape:
-            raise InputError(f"parameter shape mismatch at layer {i}")
-        layers.append(Layer(w, b, layer.activation))
-    return DenseNet(layers)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -311,8 +281,7 @@ def gradients(
     loss, d_out = loss_and_grad(out, loss_kind, targets)
     if not np.isfinite(loss):
         raise NumericalFailure(f"non-finite {loss_kind} loss")
-    grads, _ = backward(net, caches, d_out)
-    return loss, grads
+    return loss, backward(net, caches, d_out)
 
 
 @dataclass
@@ -340,11 +309,14 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update.  Pure: returns fresh arrays and a fresh state.
+) -> None:
+    """One Adam update, written into params, state.m and state.v in place.
 
     m <- b1 m + (1-b1) g,  v <- b2 v + (1-b2) g^2,
     p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
+
+    Every new value is computed and checked before any is stored, so a
+    NumericalFailure leaves the parameters and the state untouched.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise InputError("params, grads and Adam state must have equal length")
@@ -352,7 +324,7 @@ def adam_step(
         if p.shape != g.shape:
             raise InputError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     t = state.step + 1
-    new_params, new_m, new_v = [], [], []
+    updates = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m1 = beta1 * m + (1.0 - beta1) * g
         v1 = beta2 * v + (1.0 - beta2) * g * g
@@ -361,10 +333,12 @@ def adam_step(
         p1 = p - lr * m_hat / (np.sqrt(v_hat) + eps)
         if not np.all(np.isfinite(p1)):
             raise NumericalFailure("non-finite parameter after Adam step")
-        new_params.append(p1)
-        new_m.append(m1)
-        new_v.append(v1)
-    return new_params, AdamState(new_m, new_v, t)
+        updates.append((p1, m1, v1))
+    for k, (p1, m1, v1) in enumerate(updates):
+        params[k][...] = p1
+        state.m[k] = m1
+        state.v[k] = v1
+    state.step = t
 
 
 # --- checkpoint serialization ------------------------------------------------

@@ -347,25 +347,6 @@ class _Cycle:
         return self.rows[np.concatenate(picks)]
 
 
-class _Optimizer:
-    """Adam wrapper that writes updated parameters back into a net."""
-
-    def __init__(self, nets: list[nn.DenseNet], lr: float):
-        self.lr = lr
-        self.state = nn.init_adam([p for net in nets for p in nn.parameters(net)])
-
-    def apply(self, nets: list[nn.DenseNet], grads: list[np.ndarray]) -> list[nn.DenseNet]:
-        params = [p for net in nets for p in nn.parameters(net)]
-        new_params, self.state = nn.adam_step(params, grads, self.state, lr=self.lr)
-        out = []
-        start = 0
-        for net in nets:
-            width = 2 * len(net.layers)
-            out.append(nn.with_parameters(net, new_params[start : start + width]))
-            start += width
-        return out
-
-
 def _load_datasets(cfg: ExperimentConfig):
     if cfg.dataset == "synthetic":
         return generate_features(generator_spec(cfg))
@@ -408,13 +389,13 @@ def _synthesize(
     raise InputError(f"unknown synthesis method {method!r}")
 
 
-def _train(cfg: ExperimentConfig, train_ds, rngs) -> tuple[ModelBundle, list[dict]]:
+def _train(
+    cfg: ExperimentConfig, u_id, id_cls, u_fp, num_classes: int, rngs
+) -> tuple[ModelBundle, list[dict]]:
     rng_model, rng_train, rng_synth = rngs
-    dim, num_classes = train_ds.dim, train_ds.num_classes
-    u_id, id_cls = train_ds.select(Label.ID)
-    u_fp, _ = train_ds.select(Label.FP)
     if len(u_id) == 0:
         raise InputError("training needs at least one inlier feature row")
+    dim = u_id.shape[1]
     bundle = ModelBundle.build(
         dim,
         num_classes,
@@ -426,9 +407,13 @@ def _train(cfg: ExperimentConfig, train_ds, rngs) -> tuple[ModelBundle, list[dic
         classifier_hidden=tuple(cfg.model_classifier_hidden),
     )
     queue = FeatureQueue(dim, num_classes, cfg.queue_capacity)
-    opt_ae = _Optimizer([bundle.auto_encoder.encoder, bundle.auto_encoder.decoder], cfg.train_lr)
-    opt_clf = _Optimizer([bundle.classifier.net], cfg.train_lr)
-    opt_unc = _Optimizer([bundle.uncertainty.net], cfg.train_lr)
+    ae = bundle.auto_encoder
+    ae_params = nn.parameters(ae.encoder) + nn.parameters(ae.decoder)
+    clf_params = nn.parameters(bundle.classifier.net)
+    unc_params = nn.parameters(bundle.uncertainty.net)
+    ae_state = nn.init_adam(ae_params)
+    clf_state = nn.init_adam(clf_params)
+    unc_state = nn.init_adam(unc_params)
     fp_cycle = _Cycle(u_fp, rng_train)
     history: list[dict] = []
     schedule = (
@@ -445,15 +430,10 @@ def _train(cfg: ExperimentConfig, train_ds, rngs) -> tuple[ModelBundle, list[dic
                 queue.push_many(feats, cls)
                 x_ae = queue.sample(cfg.sample_n_per_class, rng_train)
                 try:
-                    loss_ae, enc_g, dec_g = ae_gradients(bundle.auto_encoder, x_ae)
-                    enc, dec = opt_ae.apply(
-                        [bundle.auto_encoder.encoder, bundle.auto_encoder.decoder],
-                        enc_g + dec_g,
-                    )
-                    bundle.auto_encoder.encoder = enc
-                    bundle.auto_encoder.decoder = dec
+                    loss_ae, ae_g = ae_gradients(ae, x_ae)
+                    nn.adam_step(ae_params, ae_g, ae_state, lr=cfg.train_lr)
                     loss_clf, clf_g = classifier_gradients(bundle.classifier, feats, cls)
-                    (bundle.classifier.net,) = opt_clf.apply([bundle.classifier.net], clf_g)
+                    nn.adam_step(clf_params, clf_g, clf_state, lr=cfg.train_lr)
                     loss_unc = 0.0
                     if lam > 0.0:
                         synth = _synthesize(cfg, bundle, queue, feats, cls, u_fp, rng_synth)
@@ -466,8 +446,8 @@ def _train(cfg: ExperimentConfig, train_ds, rngs) -> tuple[ModelBundle, list[dic
                         loss_unc, unc_g = uncertainty_gradients(
                             bundle.uncertainty, feats, u_ood, cfg.loss_variant
                         )
-                        (bundle.uncertainty.net,) = opt_unc.apply(
-                            [bundle.uncertainty.net], [lam * g for g in unc_g]
+                        nn.adam_step(
+                            unc_params, [lam * g for g in unc_g], unc_state, lr=cfg.train_lr
                         )
                     loss_total = total_loss(loss_clf, loss_ae, loss_unc, lam)
                     if not math.isfinite(loss_total):
@@ -490,7 +470,7 @@ def _train(cfg: ExperimentConfig, train_ds, rngs) -> tuple[ModelBundle, list[dic
                 )
                 step += 1
         if phase == 1 and n_epochs > 0:
-            bundle.auto_encoder.trained = True
+            ae.trained = True
     return bundle, history
 
 
@@ -625,7 +605,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     Artifacts: report.json, model.ckpt, scores.csv, config.txt,
     history.csv, model_card.json, plots/*.csv, manifest.json.  Reports,
     scores and checkpoints are byte-identical across reruns of the same
-    config and seed; only the manifest carries timing.
+    config and seed under the same numpy, BLAS library and BLAS thread
+    count; only the manifest carries timing.
     """
     cfg.validate()
     started = time.time()
@@ -633,7 +614,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     if train_ds.num_classes < 2:
         raise InputError("training needs at least 2 classes")
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, k])) for k in (1, 2, 3)]
-    bundle, history = _train(cfg, train_ds, rngs)
+    train_id, train_cls = train_ds.select(Label.ID)
+    train_fp, _ = train_ds.select(Label.FP)
+    bundle, history = _train(cfg, train_id, train_cls, train_fp, train_ds.num_classes, rngs)
     score_sets, ece_values = evaluate_bundle(bundle, train_ds, val_ds, cfg.methods)
     report = build_report(score_sets, config_hash(cfg), cfg.seed, ece_values)
     out_path: Path | None = None
@@ -663,11 +646,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         val_fp, _ = val_ds.select(Label.FP)
         pca_groups = {"id": val_id, "fp": val_fp}
         if cfg.loss_lambda > 0.0 and bundle.auto_encoder.trained:
-            train_id, train_cls = train_ds.select(Label.ID)
             head = min(len(train_id), 500)
             queue = FeatureQueue(train_ds.dim, train_ds.num_classes, cfg.queue_capacity)
             queue.push_many(train_id, train_cls)
-            train_fp, _ = train_ds.select(Label.FP)
             synth = _synthesize(
                 cfg,
                 bundle,

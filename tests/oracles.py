@@ -15,7 +15,12 @@ def finite_difference_gradients(net, x, loss_kind, targets, step=1e-4):
     """Central-difference gradient of the batch loss wrt every parameter."""
 
     def loss_at(params):
-        probe = nn.with_parameters(net, params)
+        probe = nn.DenseNet(
+            [
+                nn.Layer(params[2 * i], params[2 * i + 1], layer.activation)
+                for i, layer in enumerate(net.layers)
+            ]
+        )
         out = nn.forward(probe, x)
         value, _ = nn.loss_and_grad(out, loss_kind, targets)
         return value
@@ -36,6 +41,20 @@ def finite_difference_gradients(net, x, loss_kind, targets, step=1e-4):
             gflat[j] = (hi - lo) / (2.0 * step)
         grads.append(g)
     return grads
+
+
+def adam_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step as a pure function: fresh (params, m, v) lists for step t."""
+    new_params, new_m, new_v = [], [], []
+    for p, g, m0, v0 in zip(params, grads, m, v):
+        m1 = beta1 * m0 + (1.0 - beta1) * g
+        v1 = beta2 * v0 + (1.0 - beta2) * g * g
+        m_hat = m1 / (1.0 - beta1**t)
+        v_hat = v1 / (1.0 - beta2**t)
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m1)
+        new_v.append(v1)
+    return new_params, new_m, new_v
 
 
 def max_relative_error(analytic, numeric, floor=1e-3):
@@ -135,6 +154,21 @@ def pairwise_auroc(id_scores, ood_scores):
     for o in ood_scores:
         wins += np.sum(o > id_scores) + 0.5 * np.sum(o == id_scores)
     return wins / (len(id_scores) * len(ood_scores))
+
+
+def averaged_ranks_loop(values):
+    """1-based ranks, ties sharing the mean rank, by walking the sorted groups."""
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
 
 
 def exhaustive_aupr(scores, is_positive):

@@ -66,6 +66,32 @@ class TestAuroc:
             assert metrics.auroc(ss) == pytest.approx(expected, abs=1e-9)
 
 
+class TestAveragedRanks:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0, 1.0, 2.0, 1.0, 3.0, 3.0],
+            [2.5] * 7,
+            [4.0],
+            [0.0, -0.0, 1.0, -0.0, 0.0, -1.0],
+        ],
+        ids=["ties", "all-equal", "one", "signed-zeros"],
+    )
+    def test_hand_cases_match_loop_oracle_bitwise(self, values):
+        values = np.array(values)
+        got = metrics._averaged_ranks(values)
+        assert got.tobytes() == oracles.averaged_ranks_loop(values).tobytes()
+
+    @pytest.mark.parametrize("levels", [None, 40])
+    def test_random_match_loop_oracle_bitwise(self, levels):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(1, 500))
+            values = rng.normal(size=n) if levels is None else rng.integers(0, levels, n) / 8.0
+            got = metrics._averaged_ranks(values)
+            assert got.tobytes() == oracles.averaged_ranks_loop(values).tobytes()
+
+
 class TestAupr:
     def test_perfect_separation_both_orientations(self):
         ss = _score_set([1, 2, 3], [4, 5])

@@ -35,7 +35,7 @@ class TestArchitecture:
         bundle = ModelBundle.build(
             cfg.data_dim,
             cfg.data_classes,
-            nn.make_rng(0),
+            np.random.default_rng(0),
             latent_dim=cfg.model_latent_dim,
             encoder_hidden=cfg.model_encoder_hidden,
             decoder_hidden=cfg.model_decoder_hidden,
@@ -51,13 +51,18 @@ class TestArchitecture:
 
     def test_relu_on_hidden_identity_on_last(self):
         ae = AutoEncoder.build(
-            8, 2, nn.make_rng(0), latent_dim=4, encoder_hidden=(16, 8), decoder_hidden=(8, 16)
+            8,
+            2,
+            np.random.default_rng(0),
+            latent_dim=4,
+            encoder_hidden=(16, 8),
+            decoder_hidden=(8, 16),
         )
         assert [l.activation for l in ae.encoder.layers] == ["relu", "relu", "identity"]
         assert [l.activation for l in ae.decoder.layers] == ["relu", "relu", "identity"]
 
     def test_mismatched_latent_rejected(self):
-        rng = nn.make_rng(0)
+        rng = np.random.default_rng(0)
         enc = nn.dense_net([10, 16, 8], rng)
         dec = nn.dense_net([7, 16, 6], rng)
         with pytest.raises(InputError):
@@ -65,10 +70,10 @@ class TestArchitecture:
 
     def test_uncertainty_head_must_be_scalar(self):
         with pytest.raises(InputError):
-            UncertaintyHead(nn.dense_net([4, 8, 2], nn.make_rng(0)))
+            UncertaintyHead(nn.dense_net([4, 8, 2], np.random.default_rng(0)))
 
     def test_bundle_heads_consume_raw_features(self):
-        rng = nn.make_rng(0)
+        rng = np.random.default_rng(0)
         ae = AutoEncoder.build(8, 2, rng, latent_dim=4, encoder_hidden=(8,), decoder_hidden=(8,))
         head = UncertaintyHead.build(9, rng, hidden=(8,))
         clf = SurrogateClassifier.build(8, 2, rng, hidden=(8,))
@@ -80,17 +85,17 @@ class TestAeLoss:
     def test_perfect_reconstruction_zero(self):
         ae = _identity_ae(3, 2)
         x = append_one_hot(np.random.default_rng(0).normal(size=(5, 3)), [0, 1, 0, 1, 1], 2)
-        assert models.ae_loss(ae, x) == 0.0
+        assert models.ae_gradients(ae, x)[0] == 0.0
 
     def test_scalar_case(self):
         # zero-weight AE reconstructs 0; target feature 1.0 -> MSE 1.0
         ae = _identity_ae(1, 2)
         ae.decoder.layers[0].weights[:] = 0.0
         x = append_one_hot(np.array([[1.0]]), [0], 2)
-        assert models.ae_loss(ae, x) == 1.0
+        assert models.ae_gradients(ae, x)[0] == 1.0
 
     def test_matches_naive_mse_oracle(self):
-        rng = nn.make_rng(7)
+        rng = np.random.default_rng(7)
         ae = AutoEncoder.build(4, 3, rng, latent_dim=5, encoder_hidden=(8,), decoder_hidden=(8,))
         feats = rng.normal(size=(6, 4))
         x = append_one_hot(feats, rng.integers(0, 3, size=6), 3)
@@ -98,22 +103,23 @@ class TestAeLoss:
         naive = sum(
             (recon[i, j] - feats[i, j]) ** 2 for i in range(6) for j in range(4)
         ) / (6 * 4)
-        assert models.ae_loss(ae, x) == pytest.approx(naive, abs=1e-12)
+        assert models.ae_gradients(ae, x)[0] == pytest.approx(naive, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         ae = _identity_ae(3, 2)
         with pytest.raises(InputError):
-            models.ae_loss(ae, np.zeros((4, 3)))
+            models.ae_gradients(ae, np.zeros((4, 3)))
 
     def test_gradients_match_finite_differences(self):
-        rng = nn.make_rng(8)
+        rng = np.random.default_rng(8)
         ae = AutoEncoder.build(3, 2, rng, latent_dim=4, encoder_hidden=(6,), decoder_hidden=(6,))
         x = append_one_hot(rng.normal(size=(4, 3)), rng.integers(0, 2, size=4), 2)
-        loss, enc_grads, dec_grads = models.ae_gradients(ae, x)
+        loss, grads = models.ae_gradients(ae, x)
         stacked = nn.DenseNet(ae.encoder.layers + ae.decoder.layers)
         numeric = oracles.finite_difference_gradients(stacked, x, "mse", x[:, :3])
-        assert oracles.max_relative_error(enc_grads + dec_grads, numeric) < 1e-4
-        assert loss == pytest.approx(models.ae_loss(ae, x), abs=1e-12)
+        assert oracles.max_relative_error(grads, numeric) < 1e-4
+        recon = models.reconstruct(ae, x)
+        assert loss == pytest.approx(nn.loss_and_grad(recon, "mse", x[:, :3])[0], abs=1e-12)
 
 
 class TestUncertaintyLoss:
@@ -130,68 +136,73 @@ class TestUncertaintyLoss:
 
     def test_zero_head_gives_minus_one(self):
         head = self._constant_head(2, 0.0)
-        loss = models.uncertainty_loss(head, np.zeros((3, 2)), np.zeros((5, 2)))
+        loss = models.uncertainty_gradients(head, np.zeros((3, 2)), np.zeros((5, 2)))[0]
         assert loss == pytest.approx(-1.0)
 
     def test_hand_logits_give_minus_1_5(self):
         # passthrough head: ood row ln 3 -> sigma 3/4; id row -ln 3 -> sigma 1/4
         head = self._passthrough_head()
-        loss = models.uncertainty_loss(
+        loss = models.uncertainty_gradients(
             head, np.array([[-np.log(3.0)]]), np.array([[np.log(3.0)]])
-        )
+        )[0]
         assert loss == pytest.approx(-1.5)
 
     def test_confident_head_approaches_minus_two(self):
         head = self._passthrough_head()
-        loss = models.uncertainty_loss(
+        loss = models.uncertainty_gradients(
             head, np.array([[-30.0]]), np.array([[30.0]])
-        )
+        )[0]
         assert loss == pytest.approx(-2.0, abs=1e-12)
         assert loss > -2.0
 
     def test_bounded_open_interval(self):
-        rng = nn.make_rng(1)
+        rng = np.random.default_rng(1)
         head = UncertaintyHead.build(3, rng, hidden=(8,))
         for _ in range(25):
-            loss = models.uncertainty_loss(
+            loss = models.uncertainty_gradients(
                 head, rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
-            )
+            )[0]
             assert -2.0 < loss < 0.0
 
     def test_monotone_in_logits(self):
         head = self._passthrough_head()
-        base = models.uncertainty_loss(head, np.array([[0.3]]), np.array([[0.1]]))
-        higher_ood = models.uncertainty_loss(head, np.array([[0.3]]), np.array([[0.6]]))
-        lower_id = models.uncertainty_loss(head, np.array([[-0.2]]), np.array([[0.1]]))
+        def loss(u_id, u_ood):
+            return models.uncertainty_gradients(head, np.array([[u_id]]), np.array([[u_ood]]))[0]
+
+        base = loss(0.3, 0.1)
+        higher_ood = loss(0.3, 0.6)
+        lower_id = loss(-0.2, 0.1)
         assert higher_ood < base
         assert lower_id < base
 
     def test_single_sided_batches(self):
         head = self._constant_head(2, 0.0)
-        only_ood = models.uncertainty_loss(head, np.zeros((0, 2)), np.zeros((4, 2)))
+        only_ood = models.uncertainty_gradients(head, np.zeros((0, 2)), np.zeros((4, 2)))[0]
         assert only_ood == pytest.approx(-0.5)
-        only_id = models.uncertainty_loss(head, np.zeros((4, 2)), np.zeros((0, 2)))
+        only_id = models.uncertainty_gradients(head, np.zeros((4, 2)), np.zeros((0, 2)))[0]
         assert only_id == pytest.approx(-0.5)
 
     def test_empty_both_rejected(self):
         head = self._constant_head(2, 0.0)
         with pytest.raises(InputError):
-            models.uncertainty_loss(head, np.zeros((0, 2)), np.zeros((0, 2)))
+            models.uncertainty_gradients(head, np.zeros((0, 2)), np.zeros((0, 2)))
 
     def test_bce_variant_zero_head(self):
         head = self._constant_head(2, 0.0)
-        loss = models.uncertainty_loss(
+        loss = models.uncertainty_gradients(
             head, np.zeros((3, 2)), np.zeros((3, 2)), variant="bce"
-        )
+        )[0]
         assert loss == pytest.approx(2.0 * np.log(2.0))
 
     def test_unknown_variant_rejected(self):
         head = self._constant_head(2, 0.0)
         with pytest.raises(InputError):
-            models.uncertainty_loss(head, np.zeros((1, 2)), np.zeros((1, 2)), variant="huber")
+            models.uncertainty_gradients(
+                head, np.zeros((1, 2)), np.zeros((1, 2)), variant="huber"
+            )
 
     def test_converges_below_minus_1_9_on_separated_clusters(self):
-        rng = nn.make_rng(42)
+        rng = np.random.default_rng(42)
         head = UncertaintyHead.build(4, rng, hidden=(256, 256))
         u_id = rng.normal(size=(64, 4)) - 5.0
         u_ood = rng.normal(size=(64, 4)) + 5.0
@@ -200,8 +211,7 @@ class TestUncertaintyLoss:
         loss = 0.0
         for _ in range(500):
             loss, grads = models.uncertainty_gradients(head, u_id, u_ood)
-            params, state = nn.adam_step(params, grads, state, lr=1e-3)
-            head = UncertaintyHead(nn.with_parameters(head.net, params))
+            nn.adam_step(params, grads, state, lr=1e-3)
         assert loss < -1.9
 
 
@@ -224,19 +234,20 @@ class TestClassifierAndTotal:
         np.testing.assert_allclose(models.default_score(clf, np.ones((1, 2))), [0.5])
 
     def test_default_score_at_least_one_over_k(self):
-        rng = nn.make_rng(3)
+        rng = np.random.default_rng(3)
         clf = SurrogateClassifier.build(4, 5, rng, hidden=(128,))
         scores = models.default_score(clf, rng.normal(size=(50, 4)))
         assert np.all(scores >= 1.0 / 5.0)
         assert np.all(scores <= 1.0)
 
-    def test_classifier_loss_matches_nn(self):
-        rng = nn.make_rng(4)
+    def test_classifier_gradients_match_nn(self):
+        rng = np.random.default_rng(4)
         clf = SurrogateClassifier.build(3, 2, rng, hidden=(128,))
         u = rng.normal(size=(8, 3))
         ids = rng.integers(0, 2, size=8)
         loss, grads = models.classifier_gradients(clf, u, ids)
-        assert loss == pytest.approx(models.classifier_loss(clf, u, ids))
+        logits = nn.forward(clf.net, u)
+        assert loss == pytest.approx(nn.loss_and_grad(logits, "cross-entropy", ids)[0])
         numeric = oracles.finite_difference_gradients(clf.net, u, "cross-entropy", ids)
         assert oracles.max_relative_error(grads, numeric) < 1e-4
 
@@ -249,7 +260,7 @@ class TestClassifierAndTotal:
 
 class TestBundleCheckpoint:
     def test_round_trip_and_trained_flag(self, tmp_path):
-        bundle = ModelBundle.build(6, 2, nn.make_rng(9), latent_dim=4,
+        bundle = ModelBundle.build(6, 2, np.random.default_rng(9), latent_dim=4,
                                    encoder_hidden=(8,), decoder_hidden=(8,),
                                    uncertainty_hidden=(8,), classifier_hidden=(8,))
         assert not bundle.auto_encoder.trained
@@ -269,14 +280,14 @@ class TestBundleCheckpoint:
 
     def test_load_rejects_incomplete_checkpoint(self, tmp_path):
         path = tmp_path / "partial.ckpt"
-        nn.save_checkpoint(path, {"encoder": nn.dense_net([3, 2], nn.make_rng(0))})
+        nn.save_checkpoint(path, {"encoder": nn.dense_net([3, 2], np.random.default_rng(0))})
         with pytest.raises(InputError):
             ModelBundle.load(path)
 
 
 @pytest.fixture(scope="module")
 def ckpt_file(tmp_path_factory):
-    bundle = ModelBundle.build(3, 2, nn.make_rng(1), latent_dim=2,
+    bundle = ModelBundle.build(3, 2, np.random.default_rng(1), latent_dim=2,
                                encoder_hidden=(3,), decoder_hidden=(3,),
                                uncertainty_hidden=(2,), classifier_hidden=(2,))
     root = tmp_path_factory.mktemp("ckpt")

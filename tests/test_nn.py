@@ -25,7 +25,7 @@ class TestForward:
         np.testing.assert_allclose(out, [[0.0, 0.0, 2.0]])
 
     def test_glorot_init_bounds_and_zero_bias(self):
-        rng = nn.make_rng(0)
+        rng = np.random.default_rng(0)
         net = nn.dense_net([20, 30, 5], rng)
         for layer in net.layers:
             limit = np.sqrt(6.0 / (layer.fan_in + layer.fan_out))
@@ -35,13 +35,13 @@ class TestForward:
         assert net.layers[1].activation == "identity"
 
     def test_same_seed_same_net(self):
-        a = nn.dense_net([4, 8, 2], nn.make_rng(7))
-        b = nn.dense_net([4, 8, 2], nn.make_rng(7))
+        a = nn.dense_net([4, 8, 2], np.random.default_rng(7))
+        b = nn.dense_net([4, 8, 2], np.random.default_rng(7))
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
 
     def test_input_validation(self):
-        net = nn.dense_net([3, 2], nn.make_rng(0))
+        net = nn.dense_net([3, 2], np.random.default_rng(0))
         with pytest.raises(InputError):
             nn.forward(net, np.zeros(3))  # 1-D
         with pytest.raises(InputError):
@@ -53,9 +53,9 @@ class TestForward:
 
     def test_builder_rejects_bad_dims(self):
         with pytest.raises(InputError):
-            nn.dense_net([4], nn.make_rng(0))
+            nn.dense_net([4], np.random.default_rng(0))
         with pytest.raises(InputError):
-            nn.dense_net([4, 0, 2], nn.make_rng(0))
+            nn.dense_net([4, 0, 2], np.random.default_rng(0))
 
 
 class TestLosses:
@@ -72,7 +72,7 @@ class TestLosses:
         assert loss == pytest.approx(np.log(4.0))
 
     def test_cross_entropy_grad_rows_sum_to_zero(self):
-        rng = nn.make_rng(3)
+        rng = np.random.default_rng(3)
         y = rng.normal(size=(6, 3))
         _, grad = nn.loss_and_grad(y, "cross-entropy", rng.integers(0, 3, size=6))
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
@@ -92,7 +92,7 @@ class TestLosses:
         assert loss == pytest.approx(-1.5)
 
     def test_uncertainty_sigmoid_bounds(self):
-        rng = nn.make_rng(11)
+        rng = np.random.default_rng(11)
         for _ in range(50):
             y = rng.normal(scale=5.0, size=(8, 1))
             mask = rng.integers(0, 2, size=8).astype(bool)
@@ -150,14 +150,14 @@ class TestGradients:
     )
     def test_matches_finite_differences(self, loss_kind):
         for seed in range(5):
-            rng = nn.make_rng(1000 + seed)
+            rng = np.random.default_rng(1000 + seed)
             net, batch, targets = oracles.random_net_and_batch(rng, loss_kind)
             _, analytic = nn.gradients(net, batch, loss_kind, targets)
             numeric = oracles.finite_difference_gradients(net, batch, loss_kind, targets)
             assert oracles.max_relative_error(analytic, numeric) < 1e-4
 
     def test_batch_order_invariance(self):
-        rng = nn.make_rng(5)
+        rng = np.random.default_rng(5)
         net = nn.dense_net([4, 6, 3], rng)
         x = rng.normal(size=(7, 4))
         t = rng.integers(0, 3, size=7)
@@ -169,7 +169,7 @@ class TestGradients:
             np.testing.assert_allclose(ga, gb, rtol=1e-12, atol=1e-14)
 
     def test_nonfinite_weights_raise(self):
-        net = nn.dense_net([2, 2], nn.make_rng(0))
+        net = nn.dense_net([2, 2], np.random.default_rng(0))
         net.layers[0].weights[0, 0] = np.inf
         with pytest.raises(NumericalFailure):
             nn.gradients(net, np.ones((1, 2)), "mse", np.ones((1, 2)))
@@ -180,25 +180,59 @@ class TestAdam:
         # unit gradient: m_hat = v_hat = 1, so the step is -lr / (1 + eps)
         params = [np.zeros(1)]
         state = nn.init_adam(params)
-        new, state2 = nn.adam_step(params, [np.ones(1)], state, lr=1e-3)
-        np.testing.assert_allclose(new[0], [-1e-3], rtol=1e-6)
-        assert state2.step == 1
+        nn.adam_step(params, [np.ones(1)], state, lr=1e-3)
+        np.testing.assert_allclose(params[0], [-1e-3], rtol=1e-6)
+        assert state.step == 1
 
     def test_zero_gradient_leaves_params_alone(self):
         params = [np.array([1.0, -2.0])]
         state = nn.init_adam(params)
-        new, state2 = nn.adam_step(params, [np.zeros(2)], state)
-        np.testing.assert_array_equal(new[0], params[0])
-        assert state2.step == 1
+        nn.adam_step(params, [np.zeros(2)], state)
+        np.testing.assert_array_equal(params[0], [1.0, -2.0])
+        assert state.step == 1
 
-    def test_step_is_pure(self):
-        params = [np.ones(3)]
-        grads = [np.full(3, 2.0)]
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_pure_formula_bit_for_bit_in_place(self, seed):
+        rng = np.random.default_rng(seed)
+        n_arrays = int(rng.integers(1, 6))
+        shapes = [tuple(rng.integers(1, 6, size=rng.integers(1, 3))) for _ in range(n_arrays)]
+        params = [rng.normal(size=shape) for shape in shapes]
+        live = list(params)
+        ref_p = [p.copy() for p in params]
+        ref_m = [np.zeros_like(p) for p in params]
+        ref_v = [np.zeros_like(p) for p in params]
         state = nn.init_adam(params)
-        nn.adam_step(params, grads, state)
-        np.testing.assert_array_equal(params[0], np.ones(3))
-        np.testing.assert_array_equal(state.m[0], np.zeros(3))
-        assert state.step == 0
+        for t in range(1, 201):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-3, 3), size=s) for s in shapes]
+            if t % 17 == 0:
+                grads[0][...] = 0.0
+            nn.adam_step(params, grads, state, lr=0.01)
+            ref_p, ref_m, ref_v = oracles.adam_reference(ref_p, grads, ref_m, ref_v, t, lr=0.01)
+            assert state.step == t
+            for k in range(len(shapes)):
+                assert params[k] is live[k]
+                assert params[k].tobytes() == ref_p[k].tobytes()
+                assert state.m[k].tobytes() == ref_m[k].tobytes()
+                assert state.v[k].tobytes() == ref_v[k].tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_leaves_params_and_state_untouched(self, bad):
+        rng = np.random.default_rng(1)
+        params = [rng.normal(size=(3, 2)), rng.normal(size=2)]
+        state = nn.init_adam(params)
+        for _ in range(3):
+            nn.adam_step(params, [rng.normal(size=p.shape) for p in params], state)
+        assert state.step == 3
+        before = [a.copy() for a in params + state.m + state.v]
+        # the first array's update is finite and computed before the failure
+        grads = [rng.normal(size=(3, 2)), rng.normal(size=2)]
+        grads[1][0] = bad
+        with pytest.raises(NumericalFailure):
+            nn.adam_step(params, grads, state)
+        assert state.step == 3
+        for old, now in zip(before, params + state.m + state.v):
+            assert old.tobytes() == now.tobytes()
 
     def test_shape_mismatch_rejected(self):
         params = [np.zeros(2)]
@@ -212,14 +246,13 @@ class TestAdam:
         params = [np.array([10.0])]
         state = nn.init_adam(params)
         for _ in range(2000):
-            grads = [2.0 * (params[0] - 3.0)]
-            params, state = nn.adam_step(params, grads, state, lr=0.05)
+            nn.adam_step(params, [2.0 * (params[0] - 3.0)], state, lr=0.05)
         np.testing.assert_allclose(params[0], [3.0], atol=1e-4)
 
 
 class TestCheckpoint:
     def _nets(self):
-        rng = nn.make_rng(42)
+        rng = np.random.default_rng(42)
         return {
             "encoder": nn.dense_net([6, 4, 3], rng),
             "head": nn.dense_net([3, 5, 1], rng),
@@ -299,19 +332,8 @@ class TestCheckpoint:
 
     def test_rejects_a_name_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        nn.save_checkpoint(path, {"ab": nn.dense_net([2, 1], nn.make_rng(0))})
+        nn.save_checkpoint(path, {"ab": nn.dense_net([2, 1], np.random.default_rng(0))})
         data = path.read_bytes().replace(b"ab", b"\xff\xfe", 1)
         path.write_bytes(data)
         with pytest.raises(InputError, match="UTF-8"):
             nn.load_checkpoint(path)
-
-
-class TestRngHelpers:
-    def test_spawned_streams_reproducible_and_distinct(self):
-        a = nn.spawn_rngs(123, 3)
-        b = nn.spawn_rngs(123, 3)
-        draws_a = [r.normal(size=4) for r in a]
-        draws_b = [r.normal(size=4) for r in b]
-        for da, db in zip(draws_a, draws_b):
-            np.testing.assert_array_equal(da, db)
-        assert not np.allclose(draws_a[0], draws_a[1])

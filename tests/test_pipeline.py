@@ -356,6 +356,32 @@ class TestRunExperiment:
         assert ma.config_hash == mb.config_hash
         assert ma.seed == mb.seed
 
+    def test_training_updates_the_built_layer_arrays_in_place(self, monkeypatch):
+        def arrays(bundle):
+            nets = (
+                bundle.auto_encoder.encoder,
+                bundle.auto_encoder.decoder,
+                bundle.uncertainty.net,
+                bundle.classifier.net,
+            )
+            return [p for net in nets for p in nn.parameters(net)]
+
+        built = []
+        build = ModelBundle.build
+
+        def spy(*args, **kwargs):
+            bundle = build(*args, **kwargs)
+            built.append((arrays(bundle), [a.copy() for a in arrays(bundle)]))
+            return bundle
+
+        monkeypatch.setattr(ModelBundle, "build", staticmethod(spy))
+        res = run_experiment(micro_cfg())
+        ((live, initial),) = built
+        final = arrays(res.bundle)
+        assert len(final) == len(live)
+        assert all(a is b for a, b in zip(final, live))
+        assert all(not np.array_equal(a, b) for a, b in zip(final, initial))
+
     def test_different_seed_changes_results(self):
         a = run_experiment(micro_cfg(seed=1))
         b = run_experiment(micro_cfg(seed=2))

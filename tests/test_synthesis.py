@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lsvos import features, models, nn, synthesis
+from lsvos import features, models, synthesis
 from lsvos.errors import InputError, NotReadyError
 from lsvos.features import FeatureDataset, FeatureQueue, Label, make_records
 from lsvos.scoring import fit_gaussian_model
@@ -10,7 +10,7 @@ from lsvos.synthesis import NoiseSpec
 
 def _trained_flagged_ae(dim=3, num_classes=2, seed=0):
     ae = models.AutoEncoder.build(
-        dim, num_classes, nn.make_rng(seed),
+        dim, num_classes, np.random.default_rng(seed),
         latent_dim=4, encoder_hidden=(8,), decoder_hidden=(8,),
     )
     ae.trained = True
@@ -19,7 +19,7 @@ def _trained_flagged_ae(dim=3, num_classes=2, seed=0):
 
 def _filled_queue(dim=2, num_classes=2, per_class=400, seed=0, scale=1.0):
     q = FeatureQueue(dim=dim, num_classes=num_classes, capacity_per_class=per_class)
-    rng = nn.make_rng(seed)
+    rng = np.random.default_rng(seed)
     for cid in range(num_classes):
         center = np.full(dim, 3.0 * cid)
         q.push_many(center + scale * rng.normal(size=(per_class, dim)),
@@ -41,13 +41,13 @@ class TestNoiseSpec:
             NoiseSpec(alpha=np.inf)
 
     def test_components_within_band(self):
-        rng = nn.make_rng(1)
+        rng = np.random.default_rng(1)
         noise = synthesis.latent_noise((1000, 16), NoiseSpec(0.25, 1.0), rng)
         assert noise.min() >= 0.25
         assert noise.max() <= 1.25
 
     def test_band_scales_with_beta(self):
-        rng = nn.make_rng(2)
+        rng = np.random.default_rng(2)
         noise = synthesis.latent_noise((1000, 8), NoiseSpec(0.5, 4.0), rng)
         assert noise.min() >= 2.0
         assert noise.max() <= 6.0
@@ -55,7 +55,7 @@ class TestNoiseSpec:
     def test_mean_norm_increases_with_beta(self):
         norms = []
         for beta in (0.1, 1.0, 10.0):
-            rng = nn.make_rng(3)
+            rng = np.random.default_rng(3)
             noise = synthesis.latent_noise((1000, 32), NoiseSpec(0.25, beta), rng)
             norms.append(np.linalg.norm(noise, axis=1).mean())
         assert norms[0] < norms[1] < norms[2]
@@ -63,7 +63,7 @@ class TestNoiseSpec:
     def test_mean_norm_matches_theory(self):
         # E||o|| ~ beta * sqrt(D' * E(alpha + U)^2), E(alpha+U)^2 = a^2 + a + 1/3
         alpha, beta, dim = 0.25, 2.0, 64
-        rng = nn.make_rng(4)
+        rng = np.random.default_rng(4)
         noise = synthesis.latent_noise((4000, dim), NoiseSpec(alpha, beta), rng)
         expected = beta * np.sqrt(dim * (alpha**2 + alpha + 1.0 / 3.0))
         assert np.linalg.norm(noise, axis=1).mean() == pytest.approx(expected, rel=0.02)
@@ -75,23 +75,23 @@ class TestLsvosSynthesize:
         ae.trained = False
         with pytest.raises(NotReadyError):
             synthesis.lsvos_synthesize(
-                ae, np.zeros((2, 3)), [0, 1], NoiseSpec(), nn.make_rng(0)
+                ae, np.zeros((2, 3)), [0, 1], NoiseSpec(), np.random.default_rng(0)
             )
 
     def test_beta_zero_is_bitwise_reconstruction(self):
         ae = _trained_flagged_ae()
-        rng = nn.make_rng(5)
+        rng = np.random.default_rng(5)
         u = rng.normal(size=(10, 3))
         cids = rng.integers(0, 2, size=10)
         batch = synthesis.lsvos_synthesize(
-            ae, u, cids, NoiseSpec(alpha=0.25, beta=0.0), nn.make_rng(6)
+            ae, u, cids, NoiseSpec(alpha=0.25, beta=0.0), np.random.default_rng(6)
         )
         recon = models.reconstruct(ae, features.append_one_hot(u, cids, 2))
         assert np.array_equal(batch.vectors, recon)
 
     def test_output_shape_and_method(self):
         ae = _trained_flagged_ae()
-        rng = nn.make_rng(7)
+        rng = np.random.default_rng(7)
         batch = synthesis.lsvos_synthesize(
             ae, rng.normal(size=(6, 3)), rng.integers(0, 2, size=6), NoiseSpec(), rng
         )
@@ -102,15 +102,15 @@ class TestLsvosSynthesize:
 
     def test_deterministic_under_fixed_seed(self):
         ae = _trained_flagged_ae()
-        u = nn.make_rng(8).normal(size=(5, 3))
+        u = np.random.default_rng(8).normal(size=(5, 3))
         cids = [0, 1, 0, 1, 0]
-        a = synthesis.lsvos_synthesize(ae, u, cids, NoiseSpec(), nn.make_rng(9))
-        b = synthesis.lsvos_synthesize(ae, u, cids, NoiseSpec(), nn.make_rng(9))
+        a = synthesis.lsvos_synthesize(ae, u, cids, NoiseSpec(), np.random.default_rng(9))
+        b = synthesis.lsvos_synthesize(ae, u, cids, NoiseSpec(), np.random.default_rng(9))
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_noise_pushes_codes_off_manifold(self):
         ae = _trained_flagged_ae()
-        rng = nn.make_rng(10)
+        rng = np.random.default_rng(10)
         u = rng.normal(size=(4, 3))
         cids = [0, 0, 1, 1]
         batch = synthesis.lsvos_synthesize(ae, u, cids, NoiseSpec(0.25, 5.0), rng)
@@ -121,14 +121,14 @@ class TestLsvosSynthesize:
         ae = _trained_flagged_ae()
         with pytest.raises(InputError):
             synthesis.lsvos_synthesize(
-                ae, np.zeros((3, 3)), [0, 1], NoiseSpec(), nn.make_rng(0)
+                ae, np.zeros((3, 3)), [0, 1], NoiseSpec(), np.random.default_rng(0)
             )
 
 
 class TestVosSynthesize:
     def test_row_count_and_class_blocks(self):
         q = _filled_queue(num_classes=3)
-        batch = synthesis.vos_synthesize(q, 50, None, 400, nn.make_rng(1))
+        batch = synthesis.vos_synthesize(q, 50, None, 400, np.random.default_rng(1))
         assert batch.vectors.shape == (150, 2)
         np.testing.assert_array_equal(
             batch.class_ids, np.repeat(np.arange(3), 50)
@@ -138,8 +138,8 @@ class TestVosSynthesize:
         # same rng stream: keeping everything sorts candidates by rising
         # likelihood, and a smaller keep must be exactly its prefix
         q = _filled_queue()
-        small = synthesis.vos_synthesize(q, 10, None, 300, nn.make_rng(2))
-        full = synthesis.vos_synthesize(q, 300, None, 300, nn.make_rng(2))
+        small = synthesis.vos_synthesize(q, 10, None, 300, np.random.default_rng(2))
+        full = synthesis.vos_synthesize(q, 300, None, 300, np.random.default_rng(2))
         for cid in range(2):
             kept = small.vectors[small.class_ids == cid]
             ranked = full.vectors[full.class_ids == cid]
@@ -150,12 +150,12 @@ class TestVosSynthesize:
         # candidates from the same stream and rank them by d^T P d
         dim, k, n_keep, n_cand = 4, 3, 25, 500
         q = _filled_queue(dim=dim, num_classes=k, per_class=300, seed=7)
-        batch = synthesis.vos_synthesize(q, n_keep, None, n_cand, nn.make_rng(8))
+        batch = synthesis.vos_synthesize(q, n_keep, None, n_cand, np.random.default_rng(8))
         snaps = [q.snapshot(cid)[:, :dim] for cid in range(k)]
         model = fit_gaussian_model(
             np.vstack(snaps), np.repeat(np.arange(k), [len(s) for s in snaps]), k
         )
-        rng = nn.make_rng(8)
+        rng = np.random.default_rng(8)
         for cid in range(k):
             cands = rng.standard_normal((n_cand, dim)) @ model.cholesky.T + model.means[cid]
             dist = np.array([d @ model.precision @ d for d in cands - model.means[cid]])
@@ -172,9 +172,9 @@ class TestVosSynthesize:
         # keeping the lowest-likelihood 5% of a unit Gaussian leaves only
         # samples beyond roughly the central 95% band (|x| > ~1.96)
         q = FeatureQueue(dim=1, num_classes=1, capacity_per_class=3000)
-        rng = nn.make_rng(3)
+        rng = np.random.default_rng(3)
         q.push_many(rng.normal(size=(3000, 1)), np.zeros(3000, dtype=int))
-        batch = synthesis.vos_synthesize(q, 5000, 0.05, 100_000, nn.make_rng(4))
+        batch = synthesis.vos_synthesize(q, 5000, 0.05, 100_000, np.random.default_rng(4))
         kept = np.abs(batch.vectors[:, 0])
         assert kept.min() > 1.8
         assert kept.max() > 3.0
@@ -182,45 +182,45 @@ class TestVosSynthesize:
     def test_quantile_guard(self):
         q = _filled_queue()
         with pytest.raises(InputError):
-            synthesis.vos_synthesize(q, 100, 0.05, 1000, nn.make_rng(0))
+            synthesis.vos_synthesize(q, 100, 0.05, 1000, np.random.default_rng(0))
         with pytest.raises(InputError):
-            synthesis.vos_synthesize(q, 200, None, 100, nn.make_rng(0))
+            synthesis.vos_synthesize(q, 200, None, 100, np.random.default_rng(0))
 
     def test_empty_class_not_ready(self):
         q = FeatureQueue(dim=2, num_classes=2)
         q.push_many(np.zeros((1, 2)), [0])
         with pytest.raises(NotReadyError):
-            synthesis.vos_synthesize(q, 5, None, 50, nn.make_rng(0))
+            synthesis.vos_synthesize(q, 5, None, 50, np.random.default_rng(0))
 
     def test_singular_covariance_regularized_with_warning(self):
         q = FeatureQueue(dim=2, num_classes=1, capacity_per_class=50)
         q.push_many(np.ones((30, 2)), np.zeros(30, dtype=int))
         with pytest.warns(UserWarning, match="regulariz"):
-            batch = synthesis.vos_synthesize(q, 5, None, 100, nn.make_rng(5))
+            batch = synthesis.vos_synthesize(q, 5, None, 100, np.random.default_rng(5))
         assert np.all(np.isfinite(batch.vectors))
 
     def test_deterministic_under_fixed_seed(self):
         q = _filled_queue()
-        a = synthesis.vos_synthesize(q, 20, None, 200, nn.make_rng(6))
-        b = synthesis.vos_synthesize(q, 20, None, 200, nn.make_rng(6))
+        a = synthesis.vos_synthesize(q, 20, None, 200, np.random.default_rng(6))
+        b = synthesis.vos_synthesize(q, 20, None, 200, np.random.default_rng(6))
         assert np.array_equal(a.vectors, b.vectors)
 
 
 class TestLinearMix:
     def test_midpoint_example(self):
         batch = synthesis.linear_mix(
-            np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]), 0.5, nn.make_rng(0)
+            np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]), 0.5, np.random.default_rng(0)
         )
         np.testing.assert_array_equal(batch.vectors, [[1.0, 1.0]])
 
     def test_weight_one_returns_inliers(self):
-        rng = nn.make_rng(1)
+        rng = np.random.default_rng(1)
         u_id = rng.normal(size=(5, 3))
         batch = synthesis.linear_mix(u_id, rng.normal(size=(4, 3)), 1.0, rng)
         np.testing.assert_allclose(batch.vectors, u_id)
 
     def test_row_count_follows_inliers(self):
-        rng = nn.make_rng(2)
+        rng = np.random.default_rng(2)
         batch = synthesis.linear_mix(
             rng.normal(size=(7, 2)), rng.normal(size=(3, 2)), 0.5, rng
         )
@@ -228,33 +228,33 @@ class TestLinearMix:
 
     def test_empty_fp_not_ready(self):
         with pytest.raises(NotReadyError):
-            synthesis.linear_mix(np.ones((2, 2)), np.zeros((0, 2)), 0.5, nn.make_rng(0))
+            synthesis.linear_mix(np.ones((2, 2)), np.zeros((0, 2)), 0.5, np.random.default_rng(0))
 
     def test_bad_weight_rejected(self):
         with pytest.raises(InputError):
-            synthesis.linear_mix(np.ones((2, 2)), np.ones((2, 2)), 1.5, nn.make_rng(0))
+            synthesis.linear_mix(np.ones((2, 2)), np.ones((2, 2)), 1.5, np.random.default_rng(0))
 
 
 class TestRandomNoise:
     def test_clt_moments(self):
-        batch = synthesis.random_noise(1000, 1000, nn.make_rng(3))
+        batch = synthesis.random_noise(1000, 1000, np.random.default_rng(3))
         tol = 4.0 / np.sqrt(1_000_000)
         assert abs(batch.vectors.mean()) < tol
         assert abs(batch.vectors.var() - 1.0) < tol
 
     def test_fixed_seed_bit_exact(self):
-        a = synthesis.random_noise(10, 4, nn.make_rng(4))
-        b = synthesis.random_noise(10, 4, nn.make_rng(4))
+        a = synthesis.random_noise(10, 4, np.random.default_rng(4))
+        b = synthesis.random_noise(10, 4, np.random.default_rng(4))
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(InputError):
-            synthesis.random_noise(0, 4, nn.make_rng(0))
+            synthesis.random_noise(0, 4, np.random.default_rng(0))
 
 
 class TestNoisyId:
     def test_shift_bounds_and_mean(self):
-        rng = nn.make_rng(5)
+        rng = np.random.default_rng(5)
         u_id = rng.normal(size=(200, 50))
         batch = synthesis.noisy_id(u_id, rng)
         diff = batch.vectors - u_id
@@ -264,12 +264,12 @@ class TestNoisyId:
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            synthesis.noisy_id(np.zeros((0, 3)), nn.make_rng(0))
+            synthesis.noisy_id(np.zeros((0, 3)), np.random.default_rng(0))
 
 
 class TestPersistence:
     def test_synth_batch_saved_as_outlier_records(self, tmp_path):
-        rng = nn.make_rng(6)
+        rng = np.random.default_rng(6)
         batch = synthesis.random_noise(8, 3, rng)
         records = make_records(batch.vectors, np.zeros(8, dtype=int), Label.SYNTH_OUTLIER)
         ds = FeatureDataset(3, 2, ["a", "b"], records)
