@@ -97,17 +97,20 @@ def _stacked(ae: AutoEncoder) -> nn.DenseNet:
     return nn.DenseNet(ae.encoder.layers + ae.decoder.layers)
 
 
-def ae_gradients(ae: AutoEncoder, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
+def ae_gradients(
+    ae: AutoEncoder, x: np.ndarray, ws: nn.Workspace | None = None
+) -> tuple[float, list[np.ndarray]]:
     """Reconstruction MSE against the first D input columns, and its gradients.
 
     The gradient list lines up with parameters(encoder) + parameters(decoder).
+    ``ws`` is passed to nn.gradients, whose aliasing contract applies.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != ae.encoder.input_dim:
         raise InputError(
             f"expected (M, {ae.encoder.input_dim}) augmented features, got {x.shape}"
         )
-    return nn.gradients(_stacked(ae), x, "mse", x[:, : ae.feature_dim])
+    return nn.gradients(_stacked(ae), x, "mse", x[:, : ae.feature_dim], ws)
 
 
 @dataclass
@@ -164,13 +167,14 @@ def uncertainty_gradients(
     u_id: np.ndarray,
     u_ood: np.ndarray,
     variant: str = "sigmoid",
+    ws: nn.Workspace | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Loss mean_ood[-sigma(f)] + mean_id[-(1-sigma(f))] (or bce) and its gradients.
 
     A single-sided batch contributes only its own term.
     """
     batch, is_ood = _stack_uncertainty_batch(head, u_id, u_ood)
-    return nn.gradients(head.net, batch, _variant_kind(variant), is_ood)
+    return nn.gradients(head.net, batch, _variant_kind(variant), is_ood, ws)
 
 
 def _variant_kind(variant: str) -> str:
@@ -204,9 +208,12 @@ class SurrogateClassifier:
 
 
 def classifier_gradients(
-    clf: SurrogateClassifier, u: np.ndarray, class_ids: np.ndarray
+    clf: SurrogateClassifier,
+    u: np.ndarray,
+    class_ids: np.ndarray,
+    ws: nn.Workspace | None = None,
 ) -> tuple[float, list[np.ndarray]]:
-    return nn.gradients(clf.net, u, "cross-entropy", class_ids)
+    return nn.gradients(clf.net, u, "cross-entropy", class_ids, ws)
 
 
 def softmax_probs(clf: SurrogateClassifier, u: np.ndarray) -> np.ndarray:

@@ -23,6 +23,8 @@ Loss kinds
 
 from __future__ import annotations
 
+import math
+import mmap
 import struct
 from dataclasses import dataclass
 
@@ -95,9 +97,46 @@ def dense_net(
     return DenseNet(layers)
 
 
-def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
+class Workspace:
+    """One float64 scratch buffer that a gradient call carves its arrays from.
+
+    ``gradients`` calls reset(), then forward_cached and backward take views
+    of the buffer with take(shape).  A call that outgrows the buffer gets fresh arrays for the rest, and the
+    next reset() grows the buffer to that call's total, so the buffer ends
+    the size of the largest call made on it and is reused from then on
+    instead of being freed and page-faulted back in every step.
+
+    Aliasing contract: every array taken from a workspace, including the
+    gradients ``gradients(..., ws)`` returns, is valid only until the next
+    call on that workspace.
+    """
+
+    def __init__(self):
+        self._buf = np.empty(0)
+        self._used = 0
+
+    def reset(self) -> None:
+        if self._used > self._buf.size:
+            # private anonymous memory of its own, unmapped when the last
+            # view dies: numpy advises huge pages for a buffer this large,
+            # which left the process holding several MB more at random
+            memory = mmap.mmap(-1, 8 * self._used, access=mmap.ACCESS_COPY)
+            self._buf = np.frombuffer(memory, dtype=np.float64)
+        self._used = 0
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        start = self._used
+        self._used += math.prod(shape)
+        if self._used > self._buf.size:
+            return np.empty(shape)
+        return self._buf[start : self._used].reshape(shape)
+
+
+def _apply_activation(
+    z: np.ndarray, activation: str, ws: Workspace | None = None
+) -> np.ndarray:
     if activation == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=None if ws is None else ws.take(z.shape))
     if activation == "identity":
         return z
     raise InputError(f"unknown activation {activation!r}")
@@ -130,41 +169,58 @@ def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def forward_cached(net: DenseNet, x: np.ndarray):
-    """Forward pass that keeps (input, pre-activation) per layer for backprop."""
+def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None):
+    """Forward pass that keeps (input, pre-activation) per layer for backprop.
+
+    Pre-activations and relu outputs are views taken from ``ws`` (a fresh
+    workspace when none is given).
+    """
+    ws = Workspace() if ws is None else ws
     a = _check_batch(net, x)
     caches = []
     for i, layer in enumerate(net.layers):
-        z = a @ layer.weights
+        z = np.matmul(a, layer.weights, out=ws.take((a.shape[0], layer.fan_out)))
         z += layer.bias
         caches.append((a, z))
-        a = _apply_activation(z, layer.activation)
+        a = _apply_activation(z, layer.activation, ws)
         if not np.all(np.isfinite(a)):
             raise NumericalFailure(f"non-finite activation after layer {i}")
     return a, caches
 
 
-def backward(net: DenseNet, caches, d_out: np.ndarray) -> list[np.ndarray]:
+def backward(
+    net: DenseNet, caches, d_out: np.ndarray, ws: Workspace | None = None
+) -> list[np.ndarray]:
     """Backprop d_out = dL/d(output) through the net.
 
-    Returns grads matching parameters(net): [dW0, db0, dW1, db1, ...].
-    The gradient with respect to the net's input is never formed.
+    Returns grads matching parameters(net): [dW0, db0, dW1, db1, ...], as
+    views taken from ``ws`` (a fresh workspace when none is given).  The
+    gradient with respect to the net's input is never formed.  A hidden
+    relu layer's output is dead once the layer above has its gradients, so
+    that layer's relu mask is written over it and the caches are spent.
     """
+    ws = Workspace() if ws is None else ws
     grads: list[np.ndarray] = []
     da = d_out
-    for i in range(len(net.layers) - 1, -1, -1):
+    last = len(net.layers) - 1
+    for i in range(last, -1, -1):
         layer = net.layers[i]
         a_prev, z = caches[i]
-        # the bool mask casts to 1.0/0.0, so this equals da * relu'(z) bit for bit
-        dz = da * (z > 0.0) if layer.activation == "relu" else da
-        dw = a_prev.T @ dz
-        db = dz.sum(axis=0)
+        if layer.activation == "relu":
+            dz = caches[i + 1][0] if i < last else ws.take(z.shape)
+            # mask as 1.0/0.0 times da: the same bits as da * (z > 0.0)
+            np.greater(z, 0.0, out=dz)
+            dz *= da
+        else:
+            dz = da
+        dw = np.matmul(a_prev.T, dz, out=ws.take(layer.weights.shape))
+        db = np.sum(dz, axis=0, out=ws.take(layer.bias.shape))
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
             raise NumericalFailure(f"non-finite gradient at layer {i}")
         grads.append(db)
         grads.append(dw)
         if i:
-            da = dz @ layer.weights.T
+            da = np.matmul(dz, layer.weights.T, out=ws.take(a_prev.shape))
     grads.reverse()
     return grads
 
@@ -271,17 +327,25 @@ def loss_and_grad(
 
 
 def gradients(
-    net: DenseNet, x: np.ndarray, loss_kind: str, targets: np.ndarray
+    net: DenseNet,
+    x: np.ndarray,
+    loss_kind: str,
+    targets: np.ndarray,
+    ws: Workspace | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Loss and parameter gradients for one batch.
 
-    The gradient list lines up with parameters(net).
+    The gradient list lines up with parameters(net).  With a shared ``ws``
+    the call reuses its buffer, and the gradients stay valid until the next
+    call on it; without one every array is freshly allocated.
     """
-    out, caches = forward_cached(net, x)
+    ws = Workspace() if ws is None else ws
+    ws.reset()
+    out, caches = forward_cached(net, x, ws)
     loss, d_out = loss_and_grad(out, loss_kind, targets)
     if not np.isfinite(loss):
         raise NumericalFailure(f"non-finite {loss_kind} loss")
-    return loss, backward(net, caches, d_out)
+    return loss, backward(net, caches, d_out, ws)
 
 
 @dataclass

@@ -20,9 +20,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import platform
+import re
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_type_hints
@@ -297,6 +299,10 @@ class RunManifest:
     wall_clock_seconds: float
     outputs: dict[str, str]
     created: str
+    # report bytes depend on the BLAS library and its thread count; fields
+    # with a default may be missing from manifests written before them
+    blas_vendor: str | None = None
+    blas_threads: int | None = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
@@ -305,9 +311,33 @@ class RunManifest:
     def from_json(cls, text: str) -> "RunManifest":
         try:
             payload = json.loads(text)
-            return cls(**{f.name: payload[f.name] for f in fields(cls)})
+            return cls(
+                **{
+                    f.name: payload[f.name]
+                    for f in fields(cls)
+                    if f.name in payload or f.default is MISSING
+                }
+            )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise InputError(f"malformed manifest JSON: {exc}") from exc
+
+
+def blas_environment() -> tuple[str | None, int | None]:
+    """numpy's BLAS library name and the thread count pinned in the environment.
+
+    The count is the first of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that
+    is set; it is None when that value is not an integer or neither is set
+    (the library then picks its own).
+    """
+    try:
+        vendor = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError, ValueError):
+        vendor = None
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value:
+            return vendor, int(value) if value.isdigit() else None
+    return vendor, None
 
 
 # --- training ------------------------------------------------------------------
@@ -414,6 +444,9 @@ def _train(
     ae_state = nn.init_adam(ae_params)
     clf_state = nn.init_adam(clf_params)
     unc_state = nn.init_adam(unc_params)
+    # one scratch buffer for all three nets: each gradient call reuses it, and
+    # adam_step consumes the gradients before the next call overwrites them
+    ws = nn.Workspace()
     fp_cycle = _Cycle(u_fp, rng_train)
     history: list[dict] = []
     schedule = (
@@ -430,9 +463,9 @@ def _train(
                 queue.push_many(feats, cls)
                 x_ae = queue.sample(cfg.sample_n_per_class, rng_train)
                 try:
-                    loss_ae, ae_g = ae_gradients(ae, x_ae)
+                    loss_ae, ae_g = ae_gradients(ae, x_ae, ws=ws)
                     nn.adam_step(ae_params, ae_g, ae_state, lr=cfg.train_lr)
-                    loss_clf, clf_g = classifier_gradients(bundle.classifier, feats, cls)
+                    loss_clf, clf_g = classifier_gradients(bundle.classifier, feats, cls, ws=ws)
                     nn.adam_step(clf_params, clf_g, clf_state, lr=cfg.train_lr)
                     loss_unc = 0.0
                     if lam > 0.0:
@@ -444,7 +477,7 @@ def _train(
                             else synth.vectors
                         )
                         loss_unc, unc_g = uncertainty_gradients(
-                            bundle.uncertainty, feats, u_ood, cfg.loss_variant
+                            bundle.uncertainty, feats, u_ood, cfg.loss_variant, ws=ws
                         )
                         nn.adam_step(
                             unc_params, [lam * g for g in unc_g], unc_state, lr=cfg.train_lr
@@ -671,6 +704,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         }
     import lsvos
 
+    blas_vendor, blas_threads = blas_environment()
     manifest = RunManifest(
         config_hash=config_hash(cfg),
         seed=cfg.seed,
@@ -682,6 +716,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         wall_clock_seconds=time.time() - started,
         outputs=outputs,
         created=datetime.now(timezone.utc).isoformat(),
+        blas_vendor=blas_vendor,
+        blas_threads=blas_threads,
     )
     if out_path is not None:
         (out_path / "manifest.json").write_text(manifest.to_json())
@@ -700,10 +736,28 @@ class AblationResult:
         return json.dumps(self.rows, sort_keys=True, indent=2) + "\n"
 
 
+def _sweep_values(spec: str, values: str) -> list[str]:
+    # commas inside [...] belong to one list value, whose brackets are dropped
+    parts = []
+    for part in re.split(r",(?![^\[]*\])", values):
+        part = part.strip()
+        if part.startswith("[") and part.endswith("]") and part.count("[") == 1:
+            parts.append(part[1:-1].strip())
+        elif "[" in part or "]" in part:
+            raise InputError(
+                f"sweep spec {spec!r} has an unbalanced or nested bracket in {part!r}"
+            )
+        elif part:
+            parts.append(part)
+    return parts
+
+
 def sweep_from_specs(specs: list[str]) -> list[dict[str, str]]:
     """Expand "key=v1,v2,..." specs into per-run override dicts.
 
-    Multiple specs form the cartesian product of their value lists.
+    Multiple specs form the cartesian product of their value lists.  A
+    list-valued point goes in brackets: "model.encoder_hidden=[128,64],[256]"
+    is two points, (128, 64) and (256,).
     """
     axes: list[tuple[str, list[str]]] = []
     for spec in specs:
@@ -713,7 +767,7 @@ def sweep_from_specs(specs: list[str]) -> list[dict[str, str]]:
         key = key.strip()
         if key not in _KEYS:
             raise InputError(f"unknown sweep key {key!r}")
-        parts = [v.strip() for v in values.split(",") if v.strip()]
+        parts = _sweep_values(spec, values)
         if not parts:
             raise InputError(f"sweep spec {spec!r} lists no values")
         axes.append((key, parts))
@@ -744,9 +798,12 @@ def ablate(
         try:
             cfg = apply_overrides(base_cfg, dict(overrides))
             result = run_experiment(cfg, out_dir=run_dir)
-        except LsvosError as exc:
+        except (LsvosError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            # a numpy failure outside LsvosError ends this point only, named by type
             row["status"] = "error"
-            row["error"] = str(exc)
+            row["error"] = (
+                str(exc) if isinstance(exc, LsvosError) else f"{type(exc).__name__}: {exc}"
+            )
             rows.append(row)
             results.append(None)
             continue

@@ -150,7 +150,8 @@ def vos_synthesize(
     kept_blocks, kept_ids = [], []
     for cid in range(queue.num_classes):
         z = rng.standard_normal((n_candidates, dim))
-        draws = z @ model.cholesky.T + model.means[cid]
+        draws = z @ model.cholesky.T
+        draws += model.means[cid]
         # shared covariance: within one class, lowest log-likelihood is
         # exactly largest Mahalanobis distance, and for a draw mean + L z
         # with L L^T = cov that squared distance is exactly ||z||^2
@@ -158,6 +159,8 @@ def vos_synthesize(
         order = np.argsort(-maha, kind="stable")
         kept_blocks.append(draws[order[:n_per_class]])
         kept_ids.append(np.full(n_per_class, cid))
+        # free this class's candidates before the next class draws its own
+        del z, draws
     return SynthBatch(
         np.vstack(kept_blocks),
         "vos",

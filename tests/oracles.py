@@ -57,6 +57,28 @@ def adam_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8)
     return new_params, new_m, new_v
 
 
+def gradients_reference(net, x, loss_kind, targets):
+    """Loss and gradients of nn.gradients with every array freshly allocated.
+
+    Plain ``a @ W``, ``da * (z > 0.0)`` and ``.sum(axis=0)`` expressions, so
+    a result computed in reused buffers can be held to them bit for bit.
+    """
+    a, caches = x, []
+    for layer in net.layers:
+        z = a @ layer.weights + layer.bias
+        caches.append((a, z))
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    loss, da = nn.loss_and_grad(a, loss_kind, targets)
+    grads = []
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        a_prev, z = caches[i]
+        dz = da * (z > 0.0) if layer.activation == "relu" else da
+        grads = [a_prev.T @ dz, dz.sum(axis=0)] + grads
+        da = dz @ layer.weights.T
+    return loss, grads
+
+
 def max_relative_error(analytic, numeric, floor=1e-3):
     """max_j |a_j - n_j| / max(|a_j|, |n_j|, floor) over all parameters."""
     worst = 0.0

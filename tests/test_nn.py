@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lsvos import nn
 from lsvos.errors import InputError, NumericalFailure
@@ -173,6 +175,110 @@ class TestGradients:
         net.layers[0].weights[0, 0] = np.inf
         with pytest.raises(NumericalFailure):
             nn.gradients(net, np.ones((1, 2)), "mse", np.ones((1, 2)))
+
+
+def _workspace_nets():
+    rng = np.random.default_rng(21)
+    # the auto-encoder's stack: an identity layer between two relu layers
+    encoder = nn.dense_net([11, 32, 6], rng)
+    decoder = nn.dense_net([6, 32, 8], rng)
+    return {
+        "ae": nn.DenseNet(encoder.layers + decoder.layers),
+        "clf": nn.dense_net([8, 16, 3], rng),
+        "unc": nn.dense_net([8, 16, 16, 1], rng),
+    }
+
+
+def _workspace_batch(name, rows, rng):
+    if name == "ae":
+        x = rng.normal(size=(rows, 11))
+        return x, "mse", x[:, :8]
+    x = rng.normal(size=(rows, 8))
+    if name == "clf":
+        return x, "cross-entropy", rng.integers(0, 3, size=rows)
+    kind = "uncertainty-sigmoid" if rng.random() < 0.5 else "uncertainty-bce"
+    return x, kind, rng.random(rows) < 0.5
+
+
+# the desk preset per step: 1500 queue rows for the auto-encoder, a
+# 512-row minibatch (368 in the last one) for the classifier, and the
+# minibatch stacked with as many virtual outliers and FPs for the head
+DESK_CALLS = [
+    ("ae", 1500), ("clf", 512), ("unc", 1536),
+    ("ae", 1500), ("clf", 368), ("unc", 1104),
+    ("ae", 1500), ("clf", 512), ("unc", 1536),
+]
+
+
+class TestWorkspace:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(["ae", "clf", "unc"]),
+                st.one_of(st.integers(1, 40), st.sampled_from([368, 512, 1536])),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(calls=DESK_CALLS, seed=0)
+    @example(calls=[("unc", 1536), ("ae", 1), ("clf", 1), ("ae", 40), ("unc", 1)], seed=1)
+    def test_shared_workspace_is_bitwise_equal_to_fresh_arrays(self, calls, seed):
+        rng = np.random.default_rng(seed)
+        nets = _workspace_nets()
+        ws = nn.Workspace()
+        for name, rows in calls:
+            net = nets[name]
+            x, kind, targets = _workspace_batch(name, rows, rng)
+            loss, grads = nn.gradients(net, x, kind, targets, ws)
+            fresh_loss, fresh = nn.gradients(net, x, kind, targets)
+            ref_loss, ref = oracles.gradients_reference(net, x, kind, targets)
+            assert loss == fresh_loss == ref_loss
+            for g, f, r in zip(grads, fresh, ref, strict=True):
+                assert g.shape == f.shape == r.shape
+                assert g.tobytes() == f.tobytes() == r.tobytes()
+            # move the weights as training would, so later calls see new values
+            for p, g in zip(nn.parameters(net), grads):
+                p -= 1e-3 * g
+
+    def test_steady_state_calls_reuse_the_buffer(self):
+        rng = np.random.default_rng(3)
+        nets = _workspace_nets()
+        ws = nn.Workspace()
+        runs = []
+        for _ in range(3):
+            step = []
+            for name, rows in DESK_CALLS[:3]:
+                _, grads = nn.gradients(nets[name], *_workspace_batch(name, rows, rng), ws)
+                step.append(grads[0])
+            runs.append(step)
+        # the buffer grows while the first step finds its largest call, and
+        # from then on every call hands out the same memory again
+        for a, b in zip(runs[1], runs[2]):
+            assert np.shares_memory(a, b)
+        _, fresh = nn.gradients(nets["clf"], *_workspace_batch("clf", 512, rng))
+        _, again = nn.gradients(nets["clf"], *_workspace_batch("clf", 512, rng))
+        assert not np.shares_memory(fresh[0], again[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_names_the_layer_and_leaves_the_workspace_usable(self):
+        rng = np.random.default_rng(4)
+        net = _workspace_nets()["unc"]
+        ws = nn.Workspace()
+        x, kind, targets = _workspace_batch("unc", 512, rng)
+        nn.gradients(net, x, kind, targets, ws)
+        saved = net.layers[1].weights[0, 0]
+        net.layers[1].weights[0, 0] = np.inf
+        with pytest.raises(NumericalFailure, match="layer 1"):
+            nn.gradients(net, x, kind, targets, ws)
+        net.layers[1].weights[0, 0] = saved
+        x, kind, targets = _workspace_batch("unc", 700, rng)
+        loss, grads = nn.gradients(net, x, kind, targets, ws)
+        ref_loss, ref = oracles.gradients_reference(net, x, kind, targets)
+        assert loss == ref_loss
+        assert [g.tobytes() for g in grads] == [r.tobytes() for r in ref]
 
 
 class TestAdam:

@@ -280,6 +280,30 @@ class TestSweepSpecs:
         with pytest.raises(InputError):
             sweep_from_specs(["loss.lambda"])
 
+    def test_bracketed_values_are_one_list_valued_point_each(self):
+        combos = sweep_from_specs(["model.encoder_hidden=[128,64],[256]"])
+        assert combos == [
+            {"model.encoder_hidden": "128,64"},
+            {"model.encoder_hidden": "256"},
+        ]
+        cfgs = [apply_overrides(ExperimentConfig(), combo) for combo in combos]
+        assert [cfg.model_encoder_hidden for cfg in cfgs] == [(128, 64), (256,)]
+        mixed = sweep_from_specs(["model.encoder_hidden=[128, 64] , 32,[]"])
+        assert [c["model.encoder_hidden"] for c in mixed] == ["128, 64", "32", ""]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "model.encoder_hidden=[128,64",
+            "model.encoder_hidden=128]",
+            "model.encoder_hidden=[[128]]",
+            "model.encoder_hidden=[128]64",
+        ],
+    )
+    def test_rejects_unbalanced_or_nested_brackets(self, spec):
+        with pytest.raises(InputError, match="bracket"):
+            sweep_from_specs([spec])
+
 
 class TestRunExperiment:
     def test_report_covers_all_methods(self):
@@ -355,6 +379,63 @@ class TestRunExperiment:
         mb = RunManifest.from_json((tmp_path / "b" / "manifest.json").read_text())
         assert ma.config_hash == mb.config_hash
         assert ma.seed == mb.seed
+
+    @pytest.mark.parametrize("method", ["lsvos", "vos"])
+    def test_shared_workspace_matches_per_call_allocation(self, tmp_path, monkeypatch, method):
+        # 400 inlier rows in batches of 128 end every epoch on a 16-row batch
+        cfg = micro_cfg(synth_method=method)
+        seen = []
+        for name in ("ae_gradients", "classifier_gradients", "uncertainty_gradients"):
+            original = getattr(pipeline, name)
+
+            def spy(*args, ws, _original=original):
+                seen.append(ws)
+                return _original(*args, ws=ws)
+
+            monkeypatch.setattr(pipeline, name, spy)
+        run_experiment(cfg, out_dir=tmp_path / "shared")
+        assert seen and seen[0] is not None and all(ws is seen[0] for ws in seen)
+        monkeypatch.undo()
+        for name in ("ae_gradients", "classifier_gradients", "uncertainty_gradients"):
+            original = getattr(pipeline, name)
+            monkeypatch.setattr(
+                pipeline, name, lambda *args, ws, _original=original: _original(*args)
+            )
+        run_experiment(cfg, out_dir=tmp_path / "fresh")
+        for name in ("report.json", "model.ckpt", "history.csv"):
+            shared = (tmp_path / "shared" / name).read_bytes()
+            assert shared == (tmp_path / "fresh" / name).read_bytes(), name
+
+    def test_manifest_records_the_blas_environment_and_loads_without_it(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        res = run_experiment(micro_cfg())
+        vendor = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        payload = json.loads(res.manifest.to_json())
+        assert payload["blas_vendor"] == vendor and payload["blas_threads"] == 1
+        # a manifest written before these fields existed
+        del payload["blas_vendor"], payload["blas_threads"]
+        old = RunManifest.from_json(json.dumps(payload))
+        assert old.blas_vendor is None and old.blas_threads is None
+        assert old.config_hash == res.manifest.config_hash
+        del payload["seed"]
+        with pytest.raises(InputError, match="seed"):
+            RunManifest.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "env, threads",
+        [
+            ({}, None),
+            ({"OMP_NUM_THREADS": "4"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "4"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "many"}, None),
+        ],
+    )
+    def test_blas_thread_count_comes_from_the_environment(self, monkeypatch, env, threads):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert pipeline.blas_environment()[1] == threads
 
     def test_training_updates_the_built_layer_arrays_in_place(self, monkeypatch):
         def arrays(bundle):
@@ -527,6 +608,27 @@ class TestAblate:
         assert out.rows[1]["status"] == "ok"
         csv_lines = (tmp_path / "ablation.csv").read_text().splitlines()
         assert len(csv_lines) == 3
+
+    @pytest.mark.parametrize(
+        "failure",
+        [np.linalg.LinAlgError("Singular matrix"), FloatingPointError("overflow in matmul")],
+    )
+    def test_numpy_failure_of_one_point_is_recorded(self, tmp_path, monkeypatch, failure):
+        base = micro_cfg(train_phase1_epochs=1, train_phase2_epochs=1)
+        run = pipeline.run_experiment
+
+        def failing_at_lambda_one(cfg, out_dir=None):
+            if cfg.loss_lambda == 1.0:
+                raise failure
+            return run(cfg, out_dir=out_dir)
+
+        monkeypatch.setattr(pipeline, "run_experiment", failing_at_lambda_one)
+        out = ablate(base, sweep_from_specs(["loss.lambda=0.5,1,2"]), out_dir=tmp_path)
+        assert [row["status"] for row in out.rows] == ["ok", "error", "ok"]
+        assert out.rows[1]["error"] == f"{type(failure).__name__}: {failure}"
+        assert out.results[1] is None and out.results[2] is not None
+        table = (tmp_path / "ablation.csv").read_text().splitlines()
+        assert len(table) == 4 and ",error," in table[2]
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(InputError):

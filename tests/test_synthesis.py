@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,19 @@ class TestVosSynthesize:
             np.testing.assert_allclose(
                 kept_dist, np.sort(dist)[::-1][:n_keep], rtol=1e-9
             )
+
+    def test_one_class_of_candidates_is_alive_at_a_time(self):
+        # one class's candidates z and their draws, plus small kept rows: a
+        # class's arrays are freed before the next class draws its own
+        dim, k, n_cand = 64, 3, 10_000
+        q = _filled_queue(dim=dim, num_classes=k, per_class=500)
+        tracemalloc.start()
+        try:
+            synthesis.vos_synthesize(q, 512, None, n_cand, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n_cand * dim * 8
 
     def test_one_dimensional_tail_cutoff(self):
         # keeping the lowest-likelihood 5% of a unit Gaussian leaves only
