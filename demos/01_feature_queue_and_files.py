@@ -35,8 +35,7 @@ labels = np.where(np.arange(12) < 9, Label.ID, Label.FP)
 records = make_records(rng.standard_normal((12, dim)), class_ids, labels)
 print("record fields:", records.dtype.names)
 
-ds = FeatureDataset(dim=dim, num_classes=num_classes,
-                    class_names=["car", "pedestrian", "cyclist"], records=records)
+ds = FeatureDataset(dim=dim, num_classes=num_classes, records=records)
 print("counts by label:", ds.counts())
 
 # select() pulls out the rows for one label as a plain matrix.

@@ -12,10 +12,9 @@ import os
 import sys
 from pathlib import Path
 
-from .datagen import generate_features, generate_scenes
+from .datagen import generate_features
 from .errors import InputError, LsvosError
-from .features import Label, load_features, save_features
-from .geometry import save_scene
+from .features import load_features, save_features
 from .metrics import EvaluationReport, build_report
 from .models import ModelBundle
 from .pipeline import (
@@ -70,16 +69,9 @@ def cmd_generate(args) -> int:
     train, val = generate_features(generator_spec(cfg))
     save_features(out / "train.vosf", train)
     save_features(out / "val.vosf", val)
-    scenes_dir = out / "scenes"
-    scenes_dir.mkdir(exist_ok=True)
-    scenes = generate_scenes(args.scenes, args.boxes, args.jitter, cfg.seed)
-    for i, scene in enumerate(scenes):
-        save_scene(scenes_dir / f"scene_{i:03d}.csv", scene.preds, scene.gts)
     for split, ds in (("train", train), ("val", val)):
         counts = ds.counts()
         print(f"{split}: {len(ds.records)} rows (ID {counts['ID']}, FP {counts['FP']})")
-    boxes = sum(len(s.preds) for s in scenes)
-    print(f"scenes: {len(scenes)} files, {boxes} predictions")
     print(f"wrote {out}")
     return 0
 
@@ -108,8 +100,8 @@ def cmd_evaluate(args) -> int:
         methods = apply_overrides(ExperimentConfig(), {"methods": args.methods}).methods
         bundle = ModelBundle.load(args.checkpoint)
         data = Path(args.data)
-        train = load_features(data / "train.vosf", split="train")
-        val = load_features(data / "val.vosf", split="val")
+        train = load_features(data / "train.vosf")
+        val = load_features(data / "val.vosf")
         score_sets, ece_values = evaluate_bundle(bundle, train, val, methods)
         report = build_report(score_sets, "recomputed", 0, ece_values)
     else:
@@ -176,11 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    gen = subs.add_parser("generate", help="write synthetic feature and scene files")
+    gen = subs.add_parser("generate", help="write synthetic train and val feature files")
     _add_config_flags(gen)
-    gen.add_argument("--scenes", type=int, default=5)
-    gen.add_argument("--boxes", type=int, default=8)
-    gen.add_argument("--jitter", type=float, default=0.2)
     gen.set_defaults(func=cmd_generate)
 
     train = subs.add_parser("train", help="run the two-phase training pipeline")

@@ -50,7 +50,6 @@ class GeneratorSpec:
     n_id_val: int = 2000
     n_fp_val: int = 700
     seed: int = 0
-    class_means: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dim <= 0 or self.num_classes <= 0:
@@ -68,18 +67,10 @@ class GeneratorSpec:
                 raise InputError(f"{name} must be positive")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
-        if self.class_means is not None:
-            self.class_means = np.asarray(self.class_means, dtype=np.float64)
-            if self.class_means.shape != (self.num_classes, self.dim):
-                raise InputError(
-                    f"class_means must be ({self.num_classes}, {self.dim})"
-                )
 
     def means(self) -> np.ndarray:
-        """Class means; default placement puts pairwise distances at
-        class_separation sigma along orthogonal axes."""
-        if self.class_means is not None:
-            return self.class_means
+        """Class means: pairwise distances of class_separation sigma along
+        orthogonal axes."""
         means = np.zeros((self.num_classes, self.dim))
         radius = self.class_separation * self.cov_scale / math.sqrt(2.0)
         for cid in range(self.num_classes):
@@ -121,11 +112,10 @@ def generate_features(spec: GeneratorSpec) -> tuple[FeatureDataset, FeatureDatas
     """(train, val) datasets of labeled ID and FP features."""
     streams = np.random.SeedSequence(spec.seed).spawn(4)
     rngs = [np.random.default_rng(s) for s in streams]
-    class_names = [f"class_{i}" for i in range(spec.num_classes)]
     splits = []
-    for split, n_id, n_fp, rng_id, rng_fp in (
-        ("train", spec.n_id_train, spec.n_fp_train, rngs[0], rngs[1]),
-        ("val", spec.n_id_val, spec.n_fp_val, rngs[2], rngs[3]),
+    for n_id, n_fp, rng_id, rng_fp in (
+        (spec.n_id_train, spec.n_fp_train, rngs[0], rngs[1]),
+        (spec.n_id_val, spec.n_fp_val, rngs[2], rngs[3]),
     ):
         records = np.concatenate(
             [
@@ -133,9 +123,7 @@ def generate_features(spec: GeneratorSpec) -> tuple[FeatureDataset, FeatureDatas
                 make_records(*_fp_block(spec, n_fp, rng_fp), Label.FP),
             ]
         )
-        splits.append(
-            FeatureDataset(spec.dim, spec.num_classes, class_names, records, split)
-        )
+        splits.append(FeatureDataset(spec.dim, spec.num_classes, records))
     return splits[0], splits[1]
 
 

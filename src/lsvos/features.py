@@ -73,19 +73,11 @@ class FeatureDataset:
 
     dim: int
     num_classes: int
-    class_names: list[str]
     records: np.ndarray
-    split: str = "train"
 
     def __post_init__(self):
         if self.dim <= 0 or self.num_classes <= 0:
             raise InputError("dim and num_classes must be positive")
-        if len(self.class_names) != self.num_classes:
-            raise InputError(
-                f"{len(self.class_names)} class names for {self.num_classes} classes"
-            )
-        if self.split not in ("train", "val"):
-            raise InputError(f"split must be 'train' or 'val', got {self.split!r}")
         expected = record_dtype(self.dim)
         records = self.records
         if not (isinstance(records, np.ndarray) and records.ndim == 1 and records.dtype == expected):
@@ -230,7 +222,7 @@ def save_features(path, dataset: FeatureDataset) -> None:
         fh.write(dataset.records.astype(record_dtype(dataset.dim, "<f4")).tobytes())
 
 
-def load_features(path, split: str = "train", class_names: list[str] | None = None) -> FeatureDataset:
+def load_features(path) -> FeatureDataset:
     """Read a binary feature file written by save_features."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -246,6 +238,4 @@ def load_features(path, split: str = "train", class_names: list[str] | None = No
     if len(data) - head_len != count * wire.itemsize:
         raise InputError("feature file truncated or padded")
     records = np.frombuffer(data, wire, offset=head_len).astype(record_dtype(dim))
-    if class_names is None:
-        class_names = [f"class_{i}" for i in range(num_classes)]
-    return FeatureDataset(dim, num_classes, class_names, records, split)
+    return FeatureDataset(dim, num_classes, records)

@@ -6,9 +6,6 @@ rectangles by Sutherland-Hodgman polygon clipping and measures areas with
 the shoelace formula; the 3D IoU multiplies the footprint intersection by
 the vertical overlap length.  Footprint areas are themselves computed by
 shoelace on the corner polygons so that iou(a, a) is exactly 1.
-
-Scene files are CSV with header
-``kind,class_id,x,y,z,l,w,h,yaw,confidence`` where kind is pred or gt.
 """
 
 from __future__ import annotations
@@ -20,8 +17,6 @@ import numpy as np
 
 from .errors import InputError
 from .features import Label
-
-SCENE_HEADER = "kind,class_id,x,y,z,l,w,h,yaw,confidence"
 
 
 def normalize_yaw(yaw: float) -> float:
@@ -194,46 +189,3 @@ def default_thresholds(class_names: list[str]) -> dict[int, float]:
         i: 0.7 if any(w in name.lower() for w in vehicle_words) else 0.5
         for i, name in enumerate(class_names)
     }
-
-
-# --- scene persistence --------------------------------------------------------
-
-
-def save_scene(path, preds: list[Detection], gts: list[tuple[Box3D, int]]) -> None:
-    lines = [SCENE_HEADER]
-    for det in preds:
-        x, y, z = det.box.center
-        l, w, h = det.box.size
-        lines.append(
-            f"pred,{det.class_id},{x!r},{y!r},{z!r},{l!r},{w!r},{h!r},"
-            f"{det.box.yaw!r},{det.confidence!r}"
-        )
-    for box, cid in gts:
-        x, y, z = box.center
-        l, w, h = box.size
-        lines.append(f"gt,{cid},{x!r},{y!r},{z!r},{l!r},{w!r},{h!r},{box.yaw!r},1.0")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_scene(path) -> tuple[list[Detection], list[tuple[Box3D, int]]]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != SCENE_HEADER:
-        raise InputError(f"scene CSV must start with header {SCENE_HEADER!r}")
-    preds: list[Detection] = []
-    gts: list[tuple[Box3D, int]] = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 10:
-            raise InputError(f"scene row has {len(parts)} fields, expected 10")
-        kind, cid = parts[0], int(parts[1])
-        x, y, z, l, w, h, yaw, conf = (float(v) for v in parts[2:])
-        box = Box3D((x, y, z), (l, w, h), yaw)
-        if kind == "pred":
-            preds.append(Detection(box, cid, conf))
-        elif kind == "gt":
-            gts.append((box, cid))
-        else:
-            raise InputError(f"unknown scene row kind {kind!r}")
-    return preds, gts

@@ -55,6 +55,21 @@ def auroc(scores: ScoreSet) -> float:
     return u_stat / (n_id * n_ood)
 
 
+def _sweep(toward_positive: np.ndarray, pos_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative (tp, predicted) counts at each distinct threshold, descending.
+
+    Thresholds sweep down `toward_positive` (a stable sort); each tied-score
+    group contributes one point, taken at its last index.
+    """
+    order = np.argsort(-toward_positive, kind="stable")
+    sorted_scores = toward_positive[order]
+    tp = np.cumsum(pos_mask[order].astype(np.int64))
+    predicted = np.arange(1, tp.size + 1)
+    group_end = np.ones(tp.size, dtype=bool)
+    group_end[:-1] = sorted_scores[:-1] != sorted_scores[1:]
+    return tp[group_end], predicted[group_end]
+
+
 def _pr_sweep(scores: ScoreSet, positive: str) -> tuple[np.ndarray, np.ndarray]:
     """(precision, recall) after each distinct-threshold group, descending."""
     if positive not in AUPR_POSITIVE_CHOICES:
@@ -65,19 +80,8 @@ def _pr_sweep(scores: ScoreSet, positive: str) -> tuple[np.ndarray, np.ndarray]:
     n_pos = int(pos_mask.sum())
     if n_pos == 0:
         raise UndefinedMetricError(f"aupr positive class {positive!r} has no items")
-    order = np.argsort(-toward_positive, kind="stable")
-    sorted_scores = toward_positive[order]
-    sorted_pos = pos_mask[order].astype(np.int64)
-    tp = np.cumsum(sorted_pos)
-    predicted = np.arange(1, sorted_pos.size + 1)
-    # keep only the last index of each tied-score group
-    group_end = np.ones(sorted_pos.size, dtype=bool)
-    group_end[:-1] = sorted_scores[:-1] != sorted_scores[1:]
-    tp = tp[group_end].astype(np.float64)
-    predicted = predicted[group_end].astype(np.float64)
-    precision = tp / predicted
-    recall = tp / n_pos
-    return precision, recall
+    tp, predicted = _sweep(toward_positive, pos_mask)
+    return tp / predicted, tp / n_pos
 
 
 def aupr(scores: ScoreSet, positive: str = "id") -> float:
@@ -128,17 +132,11 @@ def ece(confidences: np.ndarray, correct: np.ndarray, n_bins: int = 10) -> float
 def roc_points(scores: ScoreSet) -> dict[str, list[float]]:
     """ROC curve of the OOD detector (positive = OOD), threshold descending."""
     _require_both_classes(scores, "roc_points")
-    order = np.argsort(-scores.scores, kind="stable")
-    sorted_scores = scores.scores[order]
-    sorted_ood = scores.is_ood[order].astype(np.int64)
-    n_ood = int(sorted_ood.sum())
-    n_id = sorted_ood.size - n_ood
-    tp = np.cumsum(sorted_ood)
-    fp = np.arange(1, sorted_ood.size + 1) - tp
-    group_end = np.ones(sorted_ood.size, dtype=bool)
-    group_end[:-1] = sorted_scores[:-1] != sorted_scores[1:]
-    tpr = [0.0] + (tp[group_end] / n_ood).tolist()
-    fpr = [0.0] + (fp[group_end] / n_id).tolist()
+    n_ood = int(scores.is_ood.sum())
+    n_id = scores.is_ood.size - n_ood
+    tp, predicted = _sweep(scores.scores, scores.is_ood)
+    tpr = [0.0] + (tp / n_ood).tolist()
+    fpr = [0.0] + ((predicted - tp) / n_id).tolist()
     return {"fpr": [float(v) for v in fpr], "tpr": [float(v) for v in tpr]}
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import nn
 from .datagen import GeneratorSpec, generate_features
 from .errors import InputError, LsvosError, NumericalFailure
-from .features import FEATURE_VERSION, FeatureQueue, Label, append_one_hot, load_features
+from .features import FEATURE_VERSION, FeatureQueue, Label, load_features
 from .metrics import EvaluationReport, build_report, ece
 from .models import (
     UNCERTAINTY_VARIANTS,
@@ -387,8 +387,8 @@ def _load_datasets(cfg: ExperimentConfig):
         raise InputError(
             f"dataset directory {root} must contain train.vosf and val.vosf"
         )
-    train = load_features(train_path, split="train")
-    val = load_features(val_path, split="val")
+    train = load_features(train_path)
+    val = load_features(val_path)
     if train.dim != val.dim or train.num_classes != val.num_classes:
         raise InputError("train and val feature files disagree on dim or classes")
     return train, val

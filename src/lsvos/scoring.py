@@ -167,25 +167,3 @@ def save_scores(path, score_sets: dict[str, ScoreSet]) -> None:
             lines.append(f"{i},{method},{float(score)!r},{truth}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_scores(path) -> dict[str, ScoreSet]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != SCORES_HEADER:
-        raise InputError(f"score CSV must start with header {SCORES_HEADER!r}")
-    by_method: dict[str, tuple[list, list]] = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise InputError(f"score row has {len(parts)} fields, expected 4")
-        _, method, score, truth = parts
-        if truth not in ("ID", "OOD"):
-            raise InputError(f"unknown truth value {truth!r}")
-        scores, oods = by_method.setdefault(method, ([], []))
-        scores.append(float(score))
-        oods.append(truth == "OOD")
-    return {
-        method: ScoreSet(np.array(scores), np.array(oods), method)
-        for method, (scores, oods) in by_method.items()
-    }

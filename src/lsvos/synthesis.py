@@ -48,7 +48,6 @@ class SynthBatch:
     vectors: np.ndarray
     method: str
     provenance: dict = field(default_factory=dict)
-    seed: int | None = None
     class_ids: np.ndarray | None = None
 
     def __post_init__(self):
@@ -76,7 +75,6 @@ def lsvos_synthesize(
     class_ids: np.ndarray,
     spec: NoiseSpec,
     rng: np.random.Generator,
-    seed: int | None = None,
 ) -> SynthBatch:
     """Decode latent codes pushed off the inlier manifold by positive noise.
 
@@ -103,7 +101,6 @@ def lsvos_synthesize(
         vectors,
         "lsvos",
         provenance={"alpha": spec.alpha, "beta": spec.beta},
-        seed=seed,
         class_ids=class_ids,
     )
 
@@ -114,7 +111,6 @@ def vos_synthesize(
     quantile: float | None,
     n_candidates: int,
     rng: np.random.Generator,
-    seed: int | None = None,
 ) -> SynthBatch:
     """Keep the lowest-likelihood Gaussian samples as outliers.
 
@@ -169,17 +165,12 @@ def vos_synthesize(
             "quantile": quantile,
             "n_candidates": n_candidates,
         },
-        seed=seed,
         class_ids=np.concatenate(kept_ids),
     )
 
 
 def linear_mix(
-    u_id: np.ndarray,
-    u_fp: np.ndarray,
-    w: float,
-    rng: np.random.Generator,
-    seed: int | None = None,
+    u_id: np.ndarray, u_fp: np.ndarray, w: float, rng: np.random.Generator
 ) -> SynthBatch:
     """Rows w * u_id[i] + (1-w) * u_fp[j], i sequential, j uniform."""
     u_id = np.asarray(u_id, dtype=np.float64)
@@ -194,24 +185,20 @@ def linear_mix(
         raise InputError("u_fp must share the feature dimension of u_id")
     picks = rng.integers(0, u_fp.shape[0], size=u_id.shape[0])
     vectors = w * u_id + (1.0 - w) * u_fp[picks]
-    return SynthBatch(vectors, "linear_mix", provenance={"w": w}, seed=seed)
+    return SynthBatch(vectors, "linear_mix", provenance={"w": w})
 
 
-def random_noise(
-    m: int, d: int, rng: np.random.Generator, seed: int | None = None
-) -> SynthBatch:
+def random_noise(m: int, d: int, rng: np.random.Generator) -> SynthBatch:
     """m x d matrix of N(0,1) draws."""
     if m <= 0 or d <= 0:
         raise InputError("m and d must be positive")
-    return SynthBatch(rng.standard_normal((m, d)), "random_noise", seed=seed)
+    return SynthBatch(rng.standard_normal((m, d)), "random_noise")
 
 
-def noisy_id(
-    u_id: np.ndarray, rng: np.random.Generator, seed: int | None = None
-) -> SynthBatch:
+def noisy_id(u_id: np.ndarray, rng: np.random.Generator) -> SynthBatch:
     """Inlier rows plus element-wise U(0,1) noise."""
     u_id = np.asarray(u_id, dtype=np.float64)
     if u_id.ndim != 2 or u_id.shape[0] == 0:
         raise InputError("u_id must be a non-empty (M, D) matrix")
     vectors = u_id + rng.uniform(0.0, 1.0, size=u_id.shape)
-    return SynthBatch(vectors, "noisy_id", seed=seed)
+    return SynthBatch(vectors, "noisy_id")

@@ -18,7 +18,6 @@ GEN_SMALL = [
     "--set", "data.dim=8", "--set", "data.classes=3",
     "--set", "data.n_id_train=200", "--set", "data.n_fp_train=80",
     "--set", "data.n_id_val=100", "--set", "data.n_fp_val=50",
-    "--scenes", "2", "--boxes", "4",
 ]
 
 
@@ -59,13 +58,10 @@ class TestGenerate:
         out = tmp_path / "gen"
         code = main(["generate", "--set", "seed=7", "--out", str(out), *GEN_SMALL])
         assert code == 0
-        assert (out / "train.vosf").is_file()
-        assert (out / "val.vosf").is_file()
-        assert (out / "scenes" / "scene_000.csv").is_file()
+        assert sorted(p.name for p in out.iterdir()) == ["train.vosf", "val.vosf"]
         stdout = capsys.readouterr().out
         assert "train: 280 rows (ID 200, FP 80)" in stdout
         assert "val: 150 rows (ID 100, FP 50)" in stdout
-        assert "scenes: 2 files" in stdout
 
     def test_same_seed_identical_checksums(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

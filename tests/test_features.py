@@ -51,29 +51,27 @@ class TestRecordValidation:
     def test_rejects_non_finite(self):
         records = make_records([[1.0, np.inf]], [0], Label.ID)
         with pytest.raises(InputError):
-            FeatureDataset(2, 1, ["a"], records)
+            FeatureDataset(2, 1, records)
 
     def test_rejects_matrix_vector(self):
         with pytest.raises(InputError):
             make_records(np.zeros((1, 2, 2)), [0], Label.ID)
         records = make_records([[1.0, 2.0]], [0], Label.ID)
         with pytest.raises(InputError):
-            FeatureDataset(2, 1, ["a"], records.reshape(1, 1))
+            FeatureDataset(2, 1, records.reshape(1, 1))
         with pytest.raises(InputError):
-            FeatureDataset(2, 1, ["a"], [records[0]])
+            FeatureDataset(2, 1, [records[0]])
 
     def test_dataset_checks_consistency(self):
         recs = make_records([[1.0, 2.0]], [0], Label.ID)
         with pytest.raises(InputError):
-            FeatureDataset(3, 2, ["a", "b"], recs)
+            FeatureDataset(3, 2, recs)
         with pytest.raises(InputError):
-            FeatureDataset(2, 1, ["a"], make_records([[1.0, 2.0]], [1], Label.ID))
-        with pytest.raises(InputError):
-            FeatureDataset(2, 2, ["a", "b"], recs, split="test")
+            FeatureDataset(2, 1, make_records([[1.0, 2.0]], [1], Label.ID))
         bad_label = recs.copy()
         bad_label["label"] = 3
         with pytest.raises(InputError):
-            FeatureDataset(2, 2, ["a", "b"], bad_label)
+            FeatureDataset(2, 2, bad_label)
 
     def test_make_records_rejects_what_the_wire_cannot_hold(self):
         with pytest.raises(InputError):
@@ -90,7 +88,7 @@ class TestSelect:
     def _dataset(self):
         vectors = np.arange(12.0).reshape(6, 2)
         records = make_records(vectors, [0, 1, 2, 0, 1, 2], [0, 1, 0, 2, 0, 1])
-        return FeatureDataset(2, 3, ["a", "b", "c"], records)
+        return FeatureDataset(2, 3, records)
 
     def test_mask_keeps_record_order(self):
         ds = self._dataset()
@@ -108,7 +106,7 @@ class TestSelect:
         # a copy, not a view into the records
         vectors[0, 0] = 99.0
         assert ds.records["vec"][0, 0] == 0.0
-        empty = FeatureDataset(2, 3, ["a", "b", "c"], ds.records[:0])
+        empty = FeatureDataset(2, 3, ds.records[:0])
         vectors, ids = empty.select(Label.FP)
         assert vectors.shape == (0, 2) and ids.shape == (0,)
 
@@ -117,7 +115,7 @@ class TestSelect:
         records = make_records(
             rng.normal(size=(200, 3)), rng.integers(0, 4, size=200), rng.integers(0, 3, size=200)
         )
-        ds = FeatureDataset(3, 4, ["a", "b", "c", "d"], records)
+        ds = FeatureDataset(3, 4, records)
         for label in Label:
             rows = [row for row in records if row["label"] == label]
             vectors, ids = ds.select(label)
@@ -154,7 +152,7 @@ class TestQueue:
         # gate, and FP or synthetic rows never pass it
         vectors = np.array([[1.0], [2.0], [3.0]])
         labels = [Label.ID, Label.FP, Label.SYNTH_OUTLIER]
-        ds = FeatureDataset(1, 1, ["a"], make_records(vectors, [0, 0, 0], labels))
+        ds = FeatureDataset(1, 1, make_records(vectors, [0, 0, 0], labels))
         q = FeatureQueue(dim=1, num_classes=1)
         q.push_many(*ds.select(Label.ID))
         np.testing.assert_array_equal(q.snapshot(0)[:, 0], [1.0])
@@ -269,7 +267,7 @@ class TestPersistence:
             rng.integers(0, 3, size=20),
             rng.integers(0, 3, size=20),
         )
-        return FeatureDataset(4, 3, ["car", "ped", "cyc"], records)
+        return FeatureDataset(4, 3, records)
 
     def test_binary_round_trip_bit_exact(self, tmp_path):
         ds = self._dataset()
@@ -337,7 +335,7 @@ def vosf_file(tmp_path_factory):
         rng.normal(size=(6, 3)), rng.integers(0, 2, size=6), rng.integers(0, 3, size=6)
     )
     root = tmp_path_factory.mktemp("vosf")
-    features.save_features(root / "f.vosf", FeatureDataset(3, 2, ["a", "b"], records))
+    features.save_features(root / "f.vosf", FeatureDataset(3, 2, records))
     return (root / "f.vosf").read_bytes(), root / "mutated.vosf"
 
 

@@ -199,32 +199,3 @@ class TestLabeling:
     def test_default_thresholds_by_name(self):
         thr = geometry.default_thresholds(["car", "pedestrian", "cyclist"])
         assert thr == {0: 0.7, 1: 0.5, 2: 0.5}
-
-
-class TestSceneIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        preds = [
-            Detection(_random_box(rng), int(rng.integers(0, 3)), float(rng.uniform(0, 1)))
-            for _ in range(4)
-        ]
-        gts = [(_random_box(rng), int(rng.integers(0, 3))) for _ in range(3)]
-        path = tmp_path / "scene.csv"
-        geometry.save_scene(path, preds, gts)
-        back_preds, back_gts = geometry.load_scene(path)
-        assert len(back_preds) == 4 and len(back_gts) == 3
-        for orig, re in zip(preds, back_preds):
-            assert orig.box == re.box
-            assert orig.class_id == re.class_id
-            assert orig.confidence == re.confidence
-        for (obox, ocid), (rbox, rcid) in zip(gts, back_gts):
-            assert obox == rbox and ocid == rcid
-
-    def test_rejects_bad_header_and_kind(self, tmp_path):
-        path = tmp_path / "scene.csv"
-        path.write_text("x,y\n1,2\n")
-        with pytest.raises(InputError):
-            geometry.load_scene(path)
-        path.write_text(geometry.SCENE_HEADER + "\nmaybe,0,0,0,0,1,1,1,0,1\n")
-        with pytest.raises(InputError):
-            geometry.load_scene(path)

@@ -437,6 +437,10 @@ class TestRunExperiment:
             monkeypatch.setenv(key, value)
         assert pipeline.blas_environment()[1] == threads
 
+    def test_the_test_session_pins_the_blas_thread_count(self):
+        # tests/conftest.py sets it before numpy loads, unless already set
+        assert pipeline.blas_environment()[1] is not None
+
     def test_training_updates_the_built_layer_arrays_in_place(self, monkeypatch):
         def arrays(bundle):
             nets = (
@@ -574,10 +578,7 @@ class TestEvaluateBundle:
             n_id_val=30, n_fp_val=20, seed=0,
         )
         train, val = generate_features(spec)
-        id_only = FeatureDataset(
-            8, 3, val.class_names,
-            val.records[val.records["label"] == Label.ID], "val",
-        )
+        id_only = FeatureDataset(8, 3, val.records[val.records["label"] == Label.ID])
         res = run_experiment(cfg)
         with pytest.raises(InputError):
             evaluate_bundle(res.bundle, train, id_only, ("mahalanobis",))

@@ -287,7 +287,7 @@ class TestPersistence:
         rng = np.random.default_rng(6)
         batch = synthesis.random_noise(8, 3, rng)
         records = make_records(batch.vectors, np.zeros(8, dtype=int), Label.SYNTH_OUTLIER)
-        ds = FeatureDataset(3, 2, ["a", "b"], records)
+        ds = FeatureDataset(3, 2, records)
         assert ds.counts()["SYNTH_OUTLIER"] == 8
         path = tmp_path / "synth.vosf"
         features.save_features(path, ds)
