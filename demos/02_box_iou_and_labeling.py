@@ -9,8 +9,6 @@ inliers and false positives against per-class IoU thresholds.
 
 import math
 
-import numpy as np
-
 from lsvos.datagen import generate_scenes
 from lsvos.geometry import (
     Box3D,

@@ -17,13 +17,13 @@ rng = np.random.default_rng(42)
 # Scores are oriented so that higher means more anomalous.  Inliers
 # score around 0, outliers around 2, with unit spread: solid but
 # imperfect separation.  All metrics consume a ScoreSet, which binds
-# the scores to their labels and orientation.
+# the scores to their labels; a scorer that reports a probability may
+# also carry its ECE there (ece=...), as the pipeline's scorers do.
 id_scores = rng.normal(0.0, 1.0, size=4000)
 ood_scores = rng.normal(2.0, 1.0, size=1000)
 ss = ScoreSet(
     scores=np.concatenate([id_scores, ood_scores]),
     is_ood=np.concatenate([np.zeros(4000, bool), np.ones(1000, bool)]),
-    method="demo",
 )
 
 # AUROC is the probability a random outlier outscores a random inlier.

@@ -90,22 +90,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.run:
-        report_path = Path(args.run) / "report.json"
-        if not report_path.is_file():
-            raise InputError(f"no report.json under {args.run}")
-        report = EvaluationReport.from_json(report_path.read_text())
-    elif args.checkpoint and args.data:
-        # the config's own parser and checks for the methods key
-        methods = apply_overrides(ExperimentConfig(), {"methods": args.methods}).methods
-        bundle = ModelBundle.load(args.checkpoint)
-        data = Path(args.data)
-        train = load_features(data / "train.vosf")
-        val = load_features(data / "val.vosf")
-        score_sets, ece_values = evaluate_bundle(bundle, train, val, methods)
-        report = build_report(score_sets, "recomputed", 0, ece_values)
-    else:
-        raise InputError("evaluate needs --run DIR, or --checkpoint and --data")
+    if not (args.checkpoint and args.data):
+        raise InputError("evaluate needs --checkpoint and --data")
+    # the config's own parser and checks for the methods key
+    methods = apply_overrides(ExperimentConfig(), {"methods": args.methods}).methods
+    bundle = ModelBundle.load(args.checkpoint)
+    data = Path(args.data)
+    train = load_features(data / "train.vosf")
+    val = load_features(data / "val.vosf")
+    report = build_report(evaluate_bundle(bundle, train, val, methods), "recomputed", 0)
     print(render_table(report))
     return 0
 
@@ -181,14 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.set_defaults(func=cmd_train)
 
-    ev = subs.add_parser("evaluate", help="print the metric table for a run")
-    ev.add_argument("--run", help="run directory containing report.json")
+    ev = subs.add_parser(
+        "evaluate", help="re-score a checkpoint on a feature directory and print the metric table"
+    )
     ev.add_argument("--checkpoint", help="model checkpoint to score")
     ev.add_argument("--data", help="feature directory with train.vosf and val.vosf")
     ev.add_argument(
         "--methods",
         default=",".join(SCORER_NAMES),
-        help="comma-separated scorers for --checkpoint mode",
+        help="comma-separated scorers",
     )
     ev.set_defaults(func=cmd_evaluate)
 
@@ -204,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ab.set_defaults(func=cmd_ablate)
 
-    rep = subs.add_parser("report", help="render a stored report.json")
+    rep = subs.add_parser("report", help="render a run directory's stored report.json")
     rep.add_argument("--run", required=True, help="run directory")
     rep.set_defaults(func=cmd_report)
     return parser

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError, UndefinedMetricError
-from .scoring import ScoreSet, calibrate_tau
+from .scoring import DEFAULT_ORIENTATION, ScoreSet, calibrate_tau
 
 AUPR_POSITIVE_CHOICES = ("id", "ood")
 
@@ -135,17 +135,15 @@ def roc_points(scores: ScoreSet) -> dict[str, list[float]]:
     n_ood = int(scores.is_ood.sum())
     n_id = scores.is_ood.size - n_ood
     tp, predicted = _sweep(scores.scores, scores.is_ood)
-    tpr = [0.0] + (tp / n_ood).tolist()
-    fpr = [0.0] + ((predicted - tp) / n_id).tolist()
-    return {"fpr": [float(v) for v in fpr], "tpr": [float(v) for v in tpr]}
+    return {
+        "fpr": [0.0] + ((predicted - tp) / n_id).tolist(),
+        "tpr": [0.0] + (tp / n_ood).tolist(),
+    }
 
 
 def pr_points(scores: ScoreSet, positive: str = "id") -> dict[str, list[float]]:
     precision, recall = _pr_sweep(scores, positive)
-    return {
-        "precision": [float(v) for v in precision],
-        "recall": [float(v) for v in recall],
-    }
+    return {"precision": precision.tolist(), "recall": recall.tolist()}
 
 
 def score_histograms(scores: ScoreSet, n_bins: int = 20) -> dict:
@@ -154,9 +152,9 @@ def score_histograms(scores: ScoreSet, n_bins: int = 20) -> dict:
     id_counts, _ = np.histogram(scores.id_scores, bins=edges)
     ood_counts, _ = np.histogram(scores.ood_scores, bins=edges)
     return {
-        "edges": [float(v) for v in edges],
-        "id_counts": [int(v) for v in id_counts],
-        "ood_counts": [int(v) for v in ood_counts],
+        "edges": edges.tolist(),
+        "id_counts": id_counts.tolist(),
+        "ood_counts": ood_counts.tolist(),
     }
 
 
@@ -236,13 +234,10 @@ def build_report(
     score_sets: dict[str, ScoreSet],
     config_hash: str,
     seed: int,
-    ece_values: dict[str, float | None] | None = None,
-    histogram_bins: int = 20,
 ) -> EvaluationReport:
     """Compute every metric and plotting payload for each method."""
     if not score_sets:
         raise InputError("no score sets to evaluate")
-    ece_values = ece_values or {}
     methods: dict[str, MethodReport] = {}
     curves: dict[str, dict] = {}
     n_id = n_ood = 0
@@ -255,13 +250,13 @@ def build_report(
             aupr_id=aupr(ss, positive="id"),
             aupr_ood=aupr(ss, positive="ood"),
             fpr95=fpr_at_tpr(ss, 0.95),
-            ece=ece_values.get(name),
-            orientation=ss.orientation,
+            ece=ss.ece,
+            orientation=DEFAULT_ORIENTATION,
         )
         curves[name] = {
             "roc": roc_points(ss),
             "pr_id": pr_points(ss, positive="id"),
-            "histogram": score_histograms(ss, histogram_bins),
+            "histogram": score_histograms(ss),
         }
     return EvaluationReport(
         methods=methods,

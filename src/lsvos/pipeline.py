@@ -349,8 +349,6 @@ class RunResult:
     bundle: ModelBundle
     history: list[dict]
     manifest: RunManifest
-    score_sets: dict[str, ScoreSet]
-    out_dir: Path | None
 
 
 class _Cycle:
@@ -510,14 +508,12 @@ def _train(
 # --- evaluation ----------------------------------------------------------------
 
 
-def evaluate_bundle(
-    bundle: ModelBundle, train_ds, val_ds, methods
-) -> tuple[dict[str, ScoreSet], dict[str, float | None]]:
+def evaluate_bundle(bundle: ModelBundle, train_ds, val_ds, methods) -> dict[str, ScoreSet]:
     """Score held-out ID vs FP rows with each configured scorer.
 
     Every score set follows the repo orientation (higher = more
-    anomalous); max-softmax is negated accordingly.  ECE is attached to
-    the scorers that expose a probability: the classifier's max softmax
+    anomalous); max-softmax is negated accordingly.  A set's `ece` is filled
+    for the scorers that expose a probability: the classifier's max softmax
     (class correctness on ID rows) and the uncertainty head's sigmoid
     (OOD decision correctness on all rows).
     """
@@ -529,43 +525,38 @@ def evaluate_bundle(
     is_ood = np.zeros(len(rows), dtype=bool)
     is_ood[len(val_id) :] = True
     score_sets: dict[str, ScoreSet] = {}
-    ece_values: dict[str, float | None] = {}
     for method in methods:
+        calibration = None
         if method == "uncertainty":
             scores = uncertainty_score(bundle.uncertainty, rows)
             p_ood = nn.sigmoid(scores)
             conf = np.maximum(p_ood, 1.0 - p_ood)
             correct = (p_ood > 0.5) == is_ood
-            ece_values[method] = ece(conf, correct)
+            calibration = ece(conf, correct)
         elif method == "default_score":
             # negated max-softmax: keeps higher = more anomalous
             scores = -default_score(bundle.classifier, rows)
             probs = softmax_probs(bundle.classifier, val_id)
             correct = probs.argmax(axis=1) == val_id_cls
-            ece_values[method] = ece(probs.max(axis=1), correct)
+            calibration = ece(probs.max(axis=1), correct)
         elif method == "mahalanobis":
             train_id, train_cls = train_ds.select(Label.ID)
             model = fit_gaussian_model(train_id, train_cls, train_ds.num_classes)
             scores = mahalanobis_score(model, rows)
-            ece_values[method] = None
         else:
             raise InputError(f"unknown scorer {method!r}")
-        score_sets[method] = ScoreSet(scores, is_ood, method)
-    return score_sets, ece_values
+        score_sets[method] = ScoreSet(scores, is_ood, ece=calibration)
+    return score_sets
 
 
 # --- artifacts -----------------------------------------------------------------
 
 
-def _write_history(path: Path, history: list[dict]) -> None:
-    lines = [HISTORY_HEADER]
-    for row in history:
-        lines.append(
-            f"{row['phase']},{row['epoch']},{row['step']},"
-            f"{float(row['loss_total'])!r},{float(row['loss_ae'])!r},"
-            f"{float(row['loss_clf'])!r},{float(row['loss_unc'])!r},"
-            f"{row['queue_occupancy']}"
-        )
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One comma-joined line per row: floats as repr(float), the rest as str."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -600,36 +591,21 @@ def _write_plot_files(
     report: EvaluationReport,
     pca_groups: dict[str, np.ndarray],
 ) -> list[str]:
-    plots_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    tables = {}  # file name -> (header, rows), in write order
     for method, payload in report.curves.items():
-        roc = payload["roc"]
-        name = f"roc_{method}.csv"
-        lines = ["fpr,tpr"] + [
-            f"{f!r},{t!r}" for f, t in zip(roc["fpr"], roc["tpr"])
-        ]
-        (plots_dir / name).write_text("\n".join(lines) + "\n")
-        written.append(name)
-        pr = payload["pr_id"]
-        name = f"pr_{method}.csv"
-        lines = ["recall,precision"] + [
-            f"{r!r},{p!r}" for r, p in zip(pr["recall"], pr["precision"])
-        ]
-        (plots_dir / name).write_text("\n".join(lines) + "\n")
-        written.append(name)
-        hist = payload["histogram"]
-        name = f"hist_{method}.csv"
-        lines = ["bin_left,bin_right,id_count,ood_count"]
+        roc, pr, hist = payload["roc"], payload["pr_id"], payload["histogram"]
         edges = hist["edges"]
-        for i, (idc, oodc) in enumerate(zip(hist["id_counts"], hist["ood_counts"])):
-            lines.append(f"{edges[i]!r},{edges[i + 1]!r},{idc},{oodc}")
-        (plots_dir / name).write_text("\n".join(lines) + "\n")
-        written.append(name)
-    pca = _pca_rows(pca_groups)
-    lines = ["group,x,y"] + [f"{g},{x!r},{y!r}" for g, x, y in pca]
-    (plots_dir / "pca.csv").write_text("\n".join(lines) + "\n")
-    written.append("pca.csv")
-    return written
+        tables[f"roc_{method}.csv"] = ("fpr,tpr", zip(roc["fpr"], roc["tpr"]))
+        tables[f"pr_{method}.csv"] = ("recall,precision", zip(pr["recall"], pr["precision"]))
+        tables[f"hist_{method}.csv"] = (
+            "bin_left,bin_right,id_count,ood_count",
+            zip(edges[:-1], edges[1:], hist["id_counts"], hist["ood_counts"]),
+        )
+    tables["pca.csv"] = ("group,x,y", _pca_rows(pca_groups))
+    plots_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(plots_dir / name, header, rows)
+    return list(tables)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
@@ -650,8 +626,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     train_id, train_cls = train_ds.select(Label.ID)
     train_fp, _ = train_ds.select(Label.FP)
     bundle, history = _train(cfg, train_id, train_cls, train_fp, train_ds.num_classes, rngs)
-    score_sets, ece_values = evaluate_bundle(bundle, train_ds, val_ds, cfg.methods)
-    report = build_report(score_sets, config_hash(cfg), cfg.seed, ece_values)
+    score_sets = evaluate_bundle(bundle, train_ds, val_ds, cfg.methods)
+    report = build_report(score_sets, config_hash(cfg), cfg.seed)
     out_path: Path | None = None
     outputs: dict[str, str] = {}
     if out_dir is not None:
@@ -661,7 +637,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         bundle.save(out_path / "model.ckpt")
         save_scores(out_path / "scores.csv", score_sets)
         (out_path / "config.txt").write_text(format_config(cfg))
-        _write_history(out_path / "history.csv", history)
+        _write_csv(
+            out_path / "history.csv",
+            HISTORY_HEADER,
+            ([row[k] for k in HISTORY_HEADER.split(",")] for row in history),
+        )
         card = bundle.model_card()
         card.update(
             {
@@ -721,7 +701,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     )
     if out_path is not None:
         (out_path / "manifest.json").write_text(manifest.to_json())
-    return RunResult(report, bundle, history, manifest, score_sets, out_path)
+    return RunResult(report, bundle, history, manifest)
 
 
 # --- ablation ------------------------------------------------------------------
@@ -730,7 +710,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
 @dataclass
 class AblationResult:
     rows: list[dict]
-    results: list[RunResult | None]
 
     def to_json(self) -> str:
         return json.dumps(self.rows, sort_keys=True, indent=2) + "\n"
@@ -791,7 +770,6 @@ def ablate(
         raise InputError("ablation sweep must contain at least one override set")
     out_path = Path(out_dir) if out_dir is not None else None
     rows: list[dict] = []
-    results: list[RunResult | None] = []
     for i, overrides in enumerate(sweep):
         row: dict = {"overrides": dict(overrides)}
         run_dir = out_path / f"run_{i:03d}" if out_path else None
@@ -805,7 +783,6 @@ def ablate(
                 str(exc) if isinstance(exc, LsvosError) else f"{type(exc).__name__}: {exc}"
             )
             rows.append(row)
-            results.append(None)
             continue
         row["status"] = "ok"
         row["metrics"] = {
@@ -819,8 +796,7 @@ def ablate(
             for name, block in result.report.methods.items()
         }
         rows.append(row)
-        results.append(result)
-    out = AblationResult(rows, results)
+    out = AblationResult(rows)
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         (out_path / "ablation.json").write_text(out.to_json())

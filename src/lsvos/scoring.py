@@ -2,8 +2,8 @@
 
 Score orientation is standardized across the package: higher always means
 more outlier-like.  Scores that natively point the other way (such as the
-max-softmax confidence baseline) are negated before they enter a ScoreSet,
-and the set's orientation note records that.
+max-softmax confidence baseline) are negated before they enter a ScoreSet;
+every report records DEFAULT_ORIENTATION for its methods.
 
 The decision rule is a fixed threshold: an item is accepted as ID iff its
 score is <= tau, where tau is the inclusive empirical quantile of inlier
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +26,11 @@ SCORES_HEADER = "item_id,method,score,truth"
 
 @dataclass
 class ScoreSet:
-    """Per-item outlier scores with ground truth for one method."""
+    """One method's per-item outlier scores, ground truth and ECE (None if score-only)."""
 
     scores: np.ndarray
     is_ood: np.ndarray
-    method: str
-    orientation: str = DEFAULT_ORIENTATION
+    ece: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)

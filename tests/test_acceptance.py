@@ -11,11 +11,9 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 import lsvos.nn as nn
-from lsvos.datagen import GeneratorSpec, generate_features
-from lsvos.features import FeatureQueue, Label
+from lsvos.features import FeatureQueue
 from lsvos.geometry import Box3D, iou_3d
 from lsvos.metrics import aupr, auroc, fpr_at_tpr
 from lsvos.models import AutoEncoder, ModelBundle, reconstruct
@@ -52,7 +50,7 @@ def random_score_set(rng: np.random.Generator) -> ScoreSet:
     ood_scores = np.round(rng.normal(0.7, 1.2, n_ood) * levels) / levels
     scores = np.concatenate([id_scores, ood_scores])
     is_ood = np.concatenate([np.zeros(n_id, bool), np.ones(n_ood, bool)])
-    return ScoreSet(scores, is_ood, "test")
+    return ScoreSet(scores, is_ood)
 
 
 def oracle_fpr_at_tpr(scores: ScoreSet, target: float) -> float:
@@ -186,7 +184,6 @@ def test_criterion_06_tau_calibration():
         ss = ScoreSet(
             np.concatenate([np.arange(1.0, 101.0), np.arange(51.0, 151.0)]),
             np.concatenate([np.zeros(100, bool), np.ones(100, bool)]),
-            "hand",
         )
         assert fpr_at_tpr(ss, 0.95) == 0.45
 

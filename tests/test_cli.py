@@ -184,13 +184,6 @@ class TestEvaluateAndReport:
         assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
         return out
 
-    def test_evaluate_run_dir(self, run_dir, capsys):
-        capsys.readouterr()
-        assert main(["evaluate", "--run", str(run_dir)]) == 0
-        stdout = capsys.readouterr().out
-        assert "mahalanobis" in stdout
-        assert "AUPR-OOD" in stdout
-
     def test_evaluate_checkpoint_mode(self, run_dir, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["generate", "--set", "seed=5", "--out", str(data), *GEN_SMALL]) == 0
@@ -238,10 +231,17 @@ class TestEvaluateAndReport:
 
     def test_evaluate_needs_a_source(self, capsys):
         assert main(["evaluate"]) == 1
+        assert "evaluate needs --checkpoint and --data" in capsys.readouterr().err
+        assert main(["evaluate", "--checkpoint", "model.ckpt"]) == 1
+
+    def test_evaluate_has_no_run_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--run", str(tmp_path)])
+        assert exc.value.code == 2
         assert "--run" in capsys.readouterr().err
 
     def test_evaluate_missing_report(self, tmp_path, capsys):
-        assert main(["evaluate", "--run", str(tmp_path)]) == 1
+        assert main(["report", "--run", str(tmp_path)]) == 1
         assert "report.json" in capsys.readouterr().err
 
     def test_report_renders_counts_and_hash(self, run_dir, capsys):

@@ -40,7 +40,7 @@ def maha_auroc_on_val(spec):
     is_ood = np.concatenate(
         [np.zeros(len(val_id), dtype=bool), np.ones(len(val_fp), dtype=bool)]
     )
-    return auroc(ScoreSet(scores, is_ood, "mahalanobis"))
+    return auroc(ScoreSet(scores, is_ood))
 
 
 class TestGeneratorSpec:
@@ -79,7 +79,7 @@ class TestGeneratorSpec:
 
 
 class TestGenerateFeatures:
-    def test_split_tags_counts_and_dim(self):
+    def test_counts_and_dim(self):
         spec = small_spec()
         train, val = generate_features(spec)
         assert train.dim == spec.dim and val.num_classes == spec.num_classes

@@ -11,11 +11,11 @@ from lsvos.scoring import ScoreSet
 import oracles
 
 
-def _score_set(id_scores, ood_scores, method="m"):
+def _score_set(id_scores, ood_scores):
     scores = np.concatenate([np.asarray(id_scores, float), np.asarray(ood_scores, float)])
     is_ood = np.zeros(scores.size, dtype=bool)
     is_ood[len(id_scores):] = True
-    return ScoreSet(scores, is_ood, method)
+    return ScoreSet(scores, is_ood)
 
 
 def _random_tied_set(rng, max_n=300):
@@ -24,7 +24,7 @@ def _random_tied_set(rng, max_n=300):
     scores = rng.integers(0, 25, size=n) / 4.0
     is_ood = rng.integers(0, 2, size=n).astype(bool)
     is_ood[0], is_ood[1] = False, True
-    return ScoreSet(scores, is_ood, "random")
+    return ScoreSet(scores, is_ood)
 
 
 class TestAuroc:
@@ -46,7 +46,7 @@ class TestAuroc:
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)
         ss = _random_tied_set(rng)
-        warped = ScoreSet(np.exp(ss.scores), ss.is_ood, "m")
+        warped = ScoreSet(np.exp(ss.scores), ss.is_ood)
         assert metrics.auroc(warped) == metrics.auroc(ss)
 
     def test_negation_complement_without_ties(self):
@@ -54,8 +54,8 @@ class TestAuroc:
         scores = rng.normal(size=40)
         is_ood = rng.integers(0, 2, size=40).astype(bool)
         is_ood[:2] = [True, False]
-        ss = ScoreSet(scores, is_ood, "m")
-        neg = ScoreSet(-scores, is_ood, "m")
+        ss = ScoreSet(scores, is_ood)
+        neg = ScoreSet(-scores, is_ood)
         assert metrics.auroc(ss) + metrics.auroc(neg) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_pairwise_oracle(self):
@@ -210,9 +210,9 @@ class TestReport:
         }
 
     def test_build_and_round_trip(self):
-        report = metrics.build_report(
-            self._sets(), "abc123", 7, ece_values={"uncertainty": 0.12}
-        )
+        sets = self._sets()
+        sets["uncertainty"].ece = 0.12
+        report = metrics.build_report(sets, "abc123", 7)
         assert set(report.methods) == {"uncertainty", "mahalanobis"}
         assert report.methods["uncertainty"].ece == 0.12
         assert report.methods["mahalanobis"].ece is None

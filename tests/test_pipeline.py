@@ -356,6 +356,39 @@ class TestRunExperiment:
         assert card["feature_dim"] == 8
         assert card["loss_lambda"] == cfg.loss_lambda
 
+    def test_run_dir_tables_parse_back_bit_for_bit(self, tmp_path):
+        def bits(values):
+            return [float(v).hex() for v in values]
+
+        def columns(path):
+            header, *lines = path.read_text().splitlines()
+            return dict(zip(header.split(","), zip(*(line.split(",") for line in lines))))
+
+        res = run_experiment(micro_cfg(), out_dir=tmp_path)
+        curves = json.loads((tmp_path / "report.json").read_text())["curves"]
+        assert list(curves) == sorted(SCORER_NAMES)
+        for method, payload in curves.items():
+            roc = columns(tmp_path / "plots" / f"roc_{method}.csv")
+            assert bits(roc["fpr"]) == bits(payload["roc"]["fpr"])
+            assert bits(roc["tpr"]) == bits(payload["roc"]["tpr"])
+            pr = columns(tmp_path / "plots" / f"pr_{method}.csv")
+            assert bits(pr["recall"]) == bits(payload["pr_id"]["recall"])
+            assert bits(pr["precision"]) == bits(payload["pr_id"]["precision"])
+            hist = columns(tmp_path / "plots" / f"hist_{method}.csv")
+            edges = payload["histogram"]["edges"]
+            assert bits(hist["bin_left"]) == bits(edges[:-1])
+            assert bits(hist["bin_right"]) == bits(edges[1:])
+            assert [int(c) for c in hist["id_count"]] == payload["histogram"]["id_counts"]
+            assert [int(c) for c in hist["ood_count"]] == payload["histogram"]["ood_counts"]
+        history = columns(tmp_path / "history.csv")
+        assert list(history) == pipeline.HISTORY_HEADER.split(",")
+        for key, parsed in history.items():
+            recorded = [row[key] for row in res.history]
+            if isinstance(recorded[0], int):
+                assert [int(v) for v in parsed] == recorded, key
+            else:
+                assert bits(parsed) == bits(recorded), key
+
     def test_manifest_format_versions_come_from_the_modules(self, monkeypatch):
         res = run_experiment(micro_cfg())
         assert res.manifest.checkpoint_format_version == nn.CHECKPOINT_VERSION
@@ -627,7 +660,7 @@ class TestAblate:
         out = ablate(base, sweep_from_specs(["loss.lambda=0.5,1,2"]), out_dir=tmp_path)
         assert [row["status"] for row in out.rows] == ["ok", "error", "ok"]
         assert out.rows[1]["error"] == f"{type(failure).__name__}: {failure}"
-        assert out.results[1] is None and out.results[2] is not None
+        assert "metrics" not in out.rows[1] and "uncertainty" in out.rows[2]["metrics"]
         table = (tmp_path / "ablation.csv").read_text().splitlines()
         assert len(table) == 4 and ",error," in table[2]
 
@@ -635,9 +668,10 @@ class TestAblate:
         with pytest.raises(InputError):
             ablate(micro_cfg(), [])
 
-    def test_empty_override_row_matches_base_run(self):
+    def test_empty_override_row_matches_base_run(self, tmp_path):
         base = micro_cfg(train_phase1_epochs=1, train_phase2_epochs=1)
-        out = ablate(base, [{}])
-        direct = run_experiment(base)
+        out = ablate(base, [{}], out_dir=tmp_path / "ab")
+        run_experiment(base, out_dir=tmp_path / "direct")
         assert out.rows[0]["status"] == "ok"
-        assert out.results[0].report.to_json() == direct.report.to_json()
+        swept = (tmp_path / "ab" / "run_000" / "report.json").read_bytes()
+        assert swept == (tmp_path / "direct" / "report.json").read_bytes()

@@ -11,12 +11,18 @@ from lsvos.scoring import ScoreSet, Threshold
 class TestScoreSet:
     def test_validates_alignment_and_finiteness(self):
         with pytest.raises(InputError):
-            ScoreSet(np.zeros(3), np.zeros(4, dtype=bool), "m")
+            ScoreSet(np.zeros(3), np.zeros(4, dtype=bool))
         with pytest.raises(InputError):
-            ScoreSet(np.array([1.0, np.nan]), np.zeros(2, dtype=bool), "m")
+            ScoreSet(np.array([1.0, np.nan]), np.zeros(2, dtype=bool))
+
+    def test_ece_is_keyword_only(self):
+        # an old positional method name must not land in the ece field
+        with pytest.raises(TypeError):
+            ScoreSet(np.zeros(2), np.array([False, True]), "m")
+        assert ScoreSet(np.zeros(2), np.array([False, True]), ece=0.25).ece == 0.25
 
     def test_split_properties(self):
-        ss = ScoreSet(np.array([1.0, 2.0, 3.0]), np.array([False, True, False]), "m")
+        ss = ScoreSet(np.array([1.0, 2.0, 3.0]), np.array([False, True, False]))
         np.testing.assert_array_equal(ss.id_scores, [1.0, 3.0])
         np.testing.assert_array_equal(ss.ood_scores, [2.0])
 
@@ -167,8 +173,8 @@ class TestScoreCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         sets = {
-            "uncertainty": ScoreSet(rng.normal(size=6), rng.integers(0, 2, 6).astype(bool), "uncertainty"),
-            "mahalanobis": ScoreSet(rng.uniform(size=4), np.array([True, False, True, False]), "mahalanobis"),
+            "uncertainty": ScoreSet(rng.normal(size=6), rng.integers(0, 2, 6).astype(bool)),
+            "mahalanobis": ScoreSet(rng.uniform(size=4), np.array([True, False, True, False])),
         }
         path = tmp_path / "scores.csv"
         scoring.save_scores(path, sets)
