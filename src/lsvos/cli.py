@@ -131,10 +131,13 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report_path = Path(args.run) / "report.json"
-    if not report_path.is_file():
+    run = Path(args.run)
+    if not (run / "report.json").is_file():
         raise InputError(f"no report.json under {args.run}")
-    report = EvaluationReport.from_json(report_path.read_text())
+    # a run writes its manifest last: without one the run dir is half-written
+    if not (run / "manifest.json").is_file():
+        raise InputError(f"no manifest.json under {args.run}; the run did not finish")
+    report = EvaluationReport.from_json((run / "report.json").read_text())
     print(render_table(report))
     print(
         f"counts: {report.n_id} ID / {report.n_ood} OOD; "

@@ -13,6 +13,7 @@ one-hot suffix) and is deterministic under a fixed generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +106,25 @@ def lsvos_synthesize(
     )
 
 
+# Matrix products below this many multiply-adds may leave BLAS's blocked
+# kernel and round a row differently: numpy sends a single row to gemv, and
+# OpenBLAS 0.3.31 on AVX-512 x86-64 sends products of at most 1,200 outputs
+# with an inner size of 32 or more to a small-matrix kernel
+_BLOCKED_GEMM_MACS = 100**3
+
+
+def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n largest keys, largest first, ties in index order.
+
+    The same indices as np.argsort(-keys, kind="stable")[:n] for finite
+    keys, but only the keys at or above the n-th largest are sorted.
+    """
+    neg = -keys
+    kth = np.partition(neg, n - 1)[n - 1]
+    near = np.flatnonzero(neg <= kth)
+    return near[np.argsort(neg[near], kind="stable")[:n]]
+
+
 def vos_synthesize(
     queue: FeatureQueue,
     n_per_class: int,
@@ -143,29 +163,36 @@ def vos_synthesize(
     rows = np.vstack(blocks)
     class_ids = np.concatenate(ids)
     model = fit_gaussian_model(rows, class_ids, queue.num_classes)
-    kept_blocks, kept_ids = [], []
+    # rank before mapping: only the top-ranked rows go through the Cholesky
+    # factor, but enough of them that the product stays on the blocked kernel
+    # whenever a product over every candidate would, so each kept row has that
+    # product's bits.  Rows are mapped in drawn order: mapping all of them is
+    # that very product.
+    n_map = min(
+        n_candidates, max(n_per_class, 2, math.ceil(_BLOCKED_GEMM_MACS / dim**2))
+    )
+    z = np.empty((n_candidates, dim))
+    vectors = np.empty((queue.num_classes * n_per_class, dim))
     for cid in range(queue.num_classes):
-        z = rng.standard_normal((n_candidates, dim))
-        draws = z @ model.cholesky.T
-        draws += model.means[cid]
+        rng.standard_normal(out=z)
         # shared covariance: within one class, lowest log-likelihood is
         # exactly largest Mahalanobis distance, and for a draw mean + L z
         # with L L^T = cov that squared distance is exactly ||z||^2
-        maha = np.einsum("ij,ij->i", z, z)
-        order = np.argsort(-maha, kind="stable")
-        kept_blocks.append(draws[order[:n_per_class]])
-        kept_ids.append(np.full(n_per_class, cid))
-        # free this class's candidates before the next class draws its own
-        del z, draws
+        top = _top_n(np.einsum("ij,ij->i", z, z), n_map)
+        mapped = np.sort(top)
+        draws = z[mapped] @ model.cholesky.T
+        draws += model.means[cid]
+        kept = np.searchsorted(mapped, top[:n_per_class])
+        vectors[cid * n_per_class : (cid + 1) * n_per_class] = draws[kept]
     return SynthBatch(
-        np.vstack(kept_blocks),
+        vectors,
         "vos",
         provenance={
             "n_per_class": n_per_class,
             "quantile": quantile,
             "n_candidates": n_candidates,
         },
-        class_ids=np.concatenate(kept_ids),
+        class_ids=np.repeat(np.arange(queue.num_classes), n_per_class),
     )
 
 

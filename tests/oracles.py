@@ -9,6 +9,42 @@ package under test.
 import numpy as np
 
 from lsvos import nn
+from lsvos.scoring import fit_gaussian_model
+
+
+def vos_reference(queue, n_per_class, quantile, n_candidates, rng):
+    """VOS synthesis that maps every candidate through the Cholesky factor.
+
+    The class loop of synthesis.vos_synthesize before it ranked before
+    mapping: each class draws a fresh (n_candidates, D) block, maps all of
+    it, fully argsorts by ||z||^2 and keeps the head.  Returns the kept
+    rows, their class ids and the provenance dict.
+    """
+    dim = queue.dim
+    blocks, ids = [], []
+    for cid in range(queue.num_classes):
+        snap = queue.snapshot(cid)
+        blocks.append(snap[:, :dim])
+        ids.append(np.full(snap.shape[0], cid))
+    rows = np.vstack(blocks)
+    class_ids = np.concatenate(ids)
+    model = fit_gaussian_model(rows, class_ids, queue.num_classes)
+    kept_blocks, kept_ids = [], []
+    for cid in range(queue.num_classes):
+        z = rng.standard_normal((n_candidates, dim))
+        draws = z @ model.cholesky.T
+        draws += model.means[cid]
+        maha = np.einsum("ij,ij->i", z, z)
+        order = np.argsort(-maha, kind="stable")
+        kept_blocks.append(draws[order[:n_per_class]])
+        kept_ids.append(np.full(n_per_class, cid))
+        del z, draws
+    provenance = {
+        "n_per_class": n_per_class,
+        "quantile": quantile,
+        "n_candidates": n_candidates,
+    }
+    return np.vstack(kept_blocks), np.concatenate(kept_ids), provenance
 
 
 def finite_difference_gradients(net, x, loss_kind, targets, step=1e-4):

@@ -244,6 +244,11 @@ class TestEvaluateAndReport:
         assert main(["report", "--run", str(tmp_path)]) == 1
         assert "report.json" in capsys.readouterr().err
 
+    def test_report_refuses_a_run_dir_without_a_manifest(self, run_dir, capsys):
+        (run_dir / "manifest.json").unlink()
+        assert main(["report", "--run", str(run_dir)]) == 1
+        assert "manifest.json" in capsys.readouterr().err
+
     def test_report_renders_counts_and_hash(self, run_dir, capsys):
         capsys.readouterr()
         assert main(["report", "--run", str(run_dir)]) == 0

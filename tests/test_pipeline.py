@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -412,6 +413,29 @@ class TestRunExperiment:
         mb = RunManifest.from_json((tmp_path / "b" / "manifest.json").read_text())
         assert ma.config_hash == mb.config_hash
         assert ma.seed == mb.seed
+
+    @pytest.mark.parametrize(
+        "dim, report_sha256, checkpoint_sha256",
+        [
+            (
+                8,
+                "5cd5dcfc606d57a34b32e2ef48219a333933efb1646021a4983bb857cf7cc805",
+                "e895ddecfde2da56f8790934a466d54350d74236efb2441a64044e1e879d6e6b",
+            ),
+            (
+                64,
+                "e127cefb20c81d5c26e6fd705819d97a392fc105b1b45309aff98fcc89728569",
+                "e02fb978f7b179e4ac35b932976f39f35e6648926e834369b8ee8a386ff95373",
+            ),
+        ],
+    )
+    def test_vos_run_bytes_are_pinned(self, tmp_path, dim, report_sha256, checkpoint_sha256):
+        # recorded when VOS mapped all 10,000 candidates per class through the
+        # Cholesky factor (numpy 2.4 with OpenBLAS 0.3.31, 1 thread); at D = 8
+        # it still maps them all, at D = 64 only its top-ranked rows
+        run_experiment(micro_cfg(synth_method="vos", data_dim=dim), out_dir=tmp_path)
+        for name, want in (("report.json", report_sha256), ("model.ckpt", checkpoint_sha256)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
     @pytest.mark.parametrize("method", ["lsvos", "vos"])
     def test_shared_workspace_matches_per_call_allocation(self, tmp_path, monkeypatch, method):

@@ -2,12 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsvos import features, models, synthesis
 from lsvos.errors import InputError, NotReadyError
 from lsvos.features import FeatureDataset, FeatureQueue, Label, make_records
 from lsvos.scoring import fit_gaussian_model
 from lsvos.synthesis import NoiseSpec
+from oracles import vos_reference
 
 
 def _trained_flagged_ae(dim=3, num_classes=2, seed=0):
@@ -171,8 +174,8 @@ class TestVosSynthesize:
             )
 
     def test_one_class_of_candidates_is_alive_at_a_time(self):
-        # one class's candidates z and their draws, plus small kept rows: a
-        # class's arrays are freed before the next class draws its own
+        # one candidate block z, refilled by every class, plus small ranked,
+        # mapped and kept rows: no class allocates a block of its own
         dim, k, n_cand = 64, 3, 10_000
         q = _filled_queue(dim=dim, num_classes=k, per_class=500)
         tracemalloc.start()
@@ -181,7 +184,68 @@ class TestVosSynthesize:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * n_cand * dim * 8
+        assert peak < 2 * n_cand * dim * 8
+
+    @staticmethod
+    def _assert_matches_reference(q, n_keep, quantile, n_cand, seed):
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = synthesis.vos_synthesize(q, n_keep, quantile, n_cand, rng_new)
+        vectors, class_ids, provenance = vos_reference(q, n_keep, quantile, n_cand, rng_ref)
+        assert batch.vectors.shape == vectors.shape
+        assert batch.vectors.tobytes() == vectors.tobytes()
+        np.testing.assert_array_equal(batch.class_ids, class_ids)
+        assert batch.provenance == provenance
+        np.testing.assert_array_equal(rng_new.random(4), rng_ref.random(4))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        dim=st.integers(1, 64),
+        k=st.integers(1, 4),
+        n_cand=st.integers(1, 4000),
+        data=st.data(),
+    )
+    def test_bitwise_equal_to_mapping_every_candidate(self, dim, k, n_cand, data):
+        # small products and single rows run on other BLAS kernels than the
+        # blocked one, so both the map-all and the mapped-subset paths are hit
+        n_keep = data.draw(st.integers(1, n_cand), label="n_per_class")
+        quantile = data.draw(
+            st.none()
+            | st.floats(n_keep / n_cand, 1.0).filter(lambda q: n_keep <= q * n_cand),
+            label="quantile",
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        q = _filled_queue(dim=dim, num_classes=k, per_class=dim + 3, seed=seed)
+        self._assert_matches_reference(q, n_keep, quantile, n_cand, seed)
+
+    @pytest.mark.parametrize(
+        "dim, n_cand, n_keep",
+        [
+            (64, 10_000, 171),  # the desk shape
+            (64, 10_000, 1),  # one kept row: gemv, if mapped alone
+            (32, 3000, 20),  # a kept block small enough for a small-matrix kernel
+            (58, 13, 13),  # products small enough for it even over
+            (46, 22, 13),  # every candidate, which then go in drawn order
+            (51, 6, 3),
+            (2, 2, 1),  # one kept row of two
+        ],
+    )
+    def test_bitwise_equal_to_mapping_every_candidate_at_fixed_shapes(
+        self, dim, n_cand, n_keep
+    ):
+        q = _filled_queue(dim=dim, num_classes=3, per_class=dim + 100, seed=3)
+        self._assert_matches_reference(q, n_keep, None, n_cand, 4)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_top_n_is_the_head_of_a_stable_descending_argsort(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 120))
+        keys = rng.integers(-2, 3, size=size).astype(np.float64)
+        if seed == 0:
+            keys[:] = 1.0
+        for n in range(1, size + 1):
+            np.testing.assert_array_equal(
+                synthesis._top_n(keys, n), np.argsort(-keys, kind="stable")[:n]
+            )
 
     def test_one_dimensional_tail_cutoff(self):
         # keeping the lowest-likelihood 5% of a unit Gaussian leaves only
