@@ -9,9 +9,9 @@ far each one lands from the inlier class centers.
 
 import numpy as np
 
+from lsvos import nn
 from lsvos.datagen import generate_features
-from lsvos.features import FeatureQueue, Label
-from lsvos.models import encode, reconstruct
+from lsvos.features import FeatureQueue, Label, append_one_hot
 from lsvos.pipeline import desk_preset, generator_spec, run_experiment
 from lsvos.synthesis import (
     METHODS,
@@ -23,12 +23,15 @@ from lsvos.synthesis import (
     vos_synthesize,
 )
 
-# One quick training run gives us a fitted conditional auto-encoder.
+# One quick training run gives us a fitted model: a bundle of four nets.
+# Its encoder and decoder are the conditional auto-encoder that latent-
+# noise synthesis perturbs; the uncertainty head and classifier are not
+# used here.
 cfg = desk_preset()
 result = run_experiment(cfg)
-ae = result.bundle.auto_encoder
-print("auto-encoder fitted:", ae.trained,
-      "| feature dim", ae.feature_dim, "| latent dim", ae.latent_dim)
+bundle = result.bundle
+print("auto-encoder fitted:", bundle.trained,
+      "| feature dim", bundle.feature_dim, "| latent dim", bundle.latent_dim)
 
 # Pull real inlier and false-positive features from the same generator
 # the pipeline used.
@@ -55,25 +58,28 @@ print("\nreference: real inliers sit at",
 # offset magnitude is controlled by beta; alpha sets the noise floor.
 print("\nlatent-noise synthesis at increasing beta:")
 for beta in (0.0, 0.5, 1.0, 5.0):
-    batch = lsvos_synthesize(ae, u_id, id_classes, NoiseSpec(alpha=0.25, beta=beta), rng)
+    batch = lsvos_synthesize(bundle, u_id, id_classes, NoiseSpec(alpha=0.25, beta=beta), rng)
     print(f"  beta={beta:<4}  center distance {mean_center_distance(batch.vectors, batch.class_ids):6.2f}")
 
 # beta = 0 adds nothing in the latent space, so the output is exactly
-# the auto-encoder's reconstruction of the same rows.
-plain = reconstruct(ae, np.hstack([u_id, np.eye(3)[id_classes]]))
-zero = lsvos_synthesize(ae, u_id, id_classes, NoiseSpec(alpha=0.25, beta=0.0), rng)
+# the auto-encoder's reconstruction of the same rows: the decoder run on
+# the encoder's codes of the class-augmented rows.
+codes = nn.forward(bundle.encoder, append_one_hot(u_id, id_classes, bundle.num_classes))
+plain = nn.forward(bundle.decoder, codes)
+zero = lsvos_synthesize(bundle, u_id, id_classes, NoiseSpec(alpha=0.25, beta=0.0), rng)
 print("beta=0 equals plain reconstruction bit for bit:",
       np.array_equal(zero.vectors, plain))
 
 # The latent codes themselves live in a much smaller space.
-print("latent codes shape:", encode(ae, np.hstack([u_id, np.eye(3)[id_classes]])).shape)
+print("latent codes shape:", codes.shape)
 
 # Method 2: feature-space Gaussian sampling.  Fit class Gaussians to the
 # queue contents and keep only the lowest-likelihood candidate draws;
 # the quantile guard refuses to keep more than the tail it was asked for.
 queue = FeatureQueue(dim=spec.dim, num_classes=spec.num_classes, capacity_per_class=1000)
 queue.push_many(u_id, id_classes)
-vos = vos_synthesize(queue, n_per_class=100, quantile=0.03, n_candidates=5000, rng=rng)
+vos_args = dict(n_per_class=100, quantile=0.03, n_candidates=5000)
+vos = vos_synthesize(queue, **vos_args, rng=rng)
 print(f"\nfeature-space gaussian tail: {mean_center_distance(vos.vectors, vos.class_ids):6.2f}")
 
 # Methods 3 to 5: simple baselines.  Mixing toward real false positives,
@@ -84,7 +90,7 @@ jitter = noisy_id(u_id, rng)
 print("linear mix toward FPs:", f"{np.linalg.norm(mix.vectors - means[0], axis=1).mean():.2f} from class 0 center")
 print("pure noise rows:", noise.vectors.shape, "| jittered inliers:", jitter.vectors.shape)
 
-# Every batch records how it was made.
+# A batch holds only its rows (and their classes, when each row came from
+# one); the arguments that made it are the caller's to keep.
 print("\nmethods available:", METHODS)
-print("vos batch:", vos.vectors.shape, "| method:", vos.method,
-      "| provenance:", vos.provenance)
+print("vos batch:", vos.vectors.shape, "| made with:", vos_args)

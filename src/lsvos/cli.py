@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .datagen import generate_features
 from .errors import InputError, LsvosError
-from .features import load_features, save_features
+from .features import save_features
 from .metrics import EvaluationReport, build_report
 from .models import ModelBundle
 from .pipeline import (
@@ -28,6 +28,7 @@ from .pipeline import (
     format_config,
     generator_spec,
     load_config,
+    load_feature_dir,
     run_experiment,
     sweep_from_specs,
 )
@@ -95,9 +96,7 @@ def cmd_evaluate(args) -> int:
     # the config's own parser and checks for the methods key
     methods = apply_overrides(ExperimentConfig(), {"methods": args.methods}).methods
     bundle = ModelBundle.load(args.checkpoint)
-    data = Path(args.data)
-    train = load_features(data / "train.vosf")
-    val = load_features(data / "val.vosf")
+    train, val = load_feature_dir(args.data)
     report = build_report(evaluate_bundle(bundle, train, val, methods), "recomputed", 0)
     print(render_table(report))
     return 0

@@ -1,15 +1,27 @@
-"""Auto-encoder, uncertainty head, surrogate classifier, and their losses.
+"""The model: four nets in one ModelBundle, and their losses.
 
-The auto-encoder consumes class-augmented features real[D+K] and
-reconstructs the raw D-dimensional feature (the one-hot block is input
-only).  The uncertainty head maps a raw feature to one logit whose
-sigmoid acts as an outlier probability.  The surrogate classifier stands
-in for the detector's classification branch: the detector itself is out
-of scope, but its max-softmax confidence is needed as the no-training
-baseline and for calibration measurements, and its cross-entropy
-realizes the detection term of the three-part total loss.
+A ModelBundle holds the four nets one experiment trains, with D the raw
+feature dim, K the class count and D' the latent dim:
 
-Uncertainty loss comes in two variants:
+``encoder``
+    real[D+K] -> real[D']: a raw feature with its one-hot class block
+    appended, to a latent code.
+``decoder``
+    real[D'] -> real[D]: a latent code back to a raw feature (the one-hot
+    block is input only).  Encoder and decoder are the class-conditional
+    auto-encoder that latent-space synthesis perturbs.
+``uncertainty``
+    real[D] -> one logit whose sigmoid acts as an outlier probability;
+    higher = more outlier-like.
+``classifier``
+    real[D] -> K logits.  It stands in for the detector's classification
+    branch: the detector itself is out of scope, but its max-softmax
+    confidence is needed as the no-training baseline and for calibration
+    measurements, and its cross-entropy realizes the detection term of
+    the three-part total loss.
+
+Each loss function takes the nets it runs.  Uncertainty loss comes in two
+variants:
 
 ``sigmoid`` (default)
     L = mean_ood[-sigma(f)] + mean_id[-(1 - sigma(f))], bounded in (-2, 0).
@@ -28,77 +40,15 @@ from . import nn
 from .errors import InputError
 
 UNCERTAINTY_VARIANTS = ("sigmoid", "bce")
-
-
-@dataclass
-class AutoEncoder:
-    """Encoder real[D+K] -> real[D'] and decoder real[D'] -> real[D]."""
-
-    encoder: nn.DenseNet
-    decoder: nn.DenseNet
-    trained: bool = False
-
-    def __post_init__(self):
-        if self.encoder.output_dim != self.decoder.input_dim:
-            raise InputError(
-                f"encoder output dim {self.encoder.output_dim} != "
-                f"decoder input dim {self.decoder.input_dim}"
-            )
-        if self.decoder.output_dim >= self.encoder.input_dim:
-            raise InputError(
-                "encoder input must be feature dim + class count, got "
-                f"{self.encoder.input_dim} with feature dim {self.decoder.output_dim}"
-            )
-
-    @property
-    def latent_dim(self) -> int:
-        return self.encoder.output_dim
-
-    @property
-    def feature_dim(self) -> int:
-        return self.decoder.output_dim
-
-    @property
-    def num_classes(self) -> int:
-        return self.encoder.input_dim - self.decoder.output_dim
-
-    @classmethod
-    def build(
-        cls,
-        dim: int,
-        num_classes: int,
-        rng: np.random.Generator,
-        *,
-        latent_dim: int,
-        encoder_hidden: tuple[int, ...],
-        decoder_hidden: tuple[int, ...],
-    ) -> "AutoEncoder":
-        encoder = nn.dense_net([dim + num_classes, *encoder_hidden, latent_dim], rng)
-        decoder = nn.dense_net([latent_dim, *decoder_hidden, dim], rng)
-        return cls(encoder, decoder)
-
-
-def encode(ae: AutoEncoder, x: np.ndarray) -> np.ndarray:
-    return nn.forward(ae.encoder, x)
-
-
-def decode(ae: AutoEncoder, z: np.ndarray) -> np.ndarray:
-    return nn.forward(ae.decoder, z)
-
-
-def reconstruct(ae: AutoEncoder, x: np.ndarray) -> np.ndarray:
-    """phi(x) = d(e(x)): (M, D+K) in, (M, D) out."""
-    return decode(ae, encode(ae, x))
-
-
-def _stacked(ae: AutoEncoder) -> nn.DenseNet:
-    # encoder and decoder layers share parameter arrays with this view,
-    # so gradients computed on the stack line up with both nets
-    return nn.DenseNet(ae.encoder.layers + ae.decoder.layers)
+# ModelBundle's nets, in field order and in checkpoint order
+NET_NAMES = ("encoder", "decoder", "uncertainty", "classifier")
 
 
 def ae_gradients(
-    ae: AutoEncoder, x: np.ndarray, ws: nn.Workspace | None = None
+    encoder: nn.DenseNet,
+    decoder: nn.DenseNet,
+    x: np.ndarray,
+    ws: nn.Workspace | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Reconstruction MSE against the first D input columns, and its gradients.
 
@@ -106,37 +56,19 @@ def ae_gradients(
     ``ws`` is passed to nn.gradients, whose aliasing contract applies.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != ae.encoder.input_dim:
+    if x.ndim != 2 or x.shape[1] != encoder.input_dim:
         raise InputError(
-            f"expected (M, {ae.encoder.input_dim}) augmented features, got {x.shape}"
+            f"expected (M, {encoder.input_dim}) augmented features, got {x.shape}"
         )
-    return nn.gradients(_stacked(ae), x, "mse", x[:, : ae.feature_dim], ws)
+    # the stack shares the layers' parameter arrays, so its gradients line
+    # up with both nets
+    stacked = nn.DenseNet(encoder.layers + decoder.layers)
+    return nn.gradients(stacked, x, "mse", x[:, : decoder.output_dim], ws)
 
 
-@dataclass
-class UncertaintyHead:
-    """Scalar-logit net over raw features; higher logit = more outlier-like."""
-
-    net: nn.DenseNet
-
-    def __post_init__(self):
-        if self.net.output_dim != 1:
-            raise InputError("uncertainty head must produce one logit per row")
-
-    @classmethod
-    def build(
-        cls,
-        dim: int,
-        rng: np.random.Generator,
-        *,
-        hidden: tuple[int, ...],
-    ) -> "UncertaintyHead":
-        return cls(nn.dense_net([dim, *hidden, 1], rng))
-
-
-def uncertainty_score(head: UncertaintyHead, u: np.ndarray) -> np.ndarray:
+def uncertainty_score(head: nn.DenseNet, u: np.ndarray) -> np.ndarray:
     """Raw logits f_unc(u) as a (N,) array; higher means more anomalous."""
-    return nn.forward(head.net, u)[:, 0]
+    return nn.forward(head, u)[:, 0]
 
 
 def _coerce_rows(u: np.ndarray, dim: int) -> np.ndarray:
@@ -148,22 +80,8 @@ def _coerce_rows(u: np.ndarray, dim: int) -> np.ndarray:
     return u
 
 
-def _stack_uncertainty_batch(
-    head: UncertaintyHead, u_id: np.ndarray, u_ood: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    dim = head.net.input_dim
-    u_id = _coerce_rows(u_id, dim)
-    u_ood = _coerce_rows(u_ood, dim)
-    if u_id.shape[0] == 0 and u_ood.shape[0] == 0:
-        raise InputError("uncertainty loss needs at least one ID or OOD row")
-    batch = np.vstack([u_id, u_ood])
-    is_ood = np.zeros(batch.shape[0], dtype=bool)
-    is_ood[u_id.shape[0] :] = True
-    return batch, is_ood
-
-
 def uncertainty_gradients(
-    head: UncertaintyHead,
+    head: nn.DenseNet,
     u_id: np.ndarray,
     u_ood: np.ndarray,
     variant: str = "sigmoid",
@@ -173,55 +91,33 @@ def uncertainty_gradients(
 
     A single-sided batch contributes only its own term.
     """
-    batch, is_ood = _stack_uncertainty_batch(head, u_id, u_ood)
-    return nn.gradients(head.net, batch, _variant_kind(variant), is_ood, ws)
-
-
-def _variant_kind(variant: str) -> str:
+    u_id = _coerce_rows(u_id, head.input_dim)
+    u_ood = _coerce_rows(u_ood, head.input_dim)
+    if u_id.shape[0] == 0 and u_ood.shape[0] == 0:
+        raise InputError("uncertainty loss needs at least one ID or OOD row")
     if variant not in UNCERTAINTY_VARIANTS:
         raise InputError(f"unknown uncertainty variant {variant!r}")
-    return "uncertainty-sigmoid" if variant == "sigmoid" else "uncertainty-bce"
-
-
-@dataclass
-class SurrogateClassifier:
-    """Stand-in for the detector's classification branch (K logits)."""
-
-    net: nn.DenseNet
-
-    @classmethod
-    def build(
-        cls,
-        dim: int,
-        num_classes: int,
-        rng: np.random.Generator,
-        *,
-        hidden: tuple[int, ...],
-    ) -> "SurrogateClassifier":
-        if num_classes < 2:
-            raise InputError("surrogate classifier needs at least 2 classes")
-        return cls(nn.dense_net([dim, *hidden, num_classes], rng))
-
-    @property
-    def num_classes(self) -> int:
-        return self.net.output_dim
+    batch = np.vstack([u_id, u_ood])
+    is_ood = np.zeros(batch.shape[0], dtype=bool)
+    is_ood[u_id.shape[0] :] = True
+    return nn.gradients(head, batch, f"uncertainty-{variant}", is_ood, ws)
 
 
 def classifier_gradients(
-    clf: SurrogateClassifier,
+    clf: nn.DenseNet,
     u: np.ndarray,
     class_ids: np.ndarray,
     ws: nn.Workspace | None = None,
 ) -> tuple[float, list[np.ndarray]]:
-    return nn.gradients(clf.net, u, "cross-entropy", class_ids, ws)
+    return nn.gradients(clf, u, "cross-entropy", class_ids, ws)
 
 
-def softmax_probs(clf: SurrogateClassifier, u: np.ndarray) -> np.ndarray:
+def softmax_probs(clf: nn.DenseNet, u: np.ndarray) -> np.ndarray:
     """Full softmax rows, shape (N, K)."""
-    return np.exp(nn.log_softmax(nn.forward(clf.net, u)))
+    return np.exp(nn.log_softmax(nn.forward(clf, u)))
 
 
-def default_score(clf: SurrogateClassifier, u: np.ndarray) -> np.ndarray:
+def default_score(clf: nn.DenseNet, u: np.ndarray) -> np.ndarray:
     """Max-softmax confidence per row, always in [1/K, 1]."""
     return softmax_probs(clf, u).max(axis=1)
 
@@ -235,16 +131,50 @@ def total_loss(det_loss: float, recon_loss: float, unc_loss: float, lam: float) 
 
 @dataclass
 class ModelBundle:
-    """Everything one experiment trains, checkpointable as a unit."""
+    """The four nets one experiment trains, checkpointable as a unit.
 
-    auto_encoder: AutoEncoder
-    uncertainty: UncertaintyHead
-    classifier: SurrogateClassifier
+    Construction checks that the nets fit together: encoder in = D + K and
+    encoder out = decoder in, where D = decoder out and K = classifier
+    out; the head gives one logit; head and classifier both take D inputs.
+    `trained` says the auto-encoder has been through the reconstruction
+    phase; latent-space synthesis refuses a bundle without it.  A loaded
+    checkpoint counts as trained.
+    """
+
+    encoder: nn.DenseNet
+    decoder: nn.DenseNet
+    uncertainty: nn.DenseNet
+    classifier: nn.DenseNet
+    trained: bool = False
 
     def __post_init__(self):
-        d = self.auto_encoder.feature_dim
-        if self.uncertainty.net.input_dim != d or self.classifier.net.input_dim != d:
+        d, k = self.feature_dim, self.num_classes
+        if self.encoder.output_dim != self.decoder.input_dim:
+            raise InputError(
+                f"encoder output dim {self.encoder.output_dim} != "
+                f"decoder input dim {self.decoder.input_dim}"
+            )
+        if self.encoder.input_dim != d + k:
+            raise InputError(
+                f"encoder input must be feature dim + class count = {d} + {k}, "
+                f"got {self.encoder.input_dim}"
+            )
+        if self.uncertainty.output_dim != 1:
+            raise InputError("uncertainty head must produce one logit per row")
+        if self.uncertainty.input_dim != d or self.classifier.input_dim != d:
             raise InputError("uncertainty head and classifier must consume raw features")
+
+    @property
+    def feature_dim(self) -> int:
+        return self.decoder.output_dim
+
+    @property
+    def num_classes(self) -> int:
+        return self.classifier.output_dim
+
+    @property
+    def latent_dim(self) -> int:
+        return self.encoder.output_dim
 
     @classmethod
     def build(
@@ -259,40 +189,26 @@ class ModelBundle:
         uncertainty_hidden: tuple[int, ...],
         classifier_hidden: tuple[int, ...],
     ) -> "ModelBundle":
-        ae = AutoEncoder.build(
-            dim,
-            num_classes,
-            rng,
-            latent_dim=latent_dim,
-            encoder_hidden=encoder_hidden,
-            decoder_hidden=decoder_hidden,
+        """Fresh nets, drawn from rng as encoder, decoder, head, classifier."""
+        if num_classes < 2:
+            raise InputError("the classifier needs at least 2 classes")
+        return cls(
+            nn.dense_net([dim + num_classes, *encoder_hidden, latent_dim], rng),
+            nn.dense_net([latent_dim, *decoder_hidden, dim], rng),
+            nn.dense_net([dim, *uncertainty_hidden, 1], rng),
+            nn.dense_net([dim, *classifier_hidden, num_classes], rng),
         )
-        head = UncertaintyHead.build(dim, rng, hidden=uncertainty_hidden)
-        clf = SurrogateClassifier.build(dim, num_classes, rng, hidden=classifier_hidden)
-        return cls(ae, head, clf)
 
     def save(self, path) -> None:
-        nn.save_checkpoint(
-            path,
-            {
-                "encoder": self.auto_encoder.encoder,
-                "decoder": self.auto_encoder.decoder,
-                "uncertainty": self.uncertainty.net,
-                "classifier": self.classifier.net,
-            },
-        )
+        nn.save_checkpoint(path, {name: getattr(self, name) for name in NET_NAMES})
 
     @classmethod
     def load(cls, path) -> "ModelBundle":
         nets = nn.load_checkpoint(path)
-        missing = {"encoder", "decoder", "uncertainty", "classifier"} - set(nets)
+        missing = set(NET_NAMES) - set(nets)
         if missing:
             raise InputError(f"checkpoint missing nets: {sorted(missing)}")
-        return cls(
-            AutoEncoder(nets["encoder"], nets["decoder"], trained=True),
-            UncertaintyHead(nets["uncertainty"]),
-            SurrogateClassifier(nets["classifier"]),
-        )
+        return cls(*(nets[name] for name in NET_NAMES), trained=True)
 
     def model_card(self) -> dict:
         """Dims summary for the run's model card JSON."""
@@ -301,11 +217,11 @@ class ModelBundle:
             return [net.input_dim] + [layer.fan_out for layer in net.layers]
 
         return {
-            "feature_dim": self.auto_encoder.feature_dim,
-            "num_classes": self.auto_encoder.num_classes,
-            "latent_dim": self.auto_encoder.latent_dim,
-            "encoder_dims": dims(self.auto_encoder.encoder),
-            "decoder_dims": dims(self.auto_encoder.decoder),
-            "uncertainty_dims": dims(self.uncertainty.net),
-            "classifier_dims": dims(self.classifier.net),
+            "feature_dim": self.feature_dim,
+            "num_classes": self.num_classes,
+            "latent_dim": self.latent_dim,
+            "encoder_dims": dims(self.encoder),
+            "decoder_dims": dims(self.decoder),
+            "uncertainty_dims": dims(self.uncertainty),
+            "classifier_dims": dims(self.classifier),
         }

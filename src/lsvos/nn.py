@@ -33,7 +33,6 @@ import numpy as np
 from .errors import InputError, NumericalFailure
 
 ACTIVATIONS = ("identity", "relu")
-LOSS_KINDS = ("mse", "cross-entropy", "uncertainty-sigmoid", "uncertainty-bce")
 
 CHECKPOINT_MAGIC = b"VOSC"
 CHECKPOINT_VERSION = 1
@@ -259,11 +258,13 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def loss_and_grad(
     outputs: np.ndarray, loss_kind: str, targets: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Loss value plus dL/d(outputs) for one of LOSS_KINDS.
+    """Loss value plus dL/d(outputs) for one loss kind.
 
-    targets: same shape as outputs for mse, integer class ids (B,) for
-    cross-entropy, and a boolean is-outlier mask (B,) for the two
-    uncertainty kinds (whose outputs must be a single logit per row).
+    loss_kind is "mse", "cross-entropy", "uncertainty-sigmoid" or
+    "uncertainty-bce".  targets: same shape as outputs for mse, integer
+    class ids (B,) for cross-entropy, and a boolean is-outlier mask (B,)
+    for the two uncertainty kinds (whose outputs must be a single logit
+    per row).
     """
     y = np.asarray(outputs, dtype=np.float64)
     if y.ndim != 2 or y.shape[0] == 0:

@@ -34,7 +34,7 @@ import numpy as np
 from . import nn
 from .datagen import GeneratorSpec, generate_features
 from .errors import InputError, LsvosError, NumericalFailure
-from .features import FEATURE_VERSION, FeatureQueue, Label, load_features
+from .features import FEATURE_VERSION, FeatureDataset, FeatureQueue, Label, load_features
 from .metrics import EvaluationReport, build_report, ece
 from .models import (
     UNCERTAINTY_VARIANTS,
@@ -375,10 +375,9 @@ class _Cycle:
         return self.rows[np.concatenate(picks)]
 
 
-def _load_datasets(cfg: ExperimentConfig):
-    if cfg.dataset == "synthetic":
-        return generate_features(generator_spec(cfg))
-    root = Path(cfg.dataset)
+def load_feature_dir(root) -> tuple[FeatureDataset, FeatureDataset]:
+    """train.vosf and val.vosf under root, checked to agree on dim and classes."""
+    root = Path(root)
     train_path = root / "train.vosf"
     val_path = root / "val.vosf"
     if not train_path.is_file() or not val_path.is_file():
@@ -404,7 +403,7 @@ def _synthesize(
     method = cfg.synth_method
     if method == "lsvos":
         spec = NoiseSpec(cfg.noise_alpha, cfg.noise_beta)
-        return lsvos_synthesize(bundle.auto_encoder, feats, cls, spec, rng)
+        return lsvos_synthesize(bundle, feats, cls, spec, rng)
     if method == "vos":
         n_per_class = max(1, math.ceil(len(feats) / queue.num_classes))
         return vos_synthesize(queue, n_per_class, None, VOS_CANDIDATES, rng)
@@ -435,10 +434,9 @@ def _train(
         classifier_hidden=tuple(cfg.model_classifier_hidden),
     )
     queue = FeatureQueue(dim, num_classes, cfg.queue_capacity)
-    ae = bundle.auto_encoder
-    ae_params = nn.parameters(ae.encoder) + nn.parameters(ae.decoder)
-    clf_params = nn.parameters(bundle.classifier.net)
-    unc_params = nn.parameters(bundle.uncertainty.net)
+    ae_params = nn.parameters(bundle.encoder) + nn.parameters(bundle.decoder)
+    clf_params = nn.parameters(bundle.classifier)
+    unc_params = nn.parameters(bundle.uncertainty)
     ae_state = nn.init_adam(ae_params)
     clf_state = nn.init_adam(clf_params)
     unc_state = nn.init_adam(unc_params)
@@ -461,7 +459,7 @@ def _train(
                 queue.push_many(feats, cls)
                 x_ae = queue.sample(cfg.sample_n_per_class, rng_train)
                 try:
-                    loss_ae, ae_g = ae_gradients(ae, x_ae, ws=ws)
+                    loss_ae, ae_g = ae_gradients(bundle.encoder, bundle.decoder, x_ae, ws=ws)
                     nn.adam_step(ae_params, ae_g, ae_state, lr=cfg.train_lr)
                     loss_clf, clf_g = classifier_gradients(bundle.classifier, feats, cls, ws=ws)
                     nn.adam_step(clf_params, clf_g, clf_state, lr=cfg.train_lr)
@@ -501,7 +499,7 @@ def _train(
                 )
                 step += 1
         if phase == 1 and n_epochs > 0:
-            ae.trained = True
+            bundle.trained = True
     return bundle, history
 
 
@@ -515,8 +513,16 @@ def evaluate_bundle(bundle: ModelBundle, train_ds, val_ds, methods) -> dict[str,
     anomalous); max-softmax is negated accordingly.  A set's `ece` is filled
     for the scorers that expose a probability: the classifier's max softmax
     (class correctness on ID rows) and the uncertainty head's sigmoid
-    (OOD decision correctness on all rows).
+    (OOD decision correctness on all rows).  Both datasets must have the
+    model's feature dim and class count.
     """
+    for ds in (train_ds, val_ds):
+        if (ds.dim, ds.num_classes) != (bundle.feature_dim, bundle.num_classes):
+            raise InputError(
+                f"model takes {bundle.feature_dim}-dim features of "
+                f"{bundle.num_classes} classes; the data has {ds.dim}-dim "
+                f"features of {ds.num_classes} classes"
+            )
     val_id, val_id_cls = val_ds.select(Label.ID)
     val_fp, _ = val_ds.select(Label.FP)
     if len(val_id) == 0 or len(val_fp) == 0:
@@ -619,7 +625,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     """
     cfg.validate()
     started = time.time()
-    train_ds, val_ds = _load_datasets(cfg)
+    if cfg.dataset == "synthetic":
+        train_ds, val_ds = generate_features(generator_spec(cfg))
+    else:
+        train_ds, val_ds = load_feature_dir(cfg.dataset)
     if train_ds.num_classes < 2:
         raise InputError("training needs at least 2 classes")
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, k])) for k in (1, 2, 3)]
@@ -658,7 +667,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         val_id, _ = val_ds.select(Label.ID)
         val_fp, _ = val_ds.select(Label.FP)
         pca_groups = {"id": val_id, "fp": val_fp}
-        if cfg.loss_lambda > 0.0 and bundle.auto_encoder.trained:
+        if cfg.loss_lambda > 0.0 and bundle.trained:
             head = min(len(train_id), 500)
             queue = FeatureQueue(train_ds.dim, train_ds.num_classes, cfg.queue_capacity)
             queue.push_many(train_id, train_cls)

@@ -14,13 +14,14 @@ one-hot suffix) and is deterministic under a fixed generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
+from . import nn
 from .errors import InputError, NotReadyError, NumericalFailure
 from .features import FeatureQueue, append_one_hot
+from .models import ModelBundle
 from .scoring import fit_gaussian_model
 
 METHODS = ("lsvos", "vos", "linear_mix", "random_noise", "noisy_id")
@@ -44,11 +45,9 @@ class NoiseSpec:
 
 @dataclass
 class SynthBatch:
-    """Synthesized outlier rows plus how they were made."""
+    """Synthesized outlier rows, and the class each was made from when known."""
 
     vectors: np.ndarray
-    method: str
-    provenance: dict = field(default_factory=dict)
     class_ids: np.ndarray | None = None
 
     def __post_init__(self):
@@ -56,9 +55,7 @@ class SynthBatch:
         if self.vectors.ndim != 2:
             raise InputError("synth batch vectors must be (M, D)")
         if not np.all(np.isfinite(self.vectors)):
-            raise NumericalFailure(f"{self.method} produced non-finite outliers")
-        if self.method not in METHODS:
-            raise InputError(f"unknown synthesis method {self.method!r}")
+            raise NumericalFailure("synthesis produced non-finite outliers")
         if self.class_ids is not None:
             self.class_ids = np.asarray(self.class_ids, dtype=np.int64)
             if self.class_ids.shape != (self.vectors.shape[0],):
@@ -71,7 +68,7 @@ def latent_noise(shape, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray
 
 
 def lsvos_synthesize(
-    ae: models.AutoEncoder,
+    bundle: ModelBundle,
     u_id: np.ndarray,
     class_ids: np.ndarray,
     spec: NoiseSpec,
@@ -82,28 +79,23 @@ def lsvos_synthesize(
     v = d(e(concat(u, one_hot)) + o).  With beta = 0 the output is exactly
     the plain auto-encoder reconstruction of the same inputs.
     """
-    if not ae.trained:
+    if not bundle.trained:
         raise NotReadyError(
             "auto-encoder has not been trained; run the reconstruction phase first"
         )
     u_id = np.asarray(u_id, dtype=np.float64)
-    if u_id.ndim != 2 or u_id.shape[1] != ae.feature_dim:
-        raise InputError(f"expected (M, {ae.feature_dim}) inlier rows, got {u_id.shape}")
+    dim = bundle.feature_dim
+    if u_id.ndim != 2 or u_id.shape[1] != dim:
+        raise InputError(f"expected (M, {dim}) inlier rows, got {u_id.shape}")
     class_ids = np.asarray(class_ids, dtype=np.int64)
     if class_ids.shape != (u_id.shape[0],):
         raise InputError("class_ids must align with inlier rows")
-    augmented = append_one_hot(u_id, class_ids, ae.num_classes)
-    z = models.encode(ae, augmented)
+    augmented = append_one_hot(u_id, class_ids, bundle.num_classes)
+    z = nn.forward(bundle.encoder, augmented)
     noise = latent_noise(z.shape, spec, rng)
     # beta = 0 keeps the codes bitwise untouched (noise add skipped)
     z_star = z if spec.beta == 0.0 else z + noise
-    vectors = models.decode(ae, z_star)
-    return SynthBatch(
-        vectors,
-        "lsvos",
-        provenance={"alpha": spec.alpha, "beta": spec.beta},
-        class_ids=class_ids,
-    )
+    return SynthBatch(nn.forward(bundle.decoder, z_star), class_ids=class_ids)
 
 
 # Matrix products below this many multiply-adds may leave BLAS's blocked
@@ -185,14 +177,7 @@ def vos_synthesize(
         kept = np.searchsorted(mapped, top[:n_per_class])
         vectors[cid * n_per_class : (cid + 1) * n_per_class] = draws[kept]
     return SynthBatch(
-        vectors,
-        "vos",
-        provenance={
-            "n_per_class": n_per_class,
-            "quantile": quantile,
-            "n_candidates": n_candidates,
-        },
-        class_ids=np.repeat(np.arange(queue.num_classes), n_per_class),
+        vectors, class_ids=np.repeat(np.arange(queue.num_classes), n_per_class)
     )
 
 
@@ -212,14 +197,14 @@ def linear_mix(
         raise InputError("u_fp must share the feature dimension of u_id")
     picks = rng.integers(0, u_fp.shape[0], size=u_id.shape[0])
     vectors = w * u_id + (1.0 - w) * u_fp[picks]
-    return SynthBatch(vectors, "linear_mix", provenance={"w": w})
+    return SynthBatch(vectors)
 
 
 def random_noise(m: int, d: int, rng: np.random.Generator) -> SynthBatch:
     """m x d matrix of N(0,1) draws."""
     if m <= 0 or d <= 0:
         raise InputError("m and d must be positive")
-    return SynthBatch(rng.standard_normal((m, d)), "random_noise")
+    return SynthBatch(rng.standard_normal((m, d)))
 
 
 def noisy_id(u_id: np.ndarray, rng: np.random.Generator) -> SynthBatch:
@@ -228,4 +213,4 @@ def noisy_id(u_id: np.ndarray, rng: np.random.Generator) -> SynthBatch:
     if u_id.ndim != 2 or u_id.shape[0] == 0:
         raise InputError("u_id must be a non-empty (M, D) matrix")
     vectors = u_id + rng.uniform(0.0, 1.0, size=u_id.shape)
-    return SynthBatch(vectors, "noisy_id")
+    return SynthBatch(vectors)

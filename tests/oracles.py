@@ -12,13 +12,14 @@ from lsvos import nn
 from lsvos.scoring import fit_gaussian_model
 
 
-def vos_reference(queue, n_per_class, quantile, n_candidates, rng):
+def vos_reference(queue, n_per_class, n_candidates, rng):
     """VOS synthesis that maps every candidate through the Cholesky factor.
 
     The class loop of synthesis.vos_synthesize before it ranked before
     mapping: each class draws a fresh (n_candidates, D) block, maps all of
     it, fully argsorts by ||z||^2 and keeps the head.  Returns the kept
-    rows, their class ids and the provenance dict.
+    rows and their class ids.  A quantile only guards the arguments, so
+    the reference takes none.
     """
     dim = queue.dim
     blocks, ids = [], []
@@ -39,12 +40,7 @@ def vos_reference(queue, n_per_class, quantile, n_candidates, rng):
         kept_blocks.append(draws[order[:n_per_class]])
         kept_ids.append(np.full(n_per_class, cid))
         del z, draws
-    provenance = {
-        "n_per_class": n_per_class,
-        "quantile": quantile,
-        "n_candidates": n_candidates,
-    }
-    return np.vstack(kept_blocks), np.concatenate(kept_ids), provenance
+    return np.vstack(kept_blocks), np.concatenate(kept_ids)
 
 
 def finite_difference_gradients(net, x, loss_kind, targets, step=1e-4):

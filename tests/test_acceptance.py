@@ -13,10 +13,10 @@ from dataclasses import replace
 import numpy as np
 
 import lsvos.nn as nn
-from lsvos.features import FeatureQueue
+from lsvos.features import FeatureQueue, append_one_hot
 from lsvos.geometry import Box3D, iou_3d
 from lsvos.metrics import aupr, auroc, fpr_at_tpr
-from lsvos.models import AutoEncoder, ModelBundle, reconstruct
+from lsvos.models import ModelBundle
 from lsvos.pipeline import ablate, desk_preset, run_experiment
 from lsvos.scoring import ScoreSet, calibrate_tau
 from lsvos.synthesis import NoiseSpec, latent_noise, lsvos_synthesize
@@ -155,15 +155,15 @@ def test_criterion_05_noise_contract():
         sample = latent_noise((4000, 32), NoiseSpec(alpha=0.25, beta=1.0), rng)
         assert sample.min() >= 0.25
         assert sample.max() <= 1.25
-        ae = AutoEncoder.build(12, 3, np.random.default_rng(0), latent_dim=6,
-                               encoder_hidden=(16,), decoder_hidden=(16,))
-        ae.trained = True
+        bundle = ModelBundle.build(12, 3, np.random.default_rng(0), latent_dim=6,
+                                   encoder_hidden=(16,), decoder_hidden=(16,),
+                                   uncertainty_hidden=(16,), classifier_hidden=(16,))
+        bundle.trained = True
         u = np.random.default_rng(1).normal(size=(40, 12))
         cls = np.arange(40) % 3
-        batch = lsvos_synthesize(ae, u, cls, NoiseSpec(0.25, 0.0), rng)
-        from lsvos.features import append_one_hot
-
-        plain = reconstruct(ae, append_one_hot(u, cls, 3))
+        batch = lsvos_synthesize(bundle, u, cls, NoiseSpec(0.25, 0.0), rng)
+        codes = nn.forward(bundle.encoder, append_one_hot(u, cls, 3))
+        plain = nn.forward(bundle.decoder, codes)
         assert np.array_equal(batch.vectors, plain)
         norms = []
         for beta in (0.1, 1.0, 10.0):
@@ -243,14 +243,14 @@ def test_criterion_08_lambda_zero_isolation():
             classifier_hidden=cfg.model_classifier_hidden,
         )
         pairs = zip(
-            nn.parameters(result.bundle.uncertainty.net),
-            nn.parameters(fresh.uncertainty.net),
+            nn.parameters(result.bundle.uncertainty),
+            nn.parameters(fresh.uncertainty),
         )
         assert all(np.array_equal(a, b) for a, b in pairs)
         # the auto-encoder, by contrast, must have moved
         moved = zip(
-            nn.parameters(result.bundle.auto_encoder.encoder),
-            nn.parameters(fresh.auto_encoder.encoder),
+            nn.parameters(result.bundle.encoder),
+            nn.parameters(fresh.encoder),
         )
         assert not all(np.array_equal(a, b) for a, b in moved)
 

@@ -221,6 +221,31 @@ class TestEvaluateAndReport:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    def test_evaluate_rejects_data_of_another_class_count(self, run_dir, tmp_path, capsys):
+        # the checkpoint was trained on 3 classes
+        data = tmp_path / "data"
+        gen = [*GEN_SMALL, "--set", "data.classes=4"]
+        assert main(["generate", "--set", "seed=5", "--out", str(data), *gen]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "3 classes" in captured.err
+        assert "AUROC" not in captured.out
+
+    def test_evaluate_rejects_train_and_val_that_disagree(self, run_dir, tmp_path, capsys):
+        data, other = tmp_path / "data", tmp_path / "other"
+        assert main(["generate", "--set", "seed=5", "--out", str(data), *GEN_SMALL]) == 0
+        gen = [*GEN_SMALL, "--set", "data.classes=4"]
+        assert main(["generate", "--set", "seed=5", "--out", str(other), *gen]) == 0
+        shutil.copy(other / "train.vosf", data / "train.vosf")
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "disagree" in captured.err
+        assert "AUROC" not in captured.out
+
     def test_evaluate_rejects_a_checkpoint_with_a_non_utf8_name(self, run_dir, capsys):
         ckpt = run_dir / "model.ckpt"
         ckpt.write_bytes(ckpt.read_bytes().replace(b"encoder", b"\xffncoder", 1))

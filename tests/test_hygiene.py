@@ -53,3 +53,56 @@ def test_no_unused_top_level_imports(path):
         if name not in used
     ]
     assert not unused, f"{path.name} imports and never uses: {', '.join(unused)}"
+
+
+NAMING_FOLDERS = ("src", "tests", "demos", "bench")
+DEFINING = [path for path in SOURCES if path.parent.name == "lsvos"]
+
+
+def _top_level_definitions(tree: ast.Module) -> dict[str, int]:
+    """Function, class and constant bound at module level -> its line number."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return names
+
+
+def _naming_references(tree: ast.AST) -> set[str]:
+    """Names read, attributes taken, and the parts of dotted-name strings.
+
+    A string such as "models.ae_gradients" (the bench tracer's patch list)
+    or "ae_gradients" (a monkeypatch target) names the function too.
+    """
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                refs.update(parts)
+    return refs
+
+
+def test_every_top_level_name_in_the_package_is_named_elsewhere():
+    # a package __init__ only re-exports, so it neither defines nor names
+    refs = set()
+    for folder in NAMING_FOLDERS:
+        for path in (REPO_ROOT / folder).rglob("*.py"):
+            if path.name != "__init__.py":
+                refs |= _naming_references(ast.parse(path.read_text(), filename=str(path)))
+    dead = [
+        f"{path.name}:{line} {name}"
+        for path in DEFINING
+        for name, line in _top_level_definitions(ast.parse(path.read_text())).items()
+        if name not in refs
+    ]
+    assert not dead, f"defined and never named elsewhere: {', '.join(dead)}"

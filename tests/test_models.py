@@ -6,19 +6,14 @@ from hypothesis import strategies as st
 from lsvos import models, nn
 from lsvos.errors import InputError
 from lsvos.features import append_one_hot
-from lsvos.models import (
-    AutoEncoder,
-    ModelBundle,
-    SurrogateClassifier,
-    UncertaintyHead,
-)
+from lsvos.models import ModelBundle
 from lsvos.pipeline import ExperimentConfig
 
 import oracles
 
 
 def _identity_ae(dim, num_classes, latent=None):
-    """AE whose round trip copies the feature block exactly (for oracle tests)."""
+    """Encoder and decoder whose round trip copies the feature block exactly."""
     latent = latent or dim
     enc_w = np.zeros((dim + num_classes, latent))
     enc_w[:dim, :dim] = np.eye(dim)
@@ -26,7 +21,29 @@ def _identity_ae(dim, num_classes, latent=None):
     dec_w[:dim, :dim] = np.eye(dim)
     encoder = nn.DenseNet([nn.Layer(enc_w, np.zeros(latent), "identity")])
     decoder = nn.DenseNet([nn.Layer(dec_w, np.zeros(dim), "identity")])
-    return AutoEncoder(encoder, decoder, trained=True)
+    return encoder, decoder
+
+
+def _random_ae(dim, num_classes, rng, latent, hidden):
+    encoder = nn.dense_net([dim + num_classes, hidden, latent], rng)
+    return encoder, nn.dense_net([latent, hidden, dim], rng)
+
+
+def _reconstruct(encoder, decoder, x):
+    return nn.forward(decoder, nn.forward(encoder, x))
+
+
+def _bundle_nets(dim=8, num_classes=2, latent=4, **replace):
+    """Four fitting nets as ModelBundle's keyword arguments, some replaced."""
+    rng = np.random.default_rng(0)
+    nets = {
+        "encoder": nn.dense_net([dim + num_classes, 8, latent], rng),
+        "decoder": nn.dense_net([latent, 8, dim], rng),
+        "uncertainty": nn.dense_net([dim, 8, 1], rng),
+        "classifier": nn.dense_net([dim, 8, num_classes], rng),
+    }
+    nets.update({name: nn.dense_net(dims, rng) for name, dims in replace.items()})
+    return nets
 
 
 class TestArchitecture:
@@ -50,89 +67,101 @@ class TestArchitecture:
         assert card["latent_dim"] == 128
 
     def test_relu_on_hidden_identity_on_last(self):
-        ae = AutoEncoder.build(
+        bundle = ModelBundle.build(
             8,
             2,
             np.random.default_rng(0),
             latent_dim=4,
             encoder_hidden=(16, 8),
             decoder_hidden=(8, 16),
+            uncertainty_hidden=(8,),
+            classifier_hidden=(8,),
         )
-        assert [l.activation for l in ae.encoder.layers] == ["relu", "relu", "identity"]
-        assert [l.activation for l in ae.decoder.layers] == ["relu", "relu", "identity"]
+        assert [l.activation for l in bundle.encoder.layers] == ["relu", "relu", "identity"]
+        assert [l.activation for l in bundle.decoder.layers] == ["relu", "relu", "identity"]
 
-    def test_mismatched_latent_rejected(self):
-        rng = np.random.default_rng(0)
-        enc = nn.dense_net([10, 16, 8], rng)
-        dec = nn.dense_net([7, 16, 6], rng)
-        with pytest.raises(InputError):
-            AutoEncoder(enc, dec)
+    def test_fitting_nets_accepted(self):
+        bundle = ModelBundle(**_bundle_nets())
+        assert (bundle.feature_dim, bundle.num_classes, bundle.latent_dim) == (8, 2, 4)
+        assert not bundle.trained
 
-    def test_uncertainty_head_must_be_scalar(self):
+    @pytest.mark.parametrize(
+        "replace",
+        [
+            # encoder output != decoder input
+            {"decoder": [5, 8, 8]},
+            # encoder input != D + K: the classifier has one class too many
+            {"classifier": [8, 8, 3]},
+            # encoder input != D + K: a bare feature without its class block
+            {"encoder": [8, 8, 4]},
+            # the uncertainty head must give one logit
+            {"uncertainty": [8, 8, 2]},
+            # head and classifier must take the raw feature
+            {"uncertainty": [9, 8, 1]},
+            {"classifier": [10, 8, 2]},
+        ],
+        ids=["latent", "classes", "no-class-block", "head-out", "head-in", "classifier-in"],
+    )
+    def test_mismatched_nets_rejected(self, replace):
         with pytest.raises(InputError):
-            UncertaintyHead(nn.dense_net([4, 8, 2], np.random.default_rng(0)))
+            ModelBundle(**_bundle_nets(**replace))
 
-    def test_bundle_heads_consume_raw_features(self):
-        rng = np.random.default_rng(0)
-        ae = AutoEncoder.build(8, 2, rng, latent_dim=4, encoder_hidden=(8,), decoder_hidden=(8,))
-        head = UncertaintyHead.build(9, rng, hidden=(8,))
-        clf = SurrogateClassifier.build(8, 2, rng, hidden=(8,))
-        with pytest.raises(InputError):
-            ModelBundle(ae, head, clf)
+    def test_build_needs_two_classes(self):
+        with pytest.raises(InputError, match="at least 2 classes"):
+            ModelBundle.build(
+                4, 1, np.random.default_rng(0), latent_dim=2, encoder_hidden=(4,),
+                decoder_hidden=(4,), uncertainty_hidden=(4,), classifier_hidden=(4,),
+            )
 
 
 class TestAeLoss:
     def test_perfect_reconstruction_zero(self):
-        ae = _identity_ae(3, 2)
+        enc, dec = _identity_ae(3, 2)
         x = append_one_hot(np.random.default_rng(0).normal(size=(5, 3)), [0, 1, 0, 1, 1], 2)
-        assert models.ae_gradients(ae, x)[0] == 0.0
+        assert models.ae_gradients(enc, dec, x)[0] == 0.0
 
     def test_scalar_case(self):
         # zero-weight AE reconstructs 0; target feature 1.0 -> MSE 1.0
-        ae = _identity_ae(1, 2)
-        ae.decoder.layers[0].weights[:] = 0.0
+        enc, dec = _identity_ae(1, 2)
+        dec.layers[0].weights[:] = 0.0
         x = append_one_hot(np.array([[1.0]]), [0], 2)
-        assert models.ae_gradients(ae, x)[0] == 1.0
+        assert models.ae_gradients(enc, dec, x)[0] == 1.0
 
     def test_matches_naive_mse_oracle(self):
         rng = np.random.default_rng(7)
-        ae = AutoEncoder.build(4, 3, rng, latent_dim=5, encoder_hidden=(8,), decoder_hidden=(8,))
+        enc, dec = _random_ae(4, 3, rng, latent=5, hidden=8)
         feats = rng.normal(size=(6, 4))
         x = append_one_hot(feats, rng.integers(0, 3, size=6), 3)
-        recon = models.reconstruct(ae, x)
+        recon = _reconstruct(enc, dec, x)
         naive = sum(
             (recon[i, j] - feats[i, j]) ** 2 for i in range(6) for j in range(4)
         ) / (6 * 4)
-        assert models.ae_gradients(ae, x)[0] == pytest.approx(naive, abs=1e-12)
+        assert models.ae_gradients(enc, dec, x)[0] == pytest.approx(naive, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        ae = _identity_ae(3, 2)
+        enc, dec = _identity_ae(3, 2)
         with pytest.raises(InputError):
-            models.ae_gradients(ae, np.zeros((4, 3)))
+            models.ae_gradients(enc, dec, np.zeros((4, 3)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
-        ae = AutoEncoder.build(3, 2, rng, latent_dim=4, encoder_hidden=(6,), decoder_hidden=(6,))
+        enc, dec = _random_ae(3, 2, rng, latent=4, hidden=6)
         x = append_one_hot(rng.normal(size=(4, 3)), rng.integers(0, 2, size=4), 2)
-        loss, grads = models.ae_gradients(ae, x)
-        stacked = nn.DenseNet(ae.encoder.layers + ae.decoder.layers)
+        loss, grads = models.ae_gradients(enc, dec, x)
+        stacked = nn.DenseNet(enc.layers + dec.layers)
         numeric = oracles.finite_difference_gradients(stacked, x, "mse", x[:, :3])
         assert oracles.max_relative_error(grads, numeric) < 1e-4
-        recon = models.reconstruct(ae, x)
+        recon = _reconstruct(enc, dec, x)
         assert loss == pytest.approx(nn.loss_and_grad(recon, "mse", x[:, :3])[0], abs=1e-12)
 
 
 class TestUncertaintyLoss:
     def _constant_head(self, dim, logit):
         w = np.zeros((dim, 1))
-        return UncertaintyHead(
-            nn.DenseNet([nn.Layer(w, np.array([float(logit)]), "identity")])
-        )
+        return nn.DenseNet([nn.Layer(w, np.array([float(logit)]), "identity")])
 
     def _passthrough_head(self):
-        return UncertaintyHead(
-            nn.DenseNet([nn.Layer(np.array([[1.0]]), np.zeros(1), "identity")])
-        )
+        return nn.DenseNet([nn.Layer(np.array([[1.0]]), np.zeros(1), "identity")])
 
     def test_zero_head_gives_minus_one(self):
         head = self._constant_head(2, 0.0)
@@ -157,7 +186,7 @@ class TestUncertaintyLoss:
 
     def test_bounded_open_interval(self):
         rng = np.random.default_rng(1)
-        head = UncertaintyHead.build(3, rng, hidden=(8,))
+        head = nn.dense_net([3, 8, 1], rng)
         for _ in range(25):
             loss = models.uncertainty_gradients(
                 head, rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
@@ -203,10 +232,10 @@ class TestUncertaintyLoss:
 
     def test_converges_below_minus_1_9_on_separated_clusters(self):
         rng = np.random.default_rng(42)
-        head = UncertaintyHead.build(4, rng, hidden=(256, 256))
+        head = nn.dense_net([4, 256, 256, 1], rng)
         u_id = rng.normal(size=(64, 4)) - 5.0
         u_ood = rng.normal(size=(64, 4)) + 5.0
-        params = nn.parameters(head.net)
+        params = nn.parameters(head)
         state = nn.init_adam(params)
         loss = 0.0
         for _ in range(500):
@@ -217,38 +246,34 @@ class TestUncertaintyLoss:
 
 class TestClassifierAndTotal:
     def test_default_score_uniform_logits(self):
-        clf = SurrogateClassifier(
-            nn.DenseNet([nn.Layer(np.zeros((2, 3)), np.zeros(3), "identity")])
-        )
+        clf = nn.DenseNet([nn.Layer(np.zeros((2, 3)), np.zeros(3), "identity")])
         np.testing.assert_allclose(
             models.default_score(clf, np.ones((4, 2))), np.full(4, 1.0 / 3.0)
         )
 
     def test_default_score_hand_softmax(self):
         # logits (ln 2, 0, 0): softmax (2, 1, 1)/4 -> max 0.5
-        clf = SurrogateClassifier(
-            nn.DenseNet(
-                [nn.Layer(np.zeros((2, 3)), np.array([np.log(2.0), 0.0, 0.0]), "identity")]
-            )
+        clf = nn.DenseNet(
+            [nn.Layer(np.zeros((2, 3)), np.array([np.log(2.0), 0.0, 0.0]), "identity")]
         )
         np.testing.assert_allclose(models.default_score(clf, np.ones((1, 2))), [0.5])
 
     def test_default_score_at_least_one_over_k(self):
         rng = np.random.default_rng(3)
-        clf = SurrogateClassifier.build(4, 5, rng, hidden=(128,))
+        clf = nn.dense_net([4, 128, 5], rng)
         scores = models.default_score(clf, rng.normal(size=(50, 4)))
         assert np.all(scores >= 1.0 / 5.0)
         assert np.all(scores <= 1.0)
 
     def test_classifier_gradients_match_nn(self):
         rng = np.random.default_rng(4)
-        clf = SurrogateClassifier.build(3, 2, rng, hidden=(128,))
+        clf = nn.dense_net([3, 128, 2], rng)
         u = rng.normal(size=(8, 3))
         ids = rng.integers(0, 2, size=8)
         loss, grads = models.classifier_gradients(clf, u, ids)
-        logits = nn.forward(clf.net, u)
+        logits = nn.forward(clf, u)
         assert loss == pytest.approx(nn.loss_and_grad(logits, "cross-entropy", ids)[0])
-        numeric = oracles.finite_difference_gradients(clf.net, u, "cross-entropy", ids)
+        numeric = oracles.finite_difference_gradients(clf, u, "cross-entropy", ids)
         assert oracles.max_relative_error(grads, numeric) < 1e-4
 
     def test_total_loss_sum_and_lambda_zero(self):
@@ -263,20 +288,22 @@ class TestBundleCheckpoint:
         bundle = ModelBundle.build(6, 2, np.random.default_rng(9), latent_dim=4,
                                    encoder_hidden=(8,), decoder_hidden=(8,),
                                    uncertainty_hidden=(8,), classifier_hidden=(8,))
-        assert not bundle.auto_encoder.trained
+        assert not bundle.trained
         path = tmp_path / "bundle.ckpt"
         bundle.save(path)
         back = ModelBundle.load(path)
-        assert back.auto_encoder.trained
-        for orig, re in [
-            (bundle.auto_encoder.encoder, back.auto_encoder.encoder),
-            (bundle.auto_encoder.decoder, back.auto_encoder.decoder),
-            (bundle.uncertainty.net, back.uncertainty.net),
-            (bundle.classifier.net, back.classifier.net),
-        ]:
+        assert back.trained
+        for name in models.NET_NAMES:
+            orig, re = getattr(bundle, name), getattr(back, name)
             for lo, lr in zip(orig.layers, re.layers):
                 np.testing.assert_array_equal(lo.weights, lr.weights)
                 np.testing.assert_array_equal(lo.bias, lr.bias)
+
+    def test_load_rejects_nets_that_do_not_fit(self, tmp_path):
+        path = tmp_path / "mismatched.ckpt"
+        nn.save_checkpoint(path, _bundle_nets(classifier=[8, 8, 3]))
+        with pytest.raises(InputError, match="feature dim \\+ class count"):
+            ModelBundle.load(path)
 
     def test_load_rejects_incomplete_checkpoint(self, tmp_path):
         path = tmp_path / "partial.ckpt"

@@ -415,25 +415,37 @@ class TestRunExperiment:
         assert ma.seed == mb.seed
 
     @pytest.mark.parametrize(
-        "dim, report_sha256, checkpoint_sha256",
+        "synth_method, dim, report_sha256, checkpoint_sha256",
         [
             (
+                "vos",
                 8,
                 "5cd5dcfc606d57a34b32e2ef48219a333933efb1646021a4983bb857cf7cc805",
                 "e895ddecfde2da56f8790934a466d54350d74236efb2441a64044e1e879d6e6b",
             ),
             (
+                "vos",
                 64,
                 "e127cefb20c81d5c26e6fd705819d97a392fc105b1b45309aff98fcc89728569",
                 "e02fb978f7b179e4ac35b932976f39f35e6648926e834369b8ee8a386ff95373",
             ),
+            (
+                "lsvos",
+                64,
+                "70b67b647c49766db32e1b5ccca0eae9ec466d82df3246b0c5af229322082f38",
+                "f9b638c2612634cccc522353185a448cb4ea4a0c245e0461acd85df8982dc38b",
+            ),
         ],
     )
-    def test_vos_run_bytes_are_pinned(self, tmp_path, dim, report_sha256, checkpoint_sha256):
-        # recorded when VOS mapped all 10,000 candidates per class through the
-        # Cholesky factor (numpy 2.4 with OpenBLAS 0.3.31, 1 thread); at D = 8
-        # it still maps them all, at D = 64 only its top-ranked rows
-        run_experiment(micro_cfg(synth_method="vos", data_dim=dim), out_dir=tmp_path)
+    def test_vos_run_bytes_are_pinned(
+        self, tmp_path, synth_method, dim, report_sha256, checkpoint_sha256
+    ):
+        # numpy 2.4 with OpenBLAS 0.3.31, 1 thread.  The VOS rows were recorded
+        # when VOS mapped all 10,000 candidates per class through the Cholesky
+        # factor; at D = 8 it still maps them all, at D = 64 only its
+        # top-ranked rows.  The LS-VOS row was recorded when the auto-encoder,
+        # head and classifier were each wrapped in a class of their own.
+        run_experiment(micro_cfg(synth_method=synth_method, data_dim=dim), out_dir=tmp_path)
         for name, want in (("report.json", report_sha256), ("model.ckpt", checkpoint_sha256)):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
@@ -500,12 +512,7 @@ class TestRunExperiment:
 
     def test_training_updates_the_built_layer_arrays_in_place(self, monkeypatch):
         def arrays(bundle):
-            nets = (
-                bundle.auto_encoder.encoder,
-                bundle.auto_encoder.decoder,
-                bundle.uncertainty.net,
-                bundle.classifier.net,
-            )
+            nets = (bundle.encoder, bundle.decoder, bundle.uncertainty, bundle.classifier)
             return [p for net in nets for p in nn.parameters(net)]
 
         built = []
@@ -543,8 +550,8 @@ class TestRunExperiment:
             uncertainty_hidden=cfg.model_uncertainty_hidden,
             classifier_hidden=cfg.model_classifier_hidden,
         )
-        trained = nn.parameters(res.bundle.uncertainty.net)
-        untouched = nn.parameters(fresh.uncertainty.net)
+        trained = nn.parameters(res.bundle.uncertainty)
+        untouched = nn.parameters(fresh.uncertainty)
         assert all(np.array_equal(a, b) for a, b in zip(trained, untouched))
 
     def test_untrained_head_scores_at_chance(self):
@@ -639,6 +646,32 @@ class TestEvaluateBundle:
         res = run_experiment(cfg)
         with pytest.raises(InputError):
             evaluate_bundle(res.bundle, train, id_only, ("mahalanobis",))
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize("dim, classes", [(6, 3), (8, 4)])
+    def test_rejects_data_of_another_dim_or_class_count(self, split, dim, classes):
+        from lsvos.datagen import GeneratorSpec, generate_features
+
+        def data(dim, classes):
+            spec = GeneratorSpec(
+                dim=dim, num_classes=classes, n_id_train=40, n_fp_train=20,
+                n_id_val=30, n_fp_val=20, seed=0,
+            )
+            return generate_features(spec)
+
+        bundle = ModelBundle.build(
+            8, 3, np.random.default_rng(0), latent_dim=4, encoder_hidden=(8,),
+            decoder_hidden=(8,), uncertainty_hidden=(8,), classifier_hidden=(8,),
+        )
+        train, val = data(8, 3)
+        evaluate_bundle(bundle, train, val, ("uncertainty",))
+        other_train, other_val = data(dim, classes)
+        if split == "train":
+            train = other_train
+        else:
+            val = other_val
+        with pytest.raises(InputError, match="the data has"):
+            evaluate_bundle(bundle, train, val, ("uncertainty",))
 
 
 class TestAblate:

@@ -5,21 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsvos import features, models, synthesis
-from lsvos.errors import InputError, NotReadyError
+from lsvos import features, nn, synthesis
+from lsvos.errors import InputError, NotReadyError, NumericalFailure
 from lsvos.features import FeatureDataset, FeatureQueue, Label, make_records
+from lsvos.models import ModelBundle
 from lsvos.scoring import fit_gaussian_model
 from lsvos.synthesis import NoiseSpec
 from oracles import vos_reference
 
 
-def _trained_flagged_ae(dim=3, num_classes=2, seed=0):
-    ae = models.AutoEncoder.build(
+def _trained_bundle(dim=3, num_classes=2, seed=0):
+    bundle = ModelBundle.build(
         dim, num_classes, np.random.default_rng(seed),
         latent_dim=4, encoder_hidden=(8,), decoder_hidden=(8,),
+        uncertainty_hidden=(8,), classifier_hidden=(8,),
     )
-    ae.trained = True
-    return ae
+    bundle.trained = True
+    return bundle
+
+
+def _reconstruct(bundle, u, cids):
+    """d(e(concat(u, one_hot))): the plain auto-encoder round trip."""
+    x = features.append_one_hot(u, cids, bundle.num_classes)
+    return nn.forward(bundle.decoder, nn.forward(bundle.encoder, x))
 
 
 def _filled_queue(dim=2, num_classes=2, per_class=400, seed=0, scale=1.0):
@@ -30,6 +38,16 @@ def _filled_queue(dim=2, num_classes=2, per_class=400, seed=0, scale=1.0):
         q.push_many(center + scale * rng.normal(size=(per_class, dim)),
                     np.full(per_class, cid))
     return q
+
+
+class TestSynthBatch:
+    def test_non_finite_rows_rejected(self):
+        with pytest.raises(NumericalFailure):
+            synthesis.SynthBatch(np.array([[0.0, np.nan]]))
+
+    def test_class_ids_must_cover_every_row(self):
+        with pytest.raises(InputError):
+            synthesis.SynthBatch(np.zeros((3, 2)), class_ids=[0, 1])
 
 
 class TestNoiseSpec:
@@ -76,57 +94,52 @@ class TestNoiseSpec:
 
 class TestLsvosSynthesize:
     def test_untrained_ae_not_ready(self):
-        ae = _trained_flagged_ae()
-        ae.trained = False
+        bundle = _trained_bundle()
+        bundle.trained = False
         with pytest.raises(NotReadyError):
             synthesis.lsvos_synthesize(
-                ae, np.zeros((2, 3)), [0, 1], NoiseSpec(), np.random.default_rng(0)
+                bundle, np.zeros((2, 3)), [0, 1], NoiseSpec(), np.random.default_rng(0)
             )
 
     def test_beta_zero_is_bitwise_reconstruction(self):
-        ae = _trained_flagged_ae()
+        bundle = _trained_bundle()
         rng = np.random.default_rng(5)
         u = rng.normal(size=(10, 3))
         cids = rng.integers(0, 2, size=10)
         batch = synthesis.lsvos_synthesize(
-            ae, u, cids, NoiseSpec(alpha=0.25, beta=0.0), np.random.default_rng(6)
+            bundle, u, cids, NoiseSpec(alpha=0.25, beta=0.0), np.random.default_rng(6)
         )
-        recon = models.reconstruct(ae, features.append_one_hot(u, cids, 2))
-        assert np.array_equal(batch.vectors, recon)
+        assert np.array_equal(batch.vectors, _reconstruct(bundle, u, cids))
 
-    def test_output_shape_and_method(self):
-        ae = _trained_flagged_ae()
+    def test_output_shape_and_class_ids(self):
+        bundle = _trained_bundle()
         rng = np.random.default_rng(7)
-        batch = synthesis.lsvos_synthesize(
-            ae, rng.normal(size=(6, 3)), rng.integers(0, 2, size=6), NoiseSpec(), rng
-        )
+        cids = rng.integers(0, 2, size=6)
+        batch = synthesis.lsvos_synthesize(bundle, rng.normal(size=(6, 3)), cids, NoiseSpec(), rng)
         assert batch.vectors.shape == (6, 3)
-        assert batch.method == "lsvos"
-        assert batch.provenance == {"alpha": 0.25, "beta": 1.0}
-        np.testing.assert_array_equal(batch.class_ids is not None, True)
+        np.testing.assert_array_equal(batch.class_ids, cids)
 
     def test_deterministic_under_fixed_seed(self):
-        ae = _trained_flagged_ae()
+        bundle = _trained_bundle()
         u = np.random.default_rng(8).normal(size=(5, 3))
         cids = [0, 1, 0, 1, 0]
-        a = synthesis.lsvos_synthesize(ae, u, cids, NoiseSpec(), np.random.default_rng(9))
-        b = synthesis.lsvos_synthesize(ae, u, cids, NoiseSpec(), np.random.default_rng(9))
+        a = synthesis.lsvos_synthesize(bundle, u, cids, NoiseSpec(), np.random.default_rng(9))
+        b = synthesis.lsvos_synthesize(bundle, u, cids, NoiseSpec(), np.random.default_rng(9))
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_noise_pushes_codes_off_manifold(self):
-        ae = _trained_flagged_ae()
+        bundle = _trained_bundle()
         rng = np.random.default_rng(10)
         u = rng.normal(size=(4, 3))
         cids = [0, 0, 1, 1]
-        batch = synthesis.lsvos_synthesize(ae, u, cids, NoiseSpec(0.25, 5.0), rng)
-        recon = models.reconstruct(ae, features.append_one_hot(u, cids, 2))
-        assert not np.allclose(batch.vectors, recon)
+        batch = synthesis.lsvos_synthesize(bundle, u, cids, NoiseSpec(0.25, 5.0), rng)
+        assert not np.allclose(batch.vectors, _reconstruct(bundle, u, cids))
 
     def test_misaligned_classes_rejected(self):
-        ae = _trained_flagged_ae()
+        bundle = _trained_bundle()
         with pytest.raises(InputError):
             synthesis.lsvos_synthesize(
-                ae, np.zeros((3, 3)), [0, 1], NoiseSpec(), np.random.default_rng(0)
+                bundle, np.zeros((3, 3)), [0, 1], NoiseSpec(), np.random.default_rng(0)
             )
 
 
@@ -190,11 +203,10 @@ class TestVosSynthesize:
     def _assert_matches_reference(q, n_keep, quantile, n_cand, seed):
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         batch = synthesis.vos_synthesize(q, n_keep, quantile, n_cand, rng_new)
-        vectors, class_ids, provenance = vos_reference(q, n_keep, quantile, n_cand, rng_ref)
+        vectors, class_ids = vos_reference(q, n_keep, n_cand, rng_ref)
         assert batch.vectors.shape == vectors.shape
         assert batch.vectors.tobytes() == vectors.tobytes()
         np.testing.assert_array_equal(batch.class_ids, class_ids)
-        assert batch.provenance == provenance
         np.testing.assert_array_equal(rng_new.random(4), rng_ref.random(4))
 
     @settings(max_examples=120, deadline=None)
