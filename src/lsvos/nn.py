@@ -131,11 +131,10 @@ class Workspace:
         return self._buf[start : self._used].reshape(shape)
 
 
-def _apply_activation(
-    z: np.ndarray, activation: str, ws: Workspace | None = None
-) -> np.ndarray:
+def _apply_activation(z: np.ndarray, activation: str, out: np.ndarray) -> np.ndarray:
+    """relu(z) written into out (z itself is allowed), or z for identity."""
     if activation == "relu":
-        return np.maximum(z, 0.0, out=None if ws is None else ws.take(z.shape))
+        return np.maximum(z, 0.0, out=out)
     if activation == "identity":
         return z
     raise InputError(f"unknown activation {activation!r}")
@@ -157,12 +156,16 @@ def _check_batch(net: DenseNet, x: np.ndarray) -> np.ndarray:
 
 
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """Run the net on a (B, D_in) batch, returning (B, D_out)."""
+    """Run the net on a (B, D_in) batch, returning (B, D_out).
+
+    Each layer's bias and relu are written into its ``a @ W`` product, so
+    at most two activation blocks are alive at a time and x is not written.
+    """
     a = _check_batch(net, x)
     for i, layer in enumerate(net.layers):
-        z = a @ layer.weights
-        z += layer.bias
-        a = _apply_activation(z, layer.activation)
+        a = a @ layer.weights
+        a += layer.bias
+        a = _apply_activation(a, layer.activation, a)
         if not np.all(np.isfinite(a)):
             raise NumericalFailure(f"non-finite activation after layer {i}")
     return a
@@ -181,7 +184,9 @@ def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None):
         z = np.matmul(a, layer.weights, out=ws.take((a.shape[0], layer.fan_out)))
         z += layer.bias
         caches.append((a, z))
-        a = _apply_activation(z, layer.activation, ws)
+        # backward reads z, so a relu output needs a block of its own
+        out = ws.take(z.shape) if layer.activation == "relu" else z
+        a = _apply_activation(z, layer.activation, out)
         if not np.all(np.isfinite(a)):
             raise NumericalFailure(f"non-finite activation after layer {i}")
     return a, caches

@@ -43,6 +43,22 @@ def vos_reference(queue, n_per_class, n_candidates, rng):
     return np.vstack(kept_blocks), np.concatenate(kept_ids)
 
 
+def mahalanobis_reference(model, queries):
+    """scoring.mahalanobis_score before the rows moved into the einsum's inner loop.
+
+    One row-major ``np.einsum("ij,jk,ik->i")`` per class over freshly
+    centered queries, then the min over classes.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    per_class = np.empty((queries.shape[0], model.means.shape[0]))
+    for cid, mean in enumerate(model.means):
+        centered = queries - mean
+        per_class[:, cid] = np.einsum(
+            "ij,jk,ik->i", centered, model.precision, centered
+        )
+    return per_class.min(axis=1)
+
+
 def finite_difference_gradients(net, x, loss_kind, targets, step=1e-4):
     """Central-difference gradient of the batch loss wrt every parameter."""
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,63 @@ class TestForward:
             nn.dense_net([4], np.random.default_rng(0))
         with pytest.raises(InputError):
             nn.dense_net([4, 0, 2], np.random.default_rng(0))
+
+
+class TestForwardInPlace:
+    """forward writes bias and relu into each layer's own product."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+        rows=st.integers(1, 300),
+        final=st.sampled_from(nn.ACTIVATIONS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_fresh_arrays(self, dims, rows, final, seed):
+        rng = np.random.default_rng(seed)
+        net = nn.dense_net(dims, rng, final)
+        for layer in net.layers:
+            layer.bias[:] = rng.normal(size=layer.fan_out)
+        x = rng.normal(size=(rows, dims[0]))
+        before = x.copy()
+        out = nn.forward(net, x)
+        a = x
+        for layer in net.layers:
+            z = a @ layer.weights
+            z += layer.bias
+            a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        assert out.shape == a.shape
+        assert out.tobytes() == a.tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_inf_weight_names_the_layer(self):
+        net = nn.dense_net([4, 8, 8, 2], np.random.default_rng(2))
+        net.layers[1].weights[0, 0] = np.inf
+        with pytest.raises(NumericalFailure, match="layer 1"):
+            nn.forward(net, np.ones((3, 4)))
+
+    def test_unknown_activation_rejected(self):
+        net = nn.DenseNet([nn.Layer(np.eye(2), np.zeros(2), "tanh")])
+        with pytest.raises(InputError, match="tanh"):
+            nn.forward(net, np.ones((1, 2)))
+        with pytest.raises(InputError, match="tanh"):
+            nn.forward_cached(net, np.ones((1, 2)))
+
+    def test_two_activation_blocks_are_alive_at_a_time(self):
+        # a layer's product, bias and relu share one block, so only the
+        # layer's input and output are alive
+        rows = 20_000
+        rng = np.random.default_rng(3)
+        net = nn.dense_net([64, 128, 128, 1], rng)
+        x = rng.normal(size=(rows, 64))
+        tracemalloc.start()
+        try:
+            nn.forward(net, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * rows * 128 * 8 + rows * 8
 
 
 class TestLosses:

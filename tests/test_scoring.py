@@ -1,11 +1,15 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsvos import scoring
 from lsvos.errors import InputError
 from lsvos.scoring import ScoreSet, Threshold
+from oracles import mahalanobis_reference
 
 
 class TestScoreSet:
@@ -100,6 +104,117 @@ class TestMahalanobis:
             scoring.fit_gaussian_model(np.ones((2, 2)), np.array([0, 1]), 2)
         with pytest.raises(InputError):
             scoring.fit_gaussian_model(np.ones((5, 2)), np.zeros(5, dtype=int), 2)
+
+
+def _random_model(rng, dim, k, integer=False):
+    """Class means plus a well-conditioned shared covariance, fitted to nothing."""
+    a = rng.normal(size=(dim, dim))
+    cov = a @ a.T / dim + np.eye(dim)
+    if integer:
+        means = rng.integers(-2, 3, size=(k, dim)).astype(np.float64)
+    else:
+        means = rng.normal(size=(k, dim))
+    return scoring.GaussianModel(means, cov, np.linalg.inv(cov), np.linalg.cholesky(cov))
+
+
+def _random_queries(rng, model, n, integer=False):
+    """Rows with repeated values and a query on a class mean (distance 0)."""
+    dim = model.means.shape[1]
+    if integer:
+        queries = rng.integers(-3, 4, size=(n, dim)).astype(np.float64)
+    else:
+        queries = rng.normal(size=(n, dim))
+    if n:
+        queries[rng.integers(n)] = model.means[rng.integers(len(model.means))]
+    if n > 2:
+        queries[-1] = queries[0]
+    return queries
+
+
+def _assert_matches_reference(model, queries):
+    scores = scoring.mahalanobis_score(model, queries)
+    reference = mahalanobis_reference(model, queries)
+    assert scores.shape == reference.shape == (queries.shape[0],)
+    # tobytes compares sign bits too
+    assert scores.tobytes() == reference.tobytes()
+
+
+class TestMahalanobisRowsInner:
+    """The rows-inner einsum against the row-major einsum loop it replaced."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(0, 3000) | st.sampled_from([1, 2, 1025, 2049]),
+        dim=st.integers(1, 200) | st.sampled_from([90, 91, 128]),
+        k=st.integers(1, 4),
+        integer=st.booleans(),
+        column_major=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_the_row_major_loop(
+        self, n, dim, k, integer, column_major, seed
+    ):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, dim, k, integer)
+        queries = _random_queries(rng, model, n, integer)
+        if column_major:
+            queries = np.asfortranarray(queries)
+        _assert_matches_reference(model, queries)
+
+    @pytest.mark.parametrize(
+        "n, dim, k, column_major",
+        [
+            (20_000, 64, 3, False),  # the eval-large shape
+            (3000, 128, 2, False),  # P restarts every 64 rows
+            (1, 200, 2, False),
+            (1025, 91, 2, True),  # column-major rows never restart
+        ],
+    )
+    def test_fixed_shapes(self, n, dim, k, column_major):
+        rng = np.random.default_rng(n + dim)
+        model = _random_model(rng, dim, k)
+        queries = _random_queries(rng, model, n)
+        if column_major:
+            queries = np.asfortranarray(queries)
+        _assert_matches_reference(model, queries)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1025, 2049])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_few_and_lone_rows_over_many_draws(self, n, dim):
+        # at D = 2 one row, or each of two, sums pairwise and rows among
+        # more sum in flat order; a third of random draws tell them apart
+        rng = np.random.default_rng(n * dim)
+        for _ in range(20):
+            model = _random_model(rng, dim, 2)
+            _assert_matches_reference(model, rng.normal(size=(n, dim)))
+
+    def test_strided_views_match(self):
+        rng = np.random.default_rng(5)
+        model = _random_model(rng, 100, 2)
+        base = rng.normal(size=(600, 220))
+        for queries in (
+            base[:300:2, 7:107],
+            base[::-1, :100],
+            np.asfortranarray(base)[:300, 20:120],
+            np.asfortranarray(base)[::-3, 1::2][:, :100],
+            np.broadcast_to(base[0, :100], (300, 100)),
+            np.broadcast_to(base[:300, :1], (300, 100)),
+        ):
+            _assert_matches_reference(model, queries)
+
+    def test_no_centered_copy_of_every_query_is_kept(self):
+        # at most one centered (D, N) block plus the per-class scores
+        n, dim, k = 20_000, 64, 3
+        rng = np.random.default_rng(6)
+        model = _random_model(rng, dim, k)
+        queries = rng.normal(size=(n, dim))
+        tracemalloc.start()
+        try:
+            scoring.mahalanobis_score(model, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (dim + k + 1)
 
 
 class TestCalibration:
