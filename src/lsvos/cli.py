@@ -97,7 +97,10 @@ def cmd_evaluate(args) -> int:
     methods = apply_overrides(ExperimentConfig(), {"methods": args.methods}).methods
     bundle = ModelBundle.load(args.checkpoint)
     train, val = load_feature_dir(args.data)
-    report = build_report(evaluate_bundle(bundle, train, val, methods), "recomputed", 0)
+    score_sets = evaluate_bundle(bundle, train, val, methods)
+    # the datasets are dead once scored; build_report's sweeps need the room
+    del train, val
+    report = build_report(score_sets, "recomputed", 0)
     print(render_table(report))
     return 0
 

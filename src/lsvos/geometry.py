@@ -90,17 +90,9 @@ def clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     against itself returns its own vertices.
     """
 
-    def inside(p, a, b):
-        # left of (or on) the directed edge a -> b
-        return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= 0.0
-
-    def intersect(a, b, s, e):
-        dc = (a[0] - b[0], a[1] - b[1])
-        dp = (s[0] - e[0], s[1] - e[1])
-        n1 = a[0] * b[1] - a[1] * b[0]
-        n2 = s[0] * e[1] - s[1] * e[0]
-        det = dc[0] * dp[1] - dc[1] * dp[0]
-        return ((n1 * dp[0] - n2 * dc[0]) / det, (n1 * dp[1] - n2 * dc[1]) / det)
+    def side(p, a, b):
+        # > 0 left of the directed edge a -> b, 0 on it
+        return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
 
     output = [tuple(p) for p in subject]
     a = tuple(clip[-1])
@@ -111,14 +103,18 @@ def clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
         vertices = output
         output = []
         s = vertices[-1]
+        side_s = side(s, a, b)
         for e in vertices:
-            if inside(e, a, b):
-                if not inside(s, a, b):
-                    output.append(intersect(a, b, s, e))
+            side_e = side(e, a, b)
+            if (side_e >= 0.0) != (side_s >= 0.0):
+                # the crossing, interpolated from the same side values that
+                # put s and e on opposite sides: never a division by zero, and
+                # it stays on s-e even when s-e runs along the clip edge
+                t = side_s / (side_s - side_e)
+                output.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
+            if side_e >= 0.0:
                 output.append(e)
-            elif inside(s, a, b):
-                output.append(intersect(a, b, s, e))
-            s = e
+            s, side_s = e, side_e
         a = b
     return np.array(output).reshape(-1, 2)
 
@@ -139,9 +135,11 @@ def intersection_area_bev(a: Box3D, b: Box3D) -> float:
 def iou_bev(a: Box3D, b: Box3D) -> float:
     """Footprint IoU of two yaw-rotated boxes, in [0, 1]."""
     _check_boxes(a, b)
-    inter = intersection_area_bev(a, b)
     area_a = shoelace_area(a.footprint())
     area_b = shoelace_area(b.footprint())
+    # rounding can put the overlap an ulp above the smaller area, and the
+    # IoU above 1
+    inter = min(intersection_area_bev(a, b), area_a, area_b)
     union = area_a + area_b - inter
     return inter / union
 
@@ -154,9 +152,10 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     overlap_z = min(hi_a, hi_b) - max(lo_a, lo_b)
     if overlap_z <= 0.0:
         return 0.0
-    inter = intersection_area_bev(a, b) * overlap_z
     vol_a = shoelace_area(a.footprint()) * a.size[2]
     vol_b = shoelace_area(b.footprint()) * b.size[2]
+    # as in iou_bev: the overlap never exceeds the smaller volume
+    inter = min(intersection_area_bev(a, b) * overlap_z, vol_a, vol_b)
     return inter / (vol_a + vol_b - inter)
 
 

@@ -37,6 +37,15 @@ ACTIVATIONS = ("identity", "relu")
 CHECKPOINT_MAGIC = b"VOSC"
 CHECKPOINT_VERSION = 1
 
+# Matrix products below this many multiply-adds may leave BLAS's blocked
+# kernel and round a row differently: numpy sends a single row to gemv, and
+# OpenBLAS 0.3.31 on AVX-512 x86-64 sends products of at most 1,200 outputs
+# with an inner size of 32 or more to a small-matrix kernel
+BLOCKED_GEMM_MACS = 100**3
+
+# forward runs a batch of at least twice this many rows in row blocks
+FORWARD_BLOCK_ROWS = 8192
+
 
 @dataclass
 class Layer:
@@ -155,19 +164,82 @@ def _check_batch(net: DenseNet, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_activation(a: np.ndarray, index: int) -> None:
+    if not np.all(np.isfinite(a)):
+        raise NumericalFailure(f"non-finite activation after layer {index}")
+
+
+def _layer_forward(a: np.ndarray, layer: Layer, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ W + b and the layer's activation, written into out (fresh when None)."""
+    z = np.matmul(a, layer.weights, out=out)
+    z += layer.bias
+    return _apply_activation(z, layer.activation, z)
+
+
+def _block_rows(net: DenseNet) -> int:
+    """Rows per inference block: FORWARD_BLOCK_ROWS, or more for a net so
+    narrow that some layer's product over a block would not exceed
+    BLOCKED_GEMM_MACS.
+
+    Always a multiple of 64, so that block edges fall on the row groups the
+    BLAS kernels use in one pass: OpenBLAS's gemv (a single-output layer)
+    takes rows in fours and rounds left-over rows differently, and 8,193-row
+    blocks changed their last bits.
+    """
+    narrowest = min(layer.fan_in * layer.fan_out for layer in net.layers)
+    rows = max(FORWARD_BLOCK_ROWS, BLOCKED_GEMM_MACS // narrowest + 1)
+    return -(-rows // 64) * 64
+
+
+def _forward_blocks(net: DenseNet, x: np.ndarray, block_rows: int) -> np.ndarray:
+    """forward over blocks of block_rows rows, the last block taking the
+    tail, written into one (N, D_out) output.
+
+    Hidden activations alternate between two buffers sized for the largest
+    (last) block.  A layer's rows do not depend on the rows beside them in
+    the blocked GEMM kernel, so the output has the bits of one pass.  A
+    non-finite activation names the first failing layer of the first
+    failing block.
+    """
+    n = x.shape[0]
+    n_blocks = n // block_rows
+    most_rows = n - (n_blocks - 1) * block_rows
+    width = max((layer.fan_out for layer in net.layers[:-1]), default=0)
+    buffers = (np.empty(most_rows * width), np.empty(most_rows * width))
+    out = np.empty((n, net.output_dim))
+    last = len(net.layers) - 1
+    for k in range(n_blocks):
+        start = k * block_rows
+        stop = n if k == n_blocks - 1 else start + block_rows
+        a = x[start:stop]
+        for i, layer in enumerate(net.layers):
+            if i == last:
+                dest = out[start:stop]
+            else:
+                size = (stop - start) * layer.fan_out
+                dest = buffers[i % 2][:size].reshape(stop - start, layer.fan_out)
+            a = _layer_forward(a, layer, dest)
+            _check_activation(a, i)
+    return out
+
+
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Run the net on a (B, D_in) batch, returning (B, D_out).
 
-    Each layer's bias and relu are written into its ``a @ W`` product, so
-    at most two activation blocks are alive at a time and x is not written.
+    Each layer's bias and relu are written into its ``a @ W`` product, and
+    x is not written.  A batch of fewer than twice _block_rows(net) rows
+    runs in one pass, with at most two activations of the whole batch
+    alive at a time; a larger one runs in row blocks (_forward_blocks), so
+    its memory does not grow with the batch beyond the input and output.
     """
     a = _check_batch(net, x)
+    block_rows = _block_rows(net)
+    if a.shape[0] >= 2 * block_rows:
+        return _forward_blocks(net, a, block_rows)
     for i, layer in enumerate(net.layers):
-        a = a @ layer.weights
-        a += layer.bias
-        a = _apply_activation(a, layer.activation, a)
-        if not np.all(np.isfinite(a)):
-            raise NumericalFailure(f"non-finite activation after layer {i}")
+        # rebinding a frees the layer's input before the check's temporary
+        a = _layer_forward(a, layer)
+        _check_activation(a, i)
     return a
 
 
@@ -187,8 +259,7 @@ def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None):
         # backward reads z, so a relu output needs a block of its own
         out = ws.take(z.shape) if layer.activation == "relu" else z
         a = _apply_activation(z, layer.activation, out)
-        if not np.all(np.isfinite(a)):
-            raise NumericalFailure(f"non-finite activation after layer {i}")
+        _check_activation(a, i)
     return a, caches
 
 

@@ -523,11 +523,16 @@ def evaluate_bundle(bundle: ModelBundle, train_ds, val_ds, methods) -> dict[str,
                 f"{bundle.num_classes} classes; the data has {ds.dim}-dim "
                 f"features of {ds.num_classes} classes"
             )
-    val_id, val_id_cls = val_ds.select(Label.ID)
-    val_fp, _ = val_ds.select(Label.FP)
-    if len(val_id) == 0 or len(val_fp) == 0:
+    labels = val_ds.records["label"]
+    id_idx = np.flatnonzero(labels == Label.ID)
+    fp_idx = np.flatnonzero(labels == Label.FP)
+    if len(id_idx) == 0 or len(fp_idx) == 0:
         raise InputError("evaluation needs both ID and FP rows in the val split")
-    rows = np.vstack([val_id, val_fp])
+    # one gather, the ID rows then the FP rows, each in file order; the ID
+    # rows are a view of it
+    rows = val_ds.records["vec"][np.concatenate([id_idx, fp_idx])]
+    val_id = rows[: len(id_idx)]
+    val_id_cls = val_ds.records["class_id"][id_idx].astype(np.int64)
     is_ood = np.zeros(len(rows), dtype=bool)
     is_ood[len(val_id) :] = True
     score_sets: dict[str, ScoreSet] = {}

@@ -98,13 +98,6 @@ def lsvos_synthesize(
     return SynthBatch(nn.forward(bundle.decoder, z_star), class_ids=class_ids)
 
 
-# Matrix products below this many multiply-adds may leave BLAS's blocked
-# kernel and round a row differently: numpy sends a single row to gemv, and
-# OpenBLAS 0.3.31 on AVX-512 x86-64 sends products of at most 1,200 outputs
-# with an inner size of 32 or more to a small-matrix kernel
-_BLOCKED_GEMM_MACS = 100**3
-
-
 def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n largest keys, largest first, ties in index order.
 
@@ -161,7 +154,7 @@ def vos_synthesize(
     # product's bits.  Rows are mapped in drawn order: mapping all of them is
     # that very product.
     n_map = min(
-        n_candidates, max(n_per_class, 2, math.ceil(_BLOCKED_GEMM_MACS / dim**2))
+        n_candidates, max(n_per_class, 2, math.ceil(nn.BLOCKED_GEMM_MACS / dim**2))
     )
     z = np.empty((n_candidates, dim))
     vectors = np.empty((queue.num_classes * n_per_class, dim))

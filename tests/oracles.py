@@ -9,6 +9,7 @@ package under test.
 import numpy as np
 
 from lsvos import nn
+from lsvos.errors import NumericalFailure
 from lsvos.scoring import fit_gaussian_model
 
 
@@ -57,6 +58,23 @@ def mahalanobis_reference(model, queries):
             "ij,jk,ik->i", centered, model.precision, centered
         )
     return per_class.min(axis=1)
+
+
+def forward_reference(net, x):
+    """nn.forward before it ran large batches in row blocks.
+
+    One pass over the whole batch per layer: ``a @ W``, the bias and relu
+    written into it, and a finiteness check naming the layer.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    for i, layer in enumerate(net.layers):
+        a = a @ layer.weights
+        a += layer.bias
+        if layer.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+        if not np.all(np.isfinite(a)):
+            raise NumericalFailure(f"non-finite activation after layer {i}")
+    return a
 
 
 def finite_difference_gradients(net, x, loss_kind, targets, step=1e-4):

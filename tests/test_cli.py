@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from lsvos import cli, nn
 from lsvos.cli import main
 from lsvos.datagen import generate_features
 from lsvos.features import save_features
+from lsvos.models import ModelBundle
 from lsvos.pipeline import ExperimentConfig, format_config, generator_spec, load_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -253,6 +255,41 @@ class TestEvaluateAndReport:
         code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(run_dir)])
         assert code == 1
         assert "UTF-8" in capsys.readouterr().err
+
+    def test_multi_block_evaluate_report_is_pinned(self, tmp_path, monkeypatch):
+        # 19,000 ID + 6,000 FP val rows: nn.forward runs every scorer's net
+        # over at least three 8,192-row blocks (its rows; the classifier's
+        # ECE pass over the ID rows alone takes two).  Recorded with numpy
+        # 2.4 and OpenBLAS 0.3.31, 1 thread, when nn.forward ran every
+        # batch in one pass.
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(
+            micro_config_text(
+                data_dim=16,
+                model_uncertainty_hidden=(128,),
+                model_classifier_hidden=(64,),
+            )
+        )
+        run, data = tmp_path / "run", tmp_path / "data"
+        assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+        big_val = ["--set", "data.n_id_val=19000", "--set", "data.n_fp_val=6000"]
+        assert main(["generate", "--config", str(cfg_path), "--out", str(data), *big_val]) == 0
+        captured = []
+
+        def recording_build_report(*args, _build=cli.build_report, **kwargs):
+            captured.append(_build(*args, **kwargs))
+            return captured[-1]
+
+        monkeypatch.setattr(cli, "build_report", recording_build_report)
+        argv = ["evaluate", "--checkpoint", str(run / "model.ckpt"), "--data", str(data)]
+        assert main(argv) == 0
+        (report,) = captured
+        assert (report.n_id, report.n_ood) == (19000, 6000)
+        bundle = ModelBundle.load(run / "model.ckpt")
+        for net in (bundle.uncertainty, bundle.classifier):
+            assert 3 * nn._block_rows(net) <= 25000 and 2 * nn._block_rows(net) <= 19000
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        assert digest == "bd298a35f3ea901422132abacc2c6b36dbfdbbdb23ee851536f8fe8ae803c450"
 
     def test_evaluate_needs_a_source(self, capsys):
         assert main(["evaluate"]) == 1

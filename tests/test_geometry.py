@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsvos import geometry
 from lsvos.errors import InputError
@@ -17,6 +19,31 @@ def _random_box(rng, spread=2.0):
         size=tuple(rng.uniform(0.5, 3.0, size=3)),
         yaw=rng.uniform(-np.pi, np.pi),
     )
+
+
+_coord = st.floats(-5.0, 5.0, allow_nan=False)
+_extent = st.floats(0.05, 5.0, allow_nan=False)
+_boxes = st.builds(
+    Box3D,
+    center=st.tuples(_coord, _coord, _coord),
+    size=st.tuples(_extent, _extent, _extent),
+    yaw=st.floats(-math.pi, math.pi, allow_nan=False),
+)
+
+
+@st.composite
+def _box_pairs(draw):
+    """Two independent boxes, or a box and a copy with some fields redrawn,
+    so that shared edges, nesting and equal extents come up often."""
+    a = draw(_boxes)
+    b = draw(_boxes)
+    if draw(st.booleans()):
+        b = Box3D(
+            center=b.center if draw(st.booleans()) else a.center,
+            size=b.size if draw(st.booleans()) else a.size,
+            yaw=b.yaw if draw(st.booleans()) else a.yaw,
+        )
+    return a, b
 
 
 def _as_tuple(box):
@@ -131,6 +158,24 @@ class TestIou3d:
             assert geometry.iou_3d(a, b) == pytest.approx(
                 geometry.iou_bev(a, b), abs=1e-12
             )
+
+    @pytest.mark.parametrize("width, want", [(0.25, 0.25), (2.0, 0.5), (3.0, 1.0 / 3.0)])
+    def test_rotated_boxes_sharing_edges(self, width, want):
+        # footprint edges that lie along each other, off the axes: the clip
+        # once returned NaN or a wrong area here (0.155 for 0.25)
+        a = Box3D((0, 0, 0), (1, 1, 1), yaw=1.0)
+        b = Box3D((0, 0, 0), (1, width, 1), yaw=1.0)
+        assert geometry.iou_3d(a, b) == pytest.approx(want, abs=1e-12)
+        assert geometry.iou_3d(b, a) == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pair=_box_pairs())
+    def test_symmetric_and_in_unit_interval(self, pair):
+        a, b = pair
+        forward, backward = geometry.iou_3d(a, b), geometry.iou_3d(b, a)
+        assert 0.0 <= forward <= 1.0
+        assert 0.0 <= backward <= 1.0
+        assert forward == pytest.approx(backward, abs=1e-9)
 
     def test_matches_monte_carlo_oracle(self):
         rng = np.random.default_rng(5)

@@ -104,8 +104,8 @@ class TestForwardInPlace:
 
     def test_two_activation_blocks_are_alive_at_a_time(self):
         # a layer's product, bias and relu share one block, so only the
-        # layer's input and output are alive
-        rows = 20_000
+        # layer's input and output are alive (16,000 rows run in one pass)
+        rows = 16_000
         rng = np.random.default_rng(3)
         net = nn.dense_net([64, 128, 128, 1], rng)
         x = rng.normal(size=(rows, 64))
@@ -116,6 +116,105 @@ class TestForwardInPlace:
         finally:
             tracemalloc.stop()
         assert peak < 2 * rows * 128 * 8 + rows * 8
+
+
+def _biased_net(dims, rng, final="identity"):
+    net = nn.dense_net(dims, rng, final)
+    for layer in net.layers:
+        layer.bias[:] = rng.normal(size=layer.fan_out)
+    return net
+
+
+def _block_sizes(b):
+    # one pass, the smallest blocked batches, and a tail merged into the last block
+    return (b - 1, 2 * b - 1, 2 * b, 2 * b + 1, 3 * b + 17)
+
+
+class TestForwardBlocks:
+    """A batch of at least two blocks runs in row blocks with one pass's bits."""
+
+    def _assert_matches_one_pass(self, net, x):
+        before = x.copy()
+        out = nn.forward(net, x)
+        ref = oracles.forward_reference(net, x)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        d_in=st.integers(3, 40),
+        # at least 40 multiply-adds per row in every layer: blocks of at
+        # most 25,024 rows keep the batches small
+        hidden=st.lists(st.integers(40, 64), min_size=1, max_size=2),
+        d_out=st.integers(1, 4),
+        final=st.sampled_from(nn.ACTIVATIONS),
+        which=st.integers(0, 4),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_one_pass(self, d_in, hidden, d_out, final, which, order, seed):
+        rng = np.random.default_rng(seed)
+        net = _biased_net([d_in, *hidden, d_out], rng, final)
+        rows = _block_sizes(nn._block_rows(net))[which]
+        x = np.asarray(rng.normal(size=(rows, d_in)), order=order)
+        self._assert_matches_one_pass(net, x)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            [64, 128, 128, 1],  # the desk preset's uncertainty head
+            [64, 64, 3],  # the desk preset's classifier
+            [4, 30, 4],  # fan_in * fan_out = 120: blocks of more than 8,192 rows
+            [64, 2],  # one layer, no hidden buffers
+        ],
+    )
+    def test_fixed_shapes(self, dims):
+        rng = np.random.default_rng(11)
+        net = _biased_net(dims, rng)
+        b = nn._block_rows(net)
+        for rows in _block_sizes(b):
+            self._assert_matches_one_pass(net, rng.normal(size=(rows, dims[0])))
+
+    def test_block_rule(self):
+        rng = np.random.default_rng(0)
+        assert nn._block_rows(nn.dense_net([64, 128, 128, 1], rng)) == nn.FORWARD_BLOCK_ROWS
+        # 122 multiply-adds a row: 8,192 rows stay below the blocked kernel
+        narrow = nn._block_rows(nn.dense_net([2, 61, 2], rng))
+        assert narrow > nn.FORWARD_BLOCK_ROWS and narrow % 64 == 0
+        assert narrow * 122 > nn.BLOCKED_GEMM_MACS
+        assert (narrow - 64) * 122 <= nn.BLOCKED_GEMM_MACS
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_in_the_last_block_names_the_layer(self):
+        rng = np.random.default_rng(4)
+        net = _biased_net([64, 128, 128, 1], rng)
+        net.layers[1].weights *= 1e150
+        b = nn._block_rows(net)
+        x = rng.normal(size=(3 * b + 17, 64))
+        # layer 1 overflows only on the rows of the last block
+        x[-100:] *= 1e160
+        with pytest.raises(NumericalFailure, match="after layer 1$"):
+            oracles.forward_reference(net, x)
+        with pytest.raises(NumericalFailure, match="after layer 1$"):
+            nn.forward(net, x)
+        assert np.all(np.isfinite(oracles.forward_reference(net, x[: 2 * b])))
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 4 blocks of a 64-128-128-1 net: one pass peaked at two (N, 128)
+        # activations, the blocks at 0.54 of one
+        b = nn.FORWARD_BLOCK_ROWS
+        rows = 4 * b
+        rng = np.random.default_rng(3)
+        net = nn.dense_net([64, 128, 128, 1], rng)
+        x = rng.normal(size=(rows, 64))
+        tracemalloc.start()
+        try:
+            nn.forward(net, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * rows * 128 * 8
 
 
 class TestLosses:
