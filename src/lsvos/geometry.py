@@ -5,7 +5,10 @@ the vertical axis.  BEV IoU intersects the two yaw-rotated footprint
 rectangles by Sutherland-Hodgman polygon clipping and measures areas with
 the shoelace formula; the 3D IoU multiplies the footprint intersection by
 the vertical overlap length.  Footprint areas are themselves computed by
-shoelace on the corner polygons so that iou(a, a) is exactly 1.
+shoelace on the corner polygons so that iou(a, a) is exactly 1.  Both
+boxes are placed about the midpoint of their centres, so small boxes far
+from the world origin keep their digits and iou(a, b) and iou(b, a)
+agree to rounding.
 """
 
 from __future__ import annotations
@@ -46,17 +49,19 @@ class Box3D:
             raise InputError(f"box sizes must be strictly positive, got {self.size}")
         self.yaw = normalize_yaw(self.yaw)
 
-    def footprint(self) -> np.ndarray:
-        """Counter-clockwise footprint corners, shape (4, 2)."""
+    def footprint(self, origin=(0.0, 0.0)) -> np.ndarray:
+        """Counter-clockwise footprint corners relative to origin, shape (4, 2)."""
         dx, dy = self.size[0] / 2.0, self.size[1] / 2.0
         local = np.array([[dx, dy], [-dx, dy], [-dx, -dy], [dx, -dy]])
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.array(self.center[:2])
+        return local @ rot.T + (np.array(self.center[:2]) - origin)
 
-    def z_interval(self) -> tuple[float, float]:
+    def z_interval(self, origin: float = 0.0) -> tuple[float, float]:
+        """Bottom and top z relative to origin."""
         half = self.size[2] / 2.0
-        return self.center[2] - half, self.center[2] + half
+        z = self.center[2] - origin
+        return z - half, z + half
 
     def volume(self) -> float:
         return self.size[0] * self.size[1] * self.size[2]
@@ -125,21 +130,27 @@ def _check_boxes(*boxes: Box3D) -> None:
             raise InputError("degenerate box: zero or negative extent")
 
 
-def intersection_area_bev(a: Box3D, b: Box3D) -> float:
-    region = clip_polygon(a.footprint(), b.footprint())
-    if len(region) < 3:
-        return 0.0
-    return shoelace_area(region)
+def _footprint_areas(a: Box3D, b: Box3D) -> tuple[float, float, float]:
+    """Areas of a's footprint, b's footprint and their overlap.
+
+    The footprints are taken about the midpoint of the two centres, which
+    is the same origin for (a, b) and (b, a), so each box gets the same
+    corners in either order.
+    """
+    origin = (np.array(a.center[:2]) + np.array(b.center[:2])) / 2.0
+    foot_a, foot_b = a.footprint(origin), b.footprint(origin)
+    region = clip_polygon(foot_a, foot_b)
+    inter = shoelace_area(region) if len(region) >= 3 else 0.0
+    return shoelace_area(foot_a), shoelace_area(foot_b), inter
 
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
     """Footprint IoU of two yaw-rotated boxes, in [0, 1]."""
     _check_boxes(a, b)
-    area_a = shoelace_area(a.footprint())
-    area_b = shoelace_area(b.footprint())
+    area_a, area_b, inter = _footprint_areas(a, b)
     # rounding can put the overlap an ulp above the smaller area, and the
     # IoU above 1
-    inter = min(intersection_area_bev(a, b), area_a, area_b)
+    inter = min(inter, area_a, area_b)
     union = area_a + area_b - inter
     return inter / union
 
@@ -147,15 +158,18 @@ def iou_bev(a: Box3D, b: Box3D) -> float:
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volume IoU: BEV intersection times vertical overlap, over union."""
     _check_boxes(a, b)
-    lo_a, hi_a = a.z_interval()
-    lo_b, hi_b = b.z_interval()
+    # about the midpoint, as the footprints: a box's own height then comes
+    # back exactly, and iou_3d(a, a) is 1
+    mid_z = (a.center[2] + b.center[2]) / 2.0
+    lo_a, hi_a = a.z_interval(mid_z)
+    lo_b, hi_b = b.z_interval(mid_z)
     overlap_z = min(hi_a, hi_b) - max(lo_a, lo_b)
     if overlap_z <= 0.0:
         return 0.0
-    vol_a = shoelace_area(a.footprint()) * a.size[2]
-    vol_b = shoelace_area(b.footprint()) * b.size[2]
+    area_a, area_b, inter = _footprint_areas(a, b)
+    vol_a, vol_b = area_a * a.size[2], area_b * b.size[2]
     # as in iou_bev: the overlap never exceeds the smaller volume
-    inter = min(intersection_area_bev(a, b) * overlap_z, vol_a, vol_b)
+    inter = min(inter * overlap_z, vol_a, vol_b)
     return inter / (vol_a + vol_b - inter)
 
 

@@ -560,6 +560,11 @@ def load_checkpoint(path) -> dict[str, DenseNet]:
             fan_in, fan_out, act_code = reader.unpack("<IIB")
             if act_code not in _ACT_NAME:
                 raise InputError(f"unknown activation code {act_code}")
+            if fan_in == 0 or fan_out == 0:
+                raise InputError(
+                    f"net {name!r} layer {i} is {fan_in} -> {fan_out}: "
+                    "a layer needs at least one input and one output"
+                )
             if layers and layers[-1].fan_out != fan_in:
                 raise InputError(
                     f"net {name!r} layer {i} takes {fan_in} inputs but layer "

@@ -13,6 +13,8 @@ scores at the target acceptance rate.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -107,6 +109,39 @@ _EINSUM_BUFFER = 8192
 # query rows centered at a time: a (D, 1024) block stays in cache while
 # the einsum sweeps it once per (j, k) pair
 _ROW_BLOCK = 1024
+# fewest row blocks worth a thread of their own
+_BLOCKS_PER_THREAD = 8
+
+
+def _score_threads(n: int) -> int:
+    """Threads scoring n query rows: one per usable CPU, each with at
+    least _BLOCKS_PER_THREAD row blocks, and never fewer than one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n // (_BLOCKS_PER_THREAD * _ROW_BLOCK)))
+
+
+def _score_blocks(spans, queries, model, p_rows, per_class, centered, partial):
+    """Fill per_class[:, r0:r1] for every (r0, r1) taken from spans.
+
+    Runs only np.subtract, np.einsum and an in-place add, which release
+    the GIL, and writes only the columns of the spans it takes, so
+    several threads can share one spans iterator.
+    """
+    dim = queries.shape[1]
+    for r0, r1 in spans:
+        c = centered[: dim * (r1 - r0)].reshape(dim, r1 - r0)
+        for cid, mean in enumerate(model.means):
+            np.subtract(queries[r0:r1].T, mean[:, None], out=c)
+            out = per_class[cid, r0:r1]
+            for j0 in range(0, dim, p_rows):
+                j1 = j0 + p_rows
+                dest = out if j0 == 0 else partial[: r1 - r0]
+                np.einsum("ji,jk,ki->i", c[j0:j1], model.precision[j0:j1], c, out=dest)
+                if j0:
+                    out += dest
 
 
 def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
@@ -128,6 +163,10 @@ def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
     row-major einsum for N <= 2 but not for more rows.  So row-major
     queries of N <= 2 run row by row, and no other block holds a lone row.
     Checked bitwise with numpy 2.4 for D up to 512; D > 8192 is unverified.
+
+    Large inputs spread their blocks over _score_threads(N) threads, the
+    calling thread among them, each with its own buffers.  A block's sums
+    do not depend on which thread runs it, so neither do the scores.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != model.means.shape[1]:
@@ -143,20 +182,34 @@ def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
         starts = list(range(0, n, _ROW_BLOCK))
         if n - starts[-1] == 1:
             starts.pop()
+    # each span goes to one thread: a list iterator's next() holds the GIL
+    spans = iter(list(zip(starts, starts[1:] + [n])))
     width = min(n, _ROW_BLOCK + 1)
-    centered, partial = np.empty(dim * width), np.empty(width)
     per_class = np.empty((model.means.shape[0], n))
-    for r0, r1 in zip(starts, starts[1:] + [n]):
-        c = centered[: dim * (r1 - r0)].reshape(dim, r1 - r0)
-        for cid, mean in enumerate(model.means):
-            np.subtract(queries[r0:r1].T, mean[:, None], out=c)
-            out = per_class[cid, r0:r1]
-            for j0 in range(0, dim, p_rows):
-                j1 = j0 + p_rows
-                dest = out if j0 == 0 else partial[: r1 - r0]
-                np.einsum("ji,jk,ki->i", c[j0:j1], model.precision[j0:j1], c, out=dest)
-                if j0:
-                    out += dest
+    buffers = [
+        (np.empty(dim * width), np.empty(width)) for _ in range(_score_threads(n))
+    ]
+    args = (spans, queries, model, p_rows, per_class)
+    failures = []
+
+    def score_in_helper(centered, partial):
+        try:
+            _score_blocks(*args, centered, partial)
+        except BaseException as exc:  # raised again in the calling thread
+            failures.append(exc)
+
+    helpers = []
+    try:
+        for centered, partial in buffers[1:]:
+            helper = threading.Thread(target=score_in_helper, args=(centered, partial))
+            helper.start()
+            helpers.append(helper)
+        _score_blocks(*args, *buffers[0])
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
     return per_class.min(axis=0)
 
 

@@ -256,6 +256,21 @@ class TestEvaluateAndReport:
         assert code == 1
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_evaluate_rejects_a_checkpoint_with_a_zero_width_layer(self, run_dir, capsys):
+        # the head's last layer saved with no outputs
+        ckpt = run_dir / "model.ckpt"
+        nets = nn.load_checkpoint(ckpt)
+        last = nets["uncertainty"].layers[-1]
+        last.weights, last.bias = last.weights[:, :0], last.bias[:0]
+        nn.save_checkpoint(ckpt, nets)
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(run_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        layer = len(nets["uncertainty"].layers) - 1
+        assert f"error: net 'uncertainty' layer {layer} is" in err
+        assert "Traceback" not in err
+
     def test_multi_block_evaluate_report_is_pinned(self, tmp_path, monkeypatch):
         # 19,000 ID + 6,000 FP val rows: nn.forward runs every scorer's net
         # over at least three 8,192-row blocks (its rows; the classifier's

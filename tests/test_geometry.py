@@ -175,7 +175,20 @@ class TestIou3d:
         forward, backward = geometry.iou_3d(a, b), geometry.iou_3d(b, a)
         assert 0.0 <= forward <= 1.0
         assert 0.0 <= backward <= 1.0
-        assert forward == pytest.approx(backward, abs=1e-9)
+        assert forward == pytest.approx(backward, abs=1e-12)
+
+    def test_small_boxes_far_from_the_origin_stay_symmetric(self):
+        # in world coordinates the two clip orders differed by 1.2e-12 here
+        a = Box3D((2.0, 2.75, 0.5), (0.05, 0.094, 1.0), yaw=0.0)
+        b = Box3D((2.0, 2.75, 0.5), (0.05, 0.094, 1.0), yaw=0.25)
+        assert geometry.iou_bev(a, b) == pytest.approx(geometry.iou_bev(b, a), abs=1e-14)
+        assert geometry.iou_3d(a, b) == pytest.approx(geometry.iou_3d(b, a), abs=1e-14)
+        assert geometry.iou_bev(a, a) == geometry.iou_3d(b, b) == 1.0
+
+    def test_identical_boxes_far_up_or_down_exactly_one(self):
+        # (c + h/2) - (c - h/2) rounded below h here, and the IoU below 1
+        box = Box3D((27.39, -46.04, -91.80529521276107), (0.09, 4.07, 4.564650330615831), 0.85)
+        assert geometry.iou_3d(box, box) == 1.0
 
     def test_matches_monte_carlo_oracle(self):
         rng = np.random.default_rng(5)

@@ -572,6 +572,9 @@ class TestCheckpoint:
             # layer 0 is 3 -> 4 but layer 1 takes 5 inputs
             ([(3, 4), (5, 2)], "'encoder' layer 1 takes 5 inputs but layer 0 gives 4"),
             ([], "'encoder' has no layers"),
+            # a zero-width layer would divide by zero in the first forward
+            ([(3, 4), (4, 0)], "'encoder' layer 1 is 4 -> 0"),
+            ([(0, 2)], "'encoder' layer 0 is 0 -> 2"),
         ],
     )
     def test_rejects_unchained_or_empty_net(self, tmp_path, shapes, message):

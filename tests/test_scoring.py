@@ -1,4 +1,6 @@
 import csv
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -215,6 +217,84 @@ class TestMahalanobisRowsInner:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * (dim + k + 1)
+
+
+class TestMahalanobisThreads:
+    """Row blocks spread over threads keep the bits of the one-thread loop."""
+
+    # enough rows for two threads of _BLOCKS_PER_THREAD blocks, plus a
+    # lone last row that joins the block before it
+    N = 2 * scoring._BLOCKS_PER_THREAD * scoring._ROW_BLOCK + 1
+
+    def test_thread_count_follows_cpus_and_rows(self, monkeypatch):
+        per_thread = scoring._BLOCKS_PER_THREAD * scoring._ROW_BLOCK
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert [scoring._score_threads(n) for n in (0, 2700, per_thread - 1)] == [1, 1, 1]
+        assert scoring._score_threads(2 * per_thread) == 2
+        assert scoring._score_threads(100 * per_thread) == 4
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert scoring._score_threads(100 * per_thread) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert scoring._score_threads(100 * per_thread) == 1
+
+    @pytest.mark.parametrize(
+        "dim, layout",
+        [
+            (64, "row"),
+            (128, "row"),  # P restarts every 64 rows
+            (64, "column"),
+            (128, "broadcast"),
+        ],
+    )
+    def test_bitwise_equal_at_any_thread_count(self, monkeypatch, dim, layout):
+        rng = np.random.default_rng(dim)
+        model = _random_model(rng, dim, 2)
+        queries = _random_queries(rng, model, self.N)
+        if layout == "column":
+            queries = np.asfortranarray(queries)
+        elif layout == "broadcast":
+            queries = np.broadcast_to(queries[0], queries.shape)
+        reference = mahalanobis_reference(model, queries).tobytes()
+        for threads in (1, 2, 3, 7):
+            monkeypatch.setattr(scoring, "_score_threads", lambda n: threads)
+            before = threading.active_count()
+            scores = scoring.mahalanobis_score(model, queries)
+            assert threading.active_count() == before
+            assert scores.tobytes() == reference, threads
+
+    def test_a_failing_helper_raises_in_the_caller(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        model = _random_model(rng, 8, 2)
+        queries = rng.normal(size=(self.N, 8))
+        score_blocks = scoring._score_blocks
+
+        def fail_off_the_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("helper")
+            score_blocks(*args)
+
+        monkeypatch.setattr(scoring, "_score_threads", lambda n: 3)
+        monkeypatch.setattr(scoring, "_score_blocks", fail_off_the_main_thread)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="helper"):
+            scoring.mahalanobis_score(model, queries)
+        assert threading.active_count() == before
+
+    def test_no_centered_copy_of_every_query_is_kept(self, monkeypatch):
+        # as the one-thread test, plus one centered (D, 1025) buffer per thread
+        n, dim, k, threads = 20_000, 64, 3, 3
+        monkeypatch.setattr(scoring, "_score_threads", lambda n: threads)
+        rng = np.random.default_rng(6)
+        model = _random_model(rng, dim, k)
+        queries = rng.normal(size=(n, dim))
+        tracemalloc.start()
+        try:
+            scoring.mahalanobis_score(model, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (dim + k + 1) + threads * 8 * dim * (scoring._ROW_BLOCK + 1)
 
 
 class TestCalibration:
