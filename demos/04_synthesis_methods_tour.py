@@ -30,7 +30,7 @@ from lsvos.synthesis import (
 cfg = desk_preset()
 result = run_experiment(cfg)
 bundle = result.bundle
-print("auto-encoder fitted:", bundle.trained,
+print("reconstruction-phase steps:", sum(row["phase"] == 1 for row in result.history),
       "| feature dim", bundle.feature_dim, "| latent dim", bundle.latent_dim)
 
 # Pull real inlier and false-positive features from the same generator

@@ -31,13 +31,13 @@ base = apply_overrides(desk_preset(), {
 
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "sweep"
-    result = ablate(base, sweep, out)
+    rows = ablate(base, sweep, out)
 
     # Each row records its overrides, a status, and the per-method
     # metrics for runs that finished.  Failed points are recorded and
     # skipped, never fatal to the rest of the grid.
     print(f"\n{'beta':>6} {'lambda':>7} {'status':>7} {'unc auroc':>10} {'fpr95':>7}")
-    for row in result.rows:
+    for row in rows:
         unc = row["metrics"]["uncertainty"] if row["status"] == "ok" else None
         auroc = f"{unc['auroc']:10.4f}" if unc else " " * 10
         fpr = f"{unc['fpr95']:7.4f}" if unc else " " * 7

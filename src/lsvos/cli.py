@@ -20,6 +20,7 @@ from .models import ModelBundle
 from .pipeline import (
     SCORER_NAMES,
     ExperimentConfig,
+    RunManifest,
     ablate,
     apply_overrides,
     config_hash,
@@ -109,14 +110,14 @@ def cmd_ablate(args) -> int:
     base = _base_config(args)
     sweep = sweep_from_specs(args.sweep)
     out = _resolve_out(args.out, "ablation")
-    result = ablate(base, sweep, out_dir=out)
-    keys = sorted({k for row in result.rows for k in row["overrides"]})
+    rows = ablate(base, sweep, out_dir=out)
+    keys = sorted({k for row in rows for k in row["overrides"]})
     method_names = list(base.methods)
     header = "".join(f"{k:>24}" for k in keys) + f"{'status':>9}"
     header += "".join(f"{m + '_auroc':>22}" for m in method_names)
     print(header)
     failures = 0
-    for row in result.rows:
+    for row in rows:
         line = "".join(f"{row['overrides'].get(k, ''):>24}" for k in keys)
         line += f"{row['status']:>9}"
         if row["status"] != "ok":
@@ -127,7 +128,7 @@ def cmd_ablate(args) -> int:
         print(line)
     print(f"wrote {out}")
     if failures:
-        print(f"{failures} of {len(result.rows)} runs failed", file=sys.stderr)
+        print(f"{failures} of {len(rows)} runs failed", file=sys.stderr)
         return 1
     return 0
 
@@ -136,9 +137,13 @@ def cmd_report(args) -> int:
     run = Path(args.run)
     if not (run / "report.json").is_file():
         raise InputError(f"no report.json under {args.run}")
-    # a run writes its manifest last: without one the run dir is half-written
-    if not (run / "manifest.json").is_file():
-        raise InputError(f"no manifest.json under {args.run}; the run did not finish")
+    # a run writes its manifest last: without a whole one the run dir is half-written
+    try:
+        RunManifest.from_json((run / "manifest.json").read_text())
+    except (OSError, ValueError) as exc:  # ValueError: InputError or non-UTF-8 bytes
+        raise InputError(
+            f"no readable manifest.json under {args.run}; the run did not finish ({exc})"
+        ) from exc
     report = EvaluationReport.from_json((run / "report.json").read_text())
     print(render_table(report))
     print(
@@ -216,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     except LsvosError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # an unreadable file or one not UTF-8 text
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,8 +17,8 @@ class InputError(LsvosError, ValueError):
 class NotReadyError(LsvosError, RuntimeError):
     """Operation requires state that has not been prepared yet.
 
-    Examples: sampling from an empty feature queue, synthesizing from an
-    untrained auto-encoder.
+    Examples: sampling from an empty feature queue, a run configured to
+    synthesize latent-space outliers before any reconstruction epoch.
     """
 
 

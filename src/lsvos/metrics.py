@@ -226,8 +226,9 @@ class EvaluationReport:
                 seed=payload["seed"],
                 curves=payload["curves"],
             )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"report JSON missing field: {exc}") from exc
+        except (KeyError, TypeError, AttributeError) as exc:
+            # AttributeError: a field of the wrong JSON type, e.g. a methods list
+            raise InputError(f"report JSON missing or malformed field: {exc}") from exc
 
 
 def build_report(

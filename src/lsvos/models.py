@@ -136,16 +136,12 @@ class ModelBundle:
     Construction checks that the nets fit together: encoder in = D + K and
     encoder out = decoder in, where D = decoder out and K = classifier
     out; the head gives one logit; head and classifier both take D inputs.
-    `trained` says the auto-encoder has been through the reconstruction
-    phase; latent-space synthesis refuses a bundle without it.  A loaded
-    checkpoint counts as trained.
     """
 
     encoder: nn.DenseNet
     decoder: nn.DenseNet
     uncertainty: nn.DenseNet
     classifier: nn.DenseNet
-    trained: bool = False
 
     def __post_init__(self):
         d, k = self.feature_dim, self.num_classes
@@ -208,7 +204,7 @@ class ModelBundle:
         missing = set(NET_NAMES) - set(nets)
         if missing:
             raise InputError(f"checkpoint missing nets: {sorted(missing)}")
-        return cls(*(nets[name] for name in NET_NAMES), trained=True)
+        return cls(*(nets[name] for name in NET_NAMES))
 
     def model_card(self) -> dict:
         """Dims summary for the run's model card JSON."""

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import nn
 from .datagen import GeneratorSpec, generate_features
-from .errors import InputError, LsvosError, NumericalFailure
+from .errors import InputError, LsvosError, NotReadyError, NumericalFailure
 from .features import FEATURE_VERSION, FeatureDataset, FeatureQueue, Label, load_features
 from .metrics import EvaluationReport, build_report, ece
 from .models import (
@@ -47,7 +47,7 @@ from .models import (
     uncertainty_gradients,
     uncertainty_score,
 )
-from .scoring import ScoreSet, fit_gaussian_model, mahalanobis_score, save_scores
+from .scoring import ScoreSet, fit_gaussian_model, mahalanobis_score, save_scores, write_csv
 from .synthesis import (
     METHODS,
     NoiseSpec,
@@ -422,6 +422,11 @@ def _train(
     rng_model, rng_train, rng_synth = rngs
     if len(u_id) == 0:
         raise InputError("training needs at least one inlier feature row")
+    # latent-space synthesis decodes through the auto-encoder, so phase 2
+    # may synthesize only after the reconstruction phase has run
+    synthesizes = cfg.loss_lambda > 0.0 and cfg.train_phase2_epochs > 0
+    if synthesizes and cfg.synth_method == "lsvos" and cfg.train_phase1_epochs == 0:
+        raise NotReadyError("auto-encoder has not been trained; set train.phase1_epochs > 0")
     dim = u_id.shape[1]
     bundle = ModelBundle.build(
         dim,
@@ -498,8 +503,6 @@ def _train(
                     }
                 )
                 step += 1
-        if phase == 1 and n_epochs > 0:
-            bundle.trained = True
     return bundle, history
 
 
@@ -563,14 +566,6 @@ def evaluate_bundle(bundle: ModelBundle, train_ds, val_ds, methods) -> dict[str,
 # --- artifacts -----------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """One comma-joined line per row: floats as repr(float), the rest as str."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _pca_rows(groups: dict[str, np.ndarray]) -> list[tuple[str, float, float]]:
     """2-D projection of all groups via SVD of the pooled matrix.
 
@@ -615,7 +610,7 @@ def _write_plot_files(
     tables["pca.csv"] = ("group,x,y", _pca_rows(pca_groups))
     plots_dir.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
-        _write_csv(plots_dir / name, header, rows)
+        write_csv(plots_dir / name, header, rows)
     return list(tables)
 
 
@@ -651,7 +646,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         bundle.save(out_path / "model.ckpt")
         save_scores(out_path / "scores.csv", score_sets)
         (out_path / "config.txt").write_text(format_config(cfg))
-        _write_csv(
+        write_csv(
             out_path / "history.csv",
             HISTORY_HEADER,
             ([row[k] for k in HISTORY_HEADER.split(",")] for row in history),
@@ -672,7 +667,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         val_id, _ = val_ds.select(Label.ID)
         val_fp, _ = val_ds.select(Label.FP)
         pca_groups = {"id": val_id, "fp": val_fp}
-        if cfg.loss_lambda > 0.0 and bundle.trained:
+        # synthesized rows are plotted once phase 1 has fit the auto-encoder
+        if cfg.loss_lambda > 0.0 and cfg.train_phase1_epochs > 0:
             head = min(len(train_id), 500)
             queue = FeatureQueue(train_ds.dim, train_ds.num_classes, cfg.queue_capacity)
             queue.push_many(train_id, train_cls)
@@ -721,14 +717,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
 # --- ablation ------------------------------------------------------------------
 
 
-@dataclass
-class AblationResult:
-    rows: list[dict]
-
-    def to_json(self) -> str:
-        return json.dumps(self.rows, sort_keys=True, indent=2) + "\n"
-
-
 def _sweep_values(spec: str, values: str) -> list[str]:
     # commas inside [...] belong to one list value, whose brackets are dropped
     parts = []
@@ -774,11 +762,12 @@ def ablate(
     base_cfg: ExperimentConfig,
     sweep: list[dict[str, str]],
     out_dir=None,
-) -> AblationResult:
+) -> list[dict]:
     """One run per override set; failures are recorded, not fatal.
 
-    Rows are keyed by the swept values so the consolidated table reads
-    like the sweep spec.
+    Each row holds its overrides, a status and either the per-method
+    metrics or the error, so the consolidated table reads like the sweep
+    spec.
     """
     if not sweep:
         raise InputError("ablation sweep must contain at least one override set")
@@ -810,12 +799,11 @@ def ablate(
             for name, block in result.report.methods.items()
         }
         rows.append(row)
-    out = AblationResult(rows)
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / "ablation.json").write_text(out.to_json())
+        (out_path / "ablation.json").write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
         _write_ablation_csv(out_path / "ablation.csv", rows, base_cfg.methods)
-    return out
+    return rows
 
 
 def _write_ablation_csv(path: Path, rows: list[dict], methods) -> None:

@@ -156,27 +156,25 @@ def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
     (j, k) order.  The row-major einsum restarted its sum every
     8192 // D rows of P (its iterator buffer) and added each partial into
     the output; from D = 91 on this runs one einsum per such block of P
-    rows and adds the partials in the same way.  Column-major queries made
-    a column-major c, whose einsum never restarted, so they take one einsum
-    (queries broadcast along the rows, row stride 0, made a row-major c).
-    At D = 2 a lone row sums its four terms pairwise, and so did the
-    row-major einsum for N <= 2 but not for more rows.  So row-major
-    queries of N <= 2 run row by row, and no other block holds a lone row.
-    Checked bitwise with numpy 2.4 for D up to 512; D > 8192 is unverified.
+    rows and adds the partials in the same way.  At D = 2 a lone row sums
+    its four terms pairwise, and so did the row-major einsum for N <= 2 but
+    not for more rows.  So N <= 2 queries run row by row, and no other
+    block holds a lone row.  Queries of any other layout score as their
+    C-contiguous copy.  Checked bitwise with numpy 2.4 for D up to 512;
+    D > 8192 is unverified.
 
     Large inputs spread their blocks over _score_threads(N) threads, the
     calling thread among them, each with its own buffers.  A block's sums
     do not depend on which thread runs it, so neither do the scores.
     """
-    queries = np.asarray(queries, dtype=np.float64)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != model.means.shape[1]:
         raise InputError(
             f"queries must be (N, {model.means.shape[1]}), got {queries.shape}"
         )
     n, dim = queries.shape
-    column_major = n > 1 and 0 < abs(queries.strides[0]) < abs(queries.strides[1])
-    p_rows = dim if column_major else max(1, _EINSUM_BUFFER // dim)
-    if n <= 2 and not column_major:
+    p_rows = max(1, _EINSUM_BUFFER // dim)
+    if n <= 2:
         starts = list(range(n))
     else:
         starts = list(range(0, n, _ROW_BLOCK))
@@ -248,16 +246,23 @@ def classify(scores: np.ndarray, threshold: Threshold) -> np.ndarray:
     return scores > threshold.tau
 
 
-# --- score persistence ----------------------------------------------------------
+# --- CSV artifacts --------------------------------------------------------------
+
+
+def write_csv(path, header: str, rows) -> None:
+    """One comma-joined line per row: floats as repr(float), the rest as str."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def save_scores(path, score_sets: dict[str, ScoreSet]) -> None:
     """Dump all methods' scores to `item_id,method,score,truth` CSV."""
-    lines = [SCORES_HEADER]
-    for method in score_sets:
-        ss = score_sets[method]
-        for i, (score, ood) in enumerate(zip(ss.scores, ss.is_ood)):
-            truth = "OOD" if ood else "ID"
-            lines.append(f"{i},{method},{float(score)!r},{truth}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (
+        (i, method, score, "OOD" if ood else "ID")
+        for method, ss in score_sets.items()
+        for i, (score, ood) in enumerate(zip(ss.scores.tolist(), ss.is_ood.tolist()))
+    )
+    write_csv(path, SCORES_HEADER, rows)

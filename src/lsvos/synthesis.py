@@ -77,12 +77,10 @@ def lsvos_synthesize(
     """Decode latent codes pushed off the inlier manifold by positive noise.
 
     v = d(e(concat(u, one_hot)) + o).  With beta = 0 the output is exactly
-    the plain auto-encoder reconstruction of the same inputs.
+    the plain auto-encoder reconstruction of the same inputs.  The bundle's
+    auto-encoder is used as given; the pipeline refuses a run whose
+    synthesis would come before any reconstruction phase.
     """
-    if not bundle.trained:
-        raise NotReadyError(
-            "auto-encoder has not been trained; run the reconstruction phase first"
-        )
     u_id = np.asarray(u_id, dtype=np.float64)
     dim = bundle.feature_dim
     if u_id.ndim != 2 or u_id.shape[1] != dim:

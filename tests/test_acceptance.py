@@ -158,7 +158,6 @@ def test_criterion_05_noise_contract():
         bundle = ModelBundle.build(12, 3, np.random.default_rng(0), latent_dim=6,
                                    encoder_hidden=(16,), decoder_hidden=(16,),
                                    uncertainty_hidden=(16,), classifier_hidden=(16,))
-        bundle.trained = True
         u = np.random.default_rng(1).normal(size=(40, 12))
         cls = np.arange(40) % 3
         batch = lsvos_synthesize(bundle, u, cls, NoiseSpec(0.25, 0.0), rng)
@@ -282,14 +281,14 @@ def test_criterion_10_ablation_grids(tmp_path):
                 ("0.25", "10"),
             )
         ]
-        noise_out = ablate(base, noise_grid, out_dir=tmp_path / "noise")
-        assert [row["status"] for row in noise_out.rows] == ["ok"] * 6
+        noise_rows = ablate(base, noise_grid, out_dir=tmp_path / "noise")
+        assert [row["status"] for row in noise_rows] == ["ok"] * 6
         lambda_grid = [{"loss.lambda": v} for v in ("0.1", "0.5", "1", "2", "5")]
-        lambda_out = ablate(base, lambda_grid, out_dir=tmp_path / "lambda")
-        assert [row["status"] for row in lambda_out.rows] == ["ok"] * 5
+        lambda_rows = ablate(base, lambda_grid, out_dir=tmp_path / "lambda")
+        assert [row["status"] for row in lambda_rows] == ["ok"] * 5
         for sub, n_rows in (("noise", 6), ("lambda", 5)):
             table = (tmp_path / sub / "ablation.csv").read_text().splitlines()
             assert len(table) == n_rows + 1
             assert (tmp_path / sub / "ablation.json").is_file()
-        swept = [row["overrides"] for row in noise_out.rows]
+        swept = [row["overrides"] for row in noise_rows]
         assert {"noise.alpha": "0.25", "noise.beta": "10"} in swept

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -325,6 +326,34 @@ class TestEvaluateAndReport:
         (run_dir / "manifest.json").unlink()
         assert main(["report", "--run", str(run_dir)]) == 1
         assert "manifest.json" in capsys.readouterr().err
+
+    def test_report_refuses_a_truncated_manifest(self, run_dir, capsys):
+        # a crash mid-write can leave the commit marker half-written
+        manifest = run_dir / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[: manifest.stat().st_size // 2])
+        capsys.readouterr()
+        assert main(["report", "--run", str(run_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "manifest.json" in captured.err
+        assert captured.out == ""
+
+    def test_report_refuses_a_malformed_report(self, run_dir, capsys):
+        report = json.loads((run_dir / "report.json").read_text())
+        report["methods"] = []
+        (run_dir / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["report", "--run", str(run_dir)]) == 1
+        assert capsys.readouterr().err.startswith("error: report JSON")
+
+    @pytest.mark.parametrize("name", ["manifest.json", "report.json"])
+    def test_report_refuses_a_file_that_is_not_utf8(self, run_dir, capsys, name):
+        (run_dir / name).write_bytes(b'{"seed": "\xff"}')
+        capsys.readouterr()
+        assert main(["report", "--run", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if name == "manifest.json":
+            assert name in err
 
     def test_report_renders_counts_and_hash(self, run_dir, capsys):
         capsys.readouterr()

@@ -1,4 +1,5 @@
-"""Source hygiene: no module-level import goes unused.
+"""Source hygiene: no module-level import goes unused, no package name goes
+unnamed, and README's module table lists exactly the package's modules.
 
 A stdlib `ast` scan of every file in src/lsvos, tests and demos.  Package
 `__init__.py` files are skipped: their imports are re-exports.
@@ -106,3 +107,12 @@ def test_every_top_level_name_in_the_package_is_named_elsewhere():
         if name not in refs
     ]
     assert not dead, f"defined and never named elsewhere: {', '.join(dead)}"
+
+
+def test_readme_module_table_names_exactly_the_package_modules():
+    readme = (REPO_ROOT / "README.md").read_text()
+    block = readme.split("## Modules", 1)[1].split("```")[1]
+    listed = [line.split()[0] for line in block.splitlines() if line.strip()]
+    modules = {f"lsvos.{path.stem}" for path in DEFINING}
+    assert len(listed) == len(set(listed)), f"listed twice: {listed}"
+    assert set(listed) == modules

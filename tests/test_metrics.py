@@ -244,3 +244,6 @@ class TestReport:
             EvaluationReport.from_json("{not json")
         with pytest.raises(InputError):
             EvaluationReport.from_json(json.dumps({"methods": {}}))
+        # a field of the wrong JSON type, not only a missing one
+        with pytest.raises(InputError, match="malformed field"):
+            EvaluationReport.from_json(json.dumps({"methods": []}))

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,7 +85,8 @@ class TestArchitecture:
     def test_fitting_nets_accepted(self):
         bundle = ModelBundle(**_bundle_nets())
         assert (bundle.feature_dim, bundle.num_classes, bundle.latent_dim) == (8, 2, 4)
-        assert not bundle.trained
+        # a bundle is its four nets and nothing a checkpoint does not hold
+        assert tuple(f.name for f in fields(ModelBundle)) == models.NET_NAMES
 
     @pytest.mark.parametrize(
         "replace",
@@ -284,15 +287,13 @@ class TestClassifierAndTotal:
 
 
 class TestBundleCheckpoint:
-    def test_round_trip_and_trained_flag(self, tmp_path):
+    def test_round_trip(self, tmp_path):
         bundle = ModelBundle.build(6, 2, np.random.default_rng(9), latent_dim=4,
                                    encoder_hidden=(8,), decoder_hidden=(8,),
                                    uncertainty_hidden=(8,), classifier_hidden=(8,))
-        assert not bundle.trained
         path = tmp_path / "bundle.ckpt"
         bundle.save(path)
         back = ModelBundle.load(path)
-        assert back.trained
         for name in models.NET_NAMES:
             orig, re = getattr(bundle, name), getattr(back, name)
             for lo, lr in zip(orig.layers, re.layers):

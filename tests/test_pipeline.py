@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import lsvos.features as features
 import lsvos.nn as nn
 import lsvos.pipeline as pipeline
-from lsvos.errors import InputError, NumericalFailure
+from lsvos.errors import InputError, NotReadyError, NumericalFailure
 from lsvos.features import Label, save_features
 from lsvos.models import UNCERTAINTY_VARIANTS, ModelBundle
 from lsvos.pipeline import (
@@ -449,6 +449,13 @@ class TestRunExperiment:
         for name, want in (("report.json", report_sha256), ("model.ckpt", checkpoint_sha256)):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
+    def test_scores_csv_bytes_are_pinned(self, tmp_path):
+        # numpy 2.4 with OpenBLAS 0.3.31, 1 thread; recorded when save_scores
+        # formatted its own lines
+        run_experiment(micro_cfg(), out_dir=tmp_path)
+        digest = hashlib.sha256((tmp_path / "scores.csv").read_bytes()).hexdigest()
+        assert digest == "0f51edf6cae849d003921d29590709c1d3945abd8c4f4ff655fb7ffb56713bb2"
+
     @pytest.mark.parametrize("method", ["lsvos", "vos"])
     def test_shared_workspace_matches_per_call_allocation(self, tmp_path, monkeypatch, method):
         # 400 inlier rows in batches of 128 end every epoch on a 16-row batch
@@ -535,6 +542,22 @@ class TestRunExperiment:
         a = run_experiment(micro_cfg(seed=1))
         b = run_experiment(micro_cfg(seed=2))
         assert a.report.to_json() != b.report.to_json()
+
+    def test_lsvos_synthesis_before_any_reconstruction_phase_is_refused(self, tmp_path):
+        cfg = micro_cfg(synth_method="lsvos", loss_lambda=1.0, train_phase1_epochs=0)
+        with pytest.raises(NotReadyError, match="train.phase1_epochs"):
+            run_experiment(cfg, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_lsvos_run_without_either_training_phase_runs(self, tmp_path):
+        cfg = micro_cfg(
+            synth_method="lsvos", loss_lambda=1.0, train_phase1_epochs=0, train_phase2_epochs=0
+        )
+        res = run_experiment(cfg, out_dir=tmp_path)
+        assert res.history == []
+        # nothing trained the auto-encoder, so no synthesized rows are plotted
+        pca = (tmp_path / "plots" / "pca.csv").read_text().splitlines()
+        assert {line.split(",")[0] for line in pca[1:]} == {"id", "fp"}
 
     def test_lambda_zero_skips_uncertainty_entirely(self):
         cfg = micro_cfg(loss_lambda=0.0)
@@ -678,12 +701,12 @@ class TestAblate:
     def test_sweep_runs_and_tables(self, tmp_path):
         base = micro_cfg(train_phase1_epochs=1, train_phase2_epochs=1)
         sweep = sweep_from_specs(["loss.lambda=0.5,2"])
-        out = ablate(base, sweep, out_dir=tmp_path)
-        assert [row["status"] for row in out.rows] == ["ok", "ok"]
-        assert out.rows[0]["overrides"] == {"loss.lambda": "0.5"}
-        assert "uncertainty" in out.rows[0]["metrics"]
-        table = json.loads((tmp_path / "ablation.json").read_text())
-        assert len(table) == 2
+        rows = ablate(base, sweep, out_dir=tmp_path)
+        assert [row["status"] for row in rows] == ["ok", "ok"]
+        assert rows[0]["overrides"] == {"loss.lambda": "0.5"}
+        assert "uncertainty" in rows[0]["metrics"]
+        table = (tmp_path / "ablation.json").read_text()
+        assert table == json.dumps(rows, sort_keys=True, indent=2) + "\n"
         csv_lines = (tmp_path / "ablation.csv").read_text().splitlines()
         assert csv_lines[0].startswith("loss.lambda,status")
         assert "uncertainty_auroc" in csv_lines[0]
@@ -693,10 +716,10 @@ class TestAblate:
     def test_failures_recorded_without_stopping(self, tmp_path):
         base = micro_cfg(train_phase1_epochs=1, train_phase2_epochs=1)
         sweep = [{"data.fp_overlap": "1.5"}, {"loss.lambda": "0.5"}]
-        out = ablate(base, sweep, out_dir=tmp_path)
-        assert out.rows[0]["status"] == "error"
-        assert "fp_overlap" in out.rows[0]["error"]
-        assert out.rows[1]["status"] == "ok"
+        rows = ablate(base, sweep, out_dir=tmp_path)
+        assert rows[0]["status"] == "error"
+        assert "fp_overlap" in rows[0]["error"]
+        assert rows[1]["status"] == "ok"
         csv_lines = (tmp_path / "ablation.csv").read_text().splitlines()
         assert len(csv_lines) == 3
 
@@ -714,10 +737,10 @@ class TestAblate:
             return run(cfg, out_dir=out_dir)
 
         monkeypatch.setattr(pipeline, "run_experiment", failing_at_lambda_one)
-        out = ablate(base, sweep_from_specs(["loss.lambda=0.5,1,2"]), out_dir=tmp_path)
-        assert [row["status"] for row in out.rows] == ["ok", "error", "ok"]
-        assert out.rows[1]["error"] == f"{type(failure).__name__}: {failure}"
-        assert "metrics" not in out.rows[1] and "uncertainty" in out.rows[2]["metrics"]
+        rows = ablate(base, sweep_from_specs(["loss.lambda=0.5,1,2"]), out_dir=tmp_path)
+        assert [row["status"] for row in rows] == ["ok", "error", "ok"]
+        assert rows[1]["error"] == f"{type(failure).__name__}: {failure}"
+        assert "metrics" not in rows[1] and "uncertainty" in rows[2]["metrics"]
         table = (tmp_path / "ablation.csv").read_text().splitlines()
         assert len(table) == 4 and ",error," in table[2]
 
@@ -727,8 +750,8 @@ class TestAblate:
 
     def test_empty_override_row_matches_base_run(self, tmp_path):
         base = micro_cfg(train_phase1_epochs=1, train_phase2_epochs=1)
-        out = ablate(base, [{}], out_dir=tmp_path / "ab")
+        rows = ablate(base, [{}], out_dir=tmp_path / "ab")
         run_experiment(base, out_dir=tmp_path / "direct")
-        assert out.rows[0]["status"] == "ok"
+        assert rows[0]["status"] == "ok"
         swept = (tmp_path / "ab" / "run_000" / "report.json").read_bytes()
         assert swept == (tmp_path / "direct" / "report.json").read_bytes()

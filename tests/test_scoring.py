@@ -134,8 +134,10 @@ def _random_queries(rng, model, n, integer=False):
 
 
 def _assert_matches_reference(model, queries):
+    # a query of any layout scores as its C-contiguous copy, which the
+    # reference holds for C-order input
     scores = scoring.mahalanobis_score(model, queries)
-    reference = mahalanobis_reference(model, queries)
+    reference = mahalanobis_reference(model, np.ascontiguousarray(queries))
     assert scores.shape == reference.shape == (queries.shape[0],)
     # tobytes compares sign bits too
     assert scores.tobytes() == reference.tobytes()
@@ -169,7 +171,7 @@ class TestMahalanobisRowsInner:
             (20_000, 64, 3, False),  # the eval-large shape
             (3000, 128, 2, False),  # P restarts every 64 rows
             (1, 200, 2, False),
-            (1025, 91, 2, True),  # column-major rows never restart
+            (1025, 91, 2, True),  # scores as its row-major copy, which restarts
         ],
     )
     def test_fixed_shapes(self, n, dim, k, column_major):
@@ -203,6 +205,34 @@ class TestMahalanobisRowsInner:
             np.broadcast_to(base[:300, :1], (300, 100)),
         ):
             _assert_matches_reference(model, queries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 300) | st.sampled_from([1, 2, 3, 1025, 2049]),
+        dim=st.integers(1, 200) | st.sampled_from([2, 91, 128]),
+        k=st.integers(1, 3),
+        layout=st.sampled_from(["fortran", "strided", "reversed", "row", "column"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_layout_scores_as_its_c_contiguous_copy(self, n, dim, k, layout, seed):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, dim, k)
+        queries = _random_queries(rng, model, n)
+        if layout == "fortran":
+            view = np.asfortranarray(queries)
+        elif layout == "strided":
+            base = np.zeros((2 * n, 2 * dim + 1))
+            base[::2, 1::2] = queries
+            view = base[::2, 1::2]
+        elif layout == "reversed":
+            view = queries[::-1, ::-1]
+        elif layout == "row":  # one row broadcast down the rows (row stride 0)
+            view = np.broadcast_to(queries[:1], queries.shape)
+        else:  # one column broadcast across (column stride 0)
+            view = np.broadcast_to(queries[:, :1], queries.shape)
+        scores = scoring.mahalanobis_score(model, view)
+        copy = scoring.mahalanobis_score(model, np.ascontiguousarray(view))
+        assert scores.tobytes() == copy.tobytes()
 
     def test_no_centered_copy_of_every_query_is_kept(self):
         # at most one centered (D, N) block plus the per-class scores
@@ -255,7 +285,7 @@ class TestMahalanobisThreads:
             queries = np.asfortranarray(queries)
         elif layout == "broadcast":
             queries = np.broadcast_to(queries[0], queries.shape)
-        reference = mahalanobis_reference(model, queries).tobytes()
+        reference = mahalanobis_reference(model, np.ascontiguousarray(queries)).tobytes()
         for threads in (1, 2, 3, 7):
             monkeypatch.setattr(scoring, "_score_threads", lambda n: threads)
             before = threading.active_count()

@@ -14,14 +14,12 @@ from lsvos.synthesis import NoiseSpec
 from oracles import vos_reference
 
 
-def _trained_bundle(dim=3, num_classes=2, seed=0):
-    bundle = ModelBundle.build(
+def _bundle(dim=3, num_classes=2, seed=0):
+    return ModelBundle.build(
         dim, num_classes, np.random.default_rng(seed),
         latent_dim=4, encoder_hidden=(8,), decoder_hidden=(8,),
         uncertainty_hidden=(8,), classifier_hidden=(8,),
     )
-    bundle.trained = True
-    return bundle
 
 
 def _reconstruct(bundle, u, cids):
@@ -93,16 +91,8 @@ class TestNoiseSpec:
 
 
 class TestLsvosSynthesize:
-    def test_untrained_ae_not_ready(self):
-        bundle = _trained_bundle()
-        bundle.trained = False
-        with pytest.raises(NotReadyError):
-            synthesis.lsvos_synthesize(
-                bundle, np.zeros((2, 3)), [0, 1], NoiseSpec(), np.random.default_rng(0)
-            )
-
     def test_beta_zero_is_bitwise_reconstruction(self):
-        bundle = _trained_bundle()
+        bundle = _bundle()
         rng = np.random.default_rng(5)
         u = rng.normal(size=(10, 3))
         cids = rng.integers(0, 2, size=10)
@@ -112,7 +102,7 @@ class TestLsvosSynthesize:
         assert np.array_equal(batch.vectors, _reconstruct(bundle, u, cids))
 
     def test_output_shape_and_class_ids(self):
-        bundle = _trained_bundle()
+        bundle = _bundle()
         rng = np.random.default_rng(7)
         cids = rng.integers(0, 2, size=6)
         batch = synthesis.lsvos_synthesize(bundle, rng.normal(size=(6, 3)), cids, NoiseSpec(), rng)
@@ -120,7 +110,7 @@ class TestLsvosSynthesize:
         np.testing.assert_array_equal(batch.class_ids, cids)
 
     def test_deterministic_under_fixed_seed(self):
-        bundle = _trained_bundle()
+        bundle = _bundle()
         u = np.random.default_rng(8).normal(size=(5, 3))
         cids = [0, 1, 0, 1, 0]
         a = synthesis.lsvos_synthesize(bundle, u, cids, NoiseSpec(), np.random.default_rng(9))
@@ -128,7 +118,7 @@ class TestLsvosSynthesize:
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_noise_pushes_codes_off_manifold(self):
-        bundle = _trained_bundle()
+        bundle = _bundle()
         rng = np.random.default_rng(10)
         u = rng.normal(size=(4, 3))
         cids = [0, 0, 1, 1]
@@ -136,7 +126,7 @@ class TestLsvosSynthesize:
         assert not np.allclose(batch.vectors, _reconstruct(bundle, u, cids))
 
     def test_misaligned_classes_rejected(self):
-        bundle = _trained_bundle()
+        bundle = _bundle()
         with pytest.raises(InputError):
             synthesis.lsvos_synthesize(
                 bundle, np.zeros((3, 3)), [0, 1], NoiseSpec(), np.random.default_rng(0)
