@@ -5,8 +5,8 @@ so it equals the probability that a random outlier outscores a random
 inlier.  AUPR sweeps thresholds in descending score order with step
 interpolation; the positive class defaults to ID (accepted at low scores)
 and both orientations are reported since the choice changes the number.
-FPR95 reuses the inclusive tau calibration from the scoring module.  ECE
-bins confidences into equal-width bins over [0, 1].
+These and FPR95's inclusive tau read one sort of the scores.  ECE bins
+confidences into equal-width bins over [0, 1].
 
 All functions assume the repo-wide score orientation: higher = more
 outlier-like.
@@ -15,87 +15,87 @@ outlier-like.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InputError, UndefinedMetricError
-from .scoring import DEFAULT_ORIENTATION, ScoreSet, calibrate_tau
+from .scoring import DEFAULT_ORIENTATION, ScoreSet
 
 AUPR_POSITIVE_CHOICES = ("id", "ood")
+# A score set's ranking: (ID, OOD) counts below each distinct score,
+# ascending, then the class totals.  The count at the end of a tied group
+# does not depend on the order inside it, so any sort gives the same bits.
+_Tally = tuple[np.ndarray, np.ndarray]
 
 
-def _averaged_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the average of their rank range."""
-    order = np.argsort(values, kind="stable")
-    s = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    ends = np.append(starts[1:], s.size) - 1
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    return ranks
+def _tally(scores: ScoreSet | _Tally) -> _Tally:
+    """A score set's tally, by one stable ascending argsort; a tally passes through."""
+    if not isinstance(scores, ScoreSet):
+        return scores
+    order = np.argsort(scores.scores, kind="stable")
+    ranked = scores.scores[order]
+    group_end = np.ones(ranked.size, dtype=bool)
+    group_end[:-1] = ranked[:-1] != ranked[1:]
+    ood = np.cumsum(scores.is_ood[order], dtype=np.int64)[group_end]
+    return np.append(0, np.flatnonzero(group_end) + 1 - ood), np.append(0, ood)
 
 
-def _require_both_classes(scores: ScoreSet, metric: str) -> None:
-    n_ood = int(scores.is_ood.sum())
-    if n_ood == 0 or n_ood == scores.is_ood.size:
+def _both_classes(scores: ScoreSet | _Tally, metric: str) -> tuple[_Tally, int, int]:
+    """(tally, n_id, n_ood); UndefinedMetricError if either class is empty."""
+    tally = _tally(scores)
+    n_id, n_ood = int(tally[0][-1]), int(tally[1][-1])
+    if n_id == 0 or n_ood == 0:
         raise UndefinedMetricError(
-            f"{metric} needs both ID and OOD items, got {n_ood} OOD of {scores.is_ood.size}"
+            f"{metric} needs both ID and OOD items, got {n_ood} OOD of {n_id + n_ood}"
         )
+    return tally, n_id, n_ood
 
 
-def auroc(scores: ScoreSet) -> float:
+def auroc(scores: ScoreSet | _Tally) -> float:
     """P(random OOD score > random ID score), ties counted half."""
-    _require_both_classes(scores, "auroc")
-    ranks = _averaged_ranks(scores.scores)
-    n_ood = int(scores.is_ood.sum())
-    n_id = scores.is_ood.size - n_ood
-    rank_sum = float(ranks[scores.is_ood].sum())
-    u_stat = rank_sum - 0.5 * n_ood * (n_ood + 1)
-    return u_stat / (n_id * n_ood)
+    (id_below, ood_below), n_id, n_ood = _both_classes(scores, "auroc")
+    # an OOD item beats the ID items below its group and ties the others in it
+    twice_u = int(np.sum(np.diff(ood_below) * (id_below[:-1] + id_below[1:])))
+    return twice_u / 2 / (n_id * n_ood)
 
 
-def _sweep(toward_positive: np.ndarray, pos_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative (tp, predicted) counts at each distinct threshold, descending.
-
-    Thresholds sweep down `toward_positive` (a stable sort); each tied-score
-    group contributes one point, taken at its last index.
-    """
-    order = np.argsort(-toward_positive, kind="stable")
-    sorted_scores = toward_positive[order]
-    tp = np.cumsum(pos_mask[order].astype(np.int64))
-    predicted = np.arange(1, tp.size + 1)
-    group_end = np.ones(tp.size, dtype=bool)
-    group_end[:-1] = sorted_scores[:-1] != sorted_scores[1:]
-    return tp[group_end], predicted[group_end]
+def _sweep(tally: _Tally, positive: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative (tp, predicted) counts per tied group, from the positive end."""
+    id_below, ood_below = tally
+    seen = id_below + ood_below
+    if positive == "id":  # ID is accepted at low scores: the ascending tally
+        return id_below[1:], seen[1:]
+    # toward OOD: the items at or above each score, highest score first
+    return (ood_below[-1] - ood_below[:-1])[::-1], (seen[-1] - seen[:-1])[::-1]
 
 
-def _pr_sweep(scores: ScoreSet, positive: str) -> tuple[np.ndarray, np.ndarray]:
+def _pr_sweep(scores: ScoreSet | _Tally, positive: str) -> tuple[np.ndarray, np.ndarray]:
     """(precision, recall) after each distinct-threshold group, descending."""
     if positive not in AUPR_POSITIVE_CHOICES:
         raise InputError(f"positive class must be one of {AUPR_POSITIVE_CHOICES}")
-    # flip so the positive class is the high-score one, then sweep down
-    toward_positive = scores.scores if positive == "ood" else -scores.scores
-    pos_mask = scores.is_ood if positive == "ood" else ~scores.is_ood
-    n_pos = int(pos_mask.sum())
+    tally = _tally(scores)
+    n_pos = int(tally[1 if positive == "ood" else 0][-1])
     if n_pos == 0:
         raise UndefinedMetricError(f"aupr positive class {positive!r} has no items")
-    tp, predicted = _sweep(toward_positive, pos_mask)
+    tp, predicted = _sweep(tally, positive)
     return tp / predicted, tp / n_pos
 
 
-def aupr(scores: ScoreSet, positive: str = "id") -> float:
+def aupr(scores: ScoreSet | _Tally, positive: str = "id") -> float:
     """Area under precision-recall via sum (R_i - R_{i-1}) * P_i."""
     precision, recall = _pr_sweep(scores, positive)
     recall_steps = np.diff(recall, prepend=0.0)
     return float(np.sum(recall_steps * precision))
 
 
-def fpr_at_tpr(scores: ScoreSet, tpr: float = 0.95) -> float:
-    """Fraction of OOD accepted when tau admits `tpr` of the ID items."""
-    _require_both_classes(scores, "fpr_at_tpr")
-    threshold = calibrate_tau(scores.id_scores, tpr)
-    return float(np.mean(scores.ood_scores <= threshold.tau))
+def fpr_at_tpr(scores: ScoreSet | _Tally, tpr: float = 0.95) -> float:
+    """Fraction of OOD at or below tau, the ceil(tpr * n_id)-th smallest ID score."""
+    (id_below, ood_below), n_id, n_ood = _both_classes(scores, "fpr_at_tpr")
+    if not 0.0 < tpr <= 1.0:
+        raise InputError(f"tpr must be in (0, 1], got {tpr}")
+    return int(ood_below[np.searchsorted(id_below, math.ceil(tpr * n_id))]) / n_ood
 
 
 def ece(confidences: np.ndarray, correct: np.ndarray, n_bins: int = 10) -> float:
@@ -129,19 +129,17 @@ def ece(confidences: np.ndarray, correct: np.ndarray, n_bins: int = 10) -> float
 # --- plotting payloads ---------------------------------------------------------
 
 
-def roc_points(scores: ScoreSet) -> dict[str, list[float]]:
+def roc_points(scores: ScoreSet | _Tally) -> dict[str, list[float]]:
     """ROC curve of the OOD detector (positive = OOD), threshold descending."""
-    _require_both_classes(scores, "roc_points")
-    n_ood = int(scores.is_ood.sum())
-    n_id = scores.is_ood.size - n_ood
-    tp, predicted = _sweep(scores.scores, scores.is_ood)
+    tally, n_id, n_ood = _both_classes(scores, "roc_points")
+    tp, predicted = _sweep(tally, "ood")
     return {
         "fpr": [0.0] + ((predicted - tp) / n_id).tolist(),
         "tpr": [0.0] + (tp / n_ood).tolist(),
     }
 
 
-def pr_points(scores: ScoreSet, positive: str = "id") -> dict[str, list[float]]:
+def pr_points(scores: ScoreSet | _Tally, positive: str = "id") -> dict[str, list[float]]:
     precision, recall = _pr_sweep(scores, positive)
     return {"precision": precision.tolist(), "recall": recall.tolist()}
 
@@ -244,21 +242,22 @@ def build_report(
     n_id = n_ood = 0
     for name in sorted(score_sets):
         ss = score_sets[name]
-        n_id = int((~ss.is_ood).sum())
-        n_ood = int(ss.is_ood.sum())
+        tally = _tally(ss)  # one sort serves every metric and curve below
+        n_id, n_ood = int(tally[0][-1]), int(tally[1][-1])
         methods[name] = MethodReport(
-            auroc=auroc(ss),
-            aupr_id=aupr(ss, positive="id"),
-            aupr_ood=aupr(ss, positive="ood"),
-            fpr95=fpr_at_tpr(ss, 0.95),
+            auroc=auroc(tally),
+            aupr_id=aupr(tally, positive="id"),
+            aupr_ood=aupr(tally, positive="ood"),
+            fpr95=fpr_at_tpr(tally, 0.95),
             ece=ss.ece,
             orientation=DEFAULT_ORIENTATION,
         )
         curves[name] = {
-            "roc": roc_points(ss),
-            "pr_id": pr_points(ss, positive="id"),
+            "roc": roc_points(tally),
+            "pr_id": pr_points(tally, positive="id"),
             "histogram": score_histograms(ss),
         }
+        del tally  # only one scorer's tally is alive at a time
     return EvaluationReport(
         methods=methods,
         n_id=n_id,

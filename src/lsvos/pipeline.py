@@ -135,6 +135,10 @@ class ExperimentConfig:
             raise InputError(f"synth.method must be one of {METHODS}, got {self.synth_method!r}")
         if self.train_phase1_epochs < 0 or self.train_phase2_epochs < 0:
             raise InputError("epoch counts must be non-negative")
+        # latent-space synthesis decodes through the auto-encoder phase 1 fits
+        synthesizes = self.loss_lambda > 0.0 and self.train_phase2_epochs > 0
+        if synthesizes and self.synth_method == "lsvos" and self.train_phase1_epochs == 0:
+            raise NotReadyError("auto-encoder has not been trained; set train.phase1_epochs > 0")
         if self.train_epoch_scale <= 0.0:
             raise InputError("train.epoch_scale must be positive")
         if self.train_lr <= 0.0 or self.train_batch_size <= 0:
@@ -422,11 +426,6 @@ def _train(
     rng_model, rng_train, rng_synth = rngs
     if len(u_id) == 0:
         raise InputError("training needs at least one inlier feature row")
-    # latent-space synthesis decodes through the auto-encoder, so phase 2
-    # may synthesize only after the reconstruction phase has run
-    synthesizes = cfg.loss_lambda > 0.0 and cfg.train_phase2_epochs > 0
-    if synthesizes and cfg.synth_method == "lsvos" and cfg.train_phase1_epochs == 0:
-        raise NotReadyError("auto-encoder has not been trained; set train.phase1_epochs > 0")
     dim = u_id.shape[1]
     bundle = ModelBundle.build(
         dim,

@@ -3,14 +3,21 @@
 Everything here is deliberately slow and simple: finite differences for
 gradients, Monte-Carlo volume estimates for box overlap, O(N^2) pair
 counting for ranking metrics.  None of it shares code paths with the
-package under test.
+package under test, apart from what `build_report_reference` wraps: the
+report classes, the score histogram and `scoring.calibrate_tau`.
 """
 
 import numpy as np
 
 from lsvos import nn
-from lsvos.errors import NumericalFailure
-from lsvos.scoring import fit_gaussian_model
+from lsvos.errors import InputError, NumericalFailure, UndefinedMetricError
+from lsvos.metrics import (
+    AUPR_POSITIVE_CHOICES,
+    EvaluationReport,
+    MethodReport,
+    score_histograms,
+)
+from lsvos.scoring import DEFAULT_ORIENTATION, calibrate_tau, fit_gaussian_model
 
 
 def vos_reference(queue, n_per_class, n_candidates, rng):
@@ -280,3 +287,135 @@ def exhaustive_aupr(scores, is_positive):
         area += (recall - prev_recall) * precision
         prev_recall = recall
     return area
+
+
+# --- the report path that sorted each score set once per metric --------------
+#
+# metrics.build_report before it read every metric off one sort per scorer:
+# averaged ranks for AUROC, one stable argsort per threshold sweep, and the
+# FPR at a TPR through scoring.calibrate_tau.  The new path must give the
+# same report bytes.
+
+
+def _averaged_ranks_reference(values):
+    """1-based ranks; tied values share the average of their rank range."""
+    order = np.argsort(values, kind="stable")
+    s = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], s.size) - 1
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
+    return ranks
+
+
+def _require_both_classes_reference(scores, metric):
+    n_ood = int(scores.is_ood.sum())
+    if n_ood == 0 or n_ood == scores.is_ood.size:
+        raise UndefinedMetricError(
+            f"{metric} needs both ID and OOD items, got {n_ood} OOD of {scores.is_ood.size}"
+        )
+
+
+def _auroc_reference(scores):
+    """P(random OOD score > random ID score), ties counted half."""
+    _require_both_classes_reference(scores, "auroc")
+    ranks = _averaged_ranks_reference(scores.scores)
+    n_ood = int(scores.is_ood.sum())
+    n_id = scores.is_ood.size - n_ood
+    rank_sum = float(ranks[scores.is_ood].sum())
+    u_stat = rank_sum - 0.5 * n_ood * (n_ood + 1)
+    return u_stat / (n_id * n_ood)
+
+
+def _sweep_reference(toward_positive, pos_mask):
+    """Cumulative (tp, predicted) counts at each distinct threshold, descending.
+
+    Thresholds sweep down `toward_positive` (a stable sort); each tied-score
+    group contributes one point, taken at its last index.
+    """
+    order = np.argsort(-toward_positive, kind="stable")
+    sorted_scores = toward_positive[order]
+    tp = np.cumsum(pos_mask[order].astype(np.int64))
+    predicted = np.arange(1, tp.size + 1)
+    group_end = np.ones(tp.size, dtype=bool)
+    group_end[:-1] = sorted_scores[:-1] != sorted_scores[1:]
+    return tp[group_end], predicted[group_end]
+
+
+def _pr_sweep_reference(scores, positive):
+    """(precision, recall) after each distinct-threshold group, descending."""
+    if positive not in AUPR_POSITIVE_CHOICES:
+        raise InputError(f"positive class must be one of {AUPR_POSITIVE_CHOICES}")
+    # flip so the positive class is the high-score one, then sweep down
+    toward_positive = scores.scores if positive == "ood" else -scores.scores
+    pos_mask = scores.is_ood if positive == "ood" else ~scores.is_ood
+    n_pos = int(pos_mask.sum())
+    if n_pos == 0:
+        raise UndefinedMetricError(f"aupr positive class {positive!r} has no items")
+    tp, predicted = _sweep_reference(toward_positive, pos_mask)
+    return tp / predicted, tp / n_pos
+
+
+def _aupr_reference(scores, positive="id"):
+    """Area under precision-recall via sum (R_i - R_{i-1}) * P_i."""
+    precision, recall = _pr_sweep_reference(scores, positive)
+    recall_steps = np.diff(recall, prepend=0.0)
+    return float(np.sum(recall_steps * precision))
+
+
+def fpr_at_tpr_reference(scores, tpr=0.95):
+    """Fraction of OOD accepted when tau admits `tpr` of the ID items."""
+    _require_both_classes_reference(scores, "fpr_at_tpr")
+    threshold = calibrate_tau(scores.id_scores, tpr)
+    return float(np.mean(scores.ood_scores <= threshold.tau))
+
+
+def _roc_points_reference(scores):
+    """ROC curve of the OOD detector (positive = OOD), threshold descending."""
+    _require_both_classes_reference(scores, "roc_points")
+    n_ood = int(scores.is_ood.sum())
+    n_id = scores.is_ood.size - n_ood
+    tp, predicted = _sweep_reference(scores.scores, scores.is_ood)
+    return {
+        "fpr": [0.0] + ((predicted - tp) / n_id).tolist(),
+        "tpr": [0.0] + (tp / n_ood).tolist(),
+    }
+
+
+def _pr_points_reference(scores, positive="id"):
+    precision, recall = _pr_sweep_reference(scores, positive)
+    return {"precision": precision.tolist(), "recall": recall.tolist()}
+
+
+def build_report_reference(score_sets, config_hash, seed):
+    """Compute every metric and plotting payload for each method."""
+    if not score_sets:
+        raise InputError("no score sets to evaluate")
+    methods = {}
+    curves = {}
+    n_id = n_ood = 0
+    for name in sorted(score_sets):
+        ss = score_sets[name]
+        n_id = int((~ss.is_ood).sum())
+        n_ood = int(ss.is_ood.sum())
+        methods[name] = MethodReport(
+            auroc=_auroc_reference(ss),
+            aupr_id=_aupr_reference(ss, positive="id"),
+            aupr_ood=_aupr_reference(ss, positive="ood"),
+            fpr95=fpr_at_tpr_reference(ss, 0.95),
+            ece=ss.ece,
+            orientation=DEFAULT_ORIENTATION,
+        )
+        curves[name] = {
+            "roc": _roc_points_reference(ss),
+            "pr_id": _pr_points_reference(ss, positive="id"),
+            "histogram": score_histograms(ss),
+        }
+    return EvaluationReport(
+        methods=methods,
+        n_id=n_id,
+        n_ood=n_ood,
+        config_hash=config_hash,
+        seed=seed,
+        curves=curves,
+    )

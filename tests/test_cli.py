@@ -170,6 +170,14 @@ class TestTrain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_dry_run_refuses_lsvos_synthesis_without_phase_1(self, capsys):
+        # the desk preset synthesizes with LS-VOS in phase 2
+        code = main(["train", "--set", "train.phase1_epochs=0", "--dry-run"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "error:" in err and "train.phase1_epochs" in err
+        assert "config ok" not in out
+
     def test_bad_set_flag_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(micro_config_text())

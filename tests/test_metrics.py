@@ -1,7 +1,11 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsvos import metrics
 from lsvos.errors import InputError, UndefinedMetricError
@@ -66,30 +70,45 @@ class TestAuroc:
             assert metrics.auroc(ss) == pytest.approx(expected, abs=1e-9)
 
 
+def _rank_sum_auroc(ss):
+    """AUROC as the Mann-Whitney rank sum over the loop oracle's averaged ranks."""
+    ranks = oracles.averaged_ranks_loop(ss.scores)
+    n_ood = int(ss.is_ood.sum())
+    n_id = ss.is_ood.size - n_ood
+    u_stat = float(ranks[ss.is_ood].sum()) - 0.5 * n_ood * (n_ood + 1)
+    return u_stat / (n_id * n_ood)
+
+
 class TestAveragedRanks:
+    """auroc equals the rank-sum formula over averaged ranks, bit for bit."""
+
     @pytest.mark.parametrize(
         "values",
         [
             [3.0, 1.0, 2.0, 1.0, 3.0, 3.0],
             [2.5] * 7,
-            [4.0],
+            [4.0, 1.0],
             [0.0, -0.0, 1.0, -0.0, 0.0, -1.0],
         ],
         ids=["ties", "all-equal", "one", "signed-zeros"],
     )
     def test_hand_cases_match_loop_oracle_bitwise(self, values):
-        values = np.array(values)
-        got = metrics._averaged_ranks(values)
-        assert got.tobytes() == oracles.averaged_ranks_loop(values).tobytes()
+        # every labelling that has both classes; "one" is one row of each
+        for labels in itertools.product([False, True], repeat=len(values)):
+            if 0 < sum(labels) < len(values):
+                ss = ScoreSet(values, labels)
+                assert metrics.auroc(ss) == _rank_sum_auroc(ss)
 
     @pytest.mark.parametrize("levels", [None, 40])
     def test_random_match_loop_oracle_bitwise(self, levels):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            n = int(rng.integers(1, 500))
+            n = int(rng.integers(2, 500))
             values = rng.normal(size=n) if levels is None else rng.integers(0, levels, n) / 8.0
-            got = metrics._averaged_ranks(values)
-            assert got.tobytes() == oracles.averaged_ranks_loop(values).tobytes()
+            is_ood = rng.integers(0, 2, size=n).astype(bool)
+            is_ood[rng.permutation(n)[:2]] = [False, True]
+            ss = ScoreSet(values, is_ood)
+            assert metrics.auroc(ss) == _rank_sum_auroc(ss)
 
 
 class TestAupr:
@@ -145,6 +164,11 @@ class TestFprAtTpr:
     def test_single_class_undefined(self):
         with pytest.raises(UndefinedMetricError):
             metrics.fpr_at_tpr(_score_set([1, 2], []))
+
+    @pytest.mark.parametrize("tpr", [0.0, 1.2, math.nan])
+    def test_rejects_a_rate_outside_zero_to_one(self, tpr):
+        with pytest.raises(InputError):
+            metrics.fpr_at_tpr(_score_set([1, 2, 3], [2, 4]), tpr)
 
 
 class TestEce:
@@ -247,3 +271,59 @@ class TestReport:
         # a field of the wrong JSON type, not only a missing one
         with pytest.raises(InputError, match="malformed field"):
             EvaluationReport.from_json(json.dumps({"methods": []}))
+
+
+# coarse levels with both signed zeros, so ties are common and -0.0 == 0.0
+_GRID = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+
+
+@st.composite
+def _score_sets(draw):
+    """A score set of 2 to 300 rows with both classes, often heavily tied."""
+    n = draw(st.integers(2, 300))
+    layout = draw(st.sampled_from(["grid", "one value", "normal"]))
+    if layout == "grid":
+        values = draw(st.lists(st.sampled_from(_GRID), min_size=n, max_size=n))
+    elif layout == "one value":
+        values = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+    else:
+        values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
+    lone = draw(st.sampled_from(["id", "ood", None]))
+    if lone is None:
+        is_ood = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        first, second = draw(st.permutations(range(n)))[:2]
+        is_ood[[first, second]] = [False, True]
+    else:  # one row of the lone class among the other's
+        is_ood = np.full(n, lone == "id")
+        is_ood[draw(st.integers(0, n - 1))] = lone != "id"
+    ece = draw(st.none() | st.floats(0.0, 1.0))
+    return ScoreSet(values, is_ood, ece=ece)
+
+
+class TestOneSortPerScorer:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_score_sets(), min_size=1, max_size=3))
+    def test_report_bytes_match_the_sort_per_metric_reference(self, sets):
+        named = {f"m{i}": ss for i, ss in enumerate(sets)}
+        got = metrics.build_report(named, "h", 3).to_json()
+        assert got == oracles.build_report_reference(named, "h", 3).to_json()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_score_sets(), st.sampled_from([1e-9, 0.1, 0.5, 0.9, 0.95, 0.999, 1.0]))
+    def test_fpr_at_tpr_matches_the_calibrate_tau_reference(self, ss, tpr):
+        expected = oracles.fpr_at_tpr_reference(ss, tpr)
+        assert np.float64(metrics.fpr_at_tpr(ss, tpr)).tobytes() == np.float64(expected).tobytes()
+
+    def test_build_report_sorts_each_score_set_once(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+
+        def counting_argsort(*args, **kwargs):
+            calls.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        rng = np.random.default_rng(8)
+        sets = {name: _random_tied_set(rng) for name in ("a", "b", "c")}
+        metrics.build_report(sets, "h", 0)
+        assert len(calls) == 3

@@ -207,6 +207,11 @@ _POSITIVE_FLOATS = st.floats(
 def valid_configs(draw):
     """Configs drawn from the ranges that validate() accepts."""
     classes = draw(st.integers(2, 64))
+    loss_lambda = draw(_FLOATS)
+    synth_method = draw(st.sampled_from(METHODS))
+    phase2_epochs = draw(st.integers(0, 10**6))
+    # LS-VOS synthesis decodes through the auto-encoder that phase 1 trains
+    needs_phase1 = synth_method == "lsvos" and loss_lambda > 0.0 and phase2_epochs > 0
     return ExperimentConfig(
         dataset=draw(
             st.just("synthetic")
@@ -229,11 +234,11 @@ def valid_configs(draw):
         model_classifier_hidden=draw(_WIDTHS),
         noise_alpha=draw(_FLOATS),
         noise_beta=draw(_FLOATS),
-        loss_lambda=draw(_FLOATS),
+        loss_lambda=loss_lambda,
         loss_variant=draw(st.sampled_from(UNCERTAINTY_VARIANTS)),
-        synth_method=draw(st.sampled_from(METHODS)),
-        train_phase1_epochs=draw(st.integers(0, 10**6)),
-        train_phase2_epochs=draw(st.integers(0, 10**6)),
+        synth_method=synth_method,
+        train_phase1_epochs=draw(st.integers(int(needs_phase1), 10**6)),
+        train_phase2_epochs=phase2_epochs,
         train_epoch_scale=draw(_POSITIVE_FLOATS),
         train_lr=draw(_POSITIVE_FLOATS),
         train_batch_size=draw(st.integers(1, 10**6)),
