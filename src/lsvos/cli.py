@@ -203,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         required=True,
         metavar="KEY=V1,V2,...",
-        help="sweep axis (repeatable; multiple axes form a product); a list value "
-        "goes in brackets, e.g. model.encoder_hidden=[128,64],[256]",
+        help="sweep axis (repeatable, once per key; multiple axes form a product); "
+        "a list value goes in brackets, e.g. model.encoder_hidden=[128,64],[256]",
     )
     ab.set_defaults(func=cmd_ablate)
 

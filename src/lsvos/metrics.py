@@ -216,17 +216,22 @@ class EvaluationReport:
                 name: MethodReport(**block)
                 for name, block in payload["methods"].items()
             }
-            return cls(
-                methods=methods,
-                n_id=payload["counts"]["id"],
-                n_ood=payload["counts"]["ood"],
-                config_hash=payload["config_hash"],
-                seed=payload["seed"],
-                curves=payload["curves"],
-            )
+            n_id, n_ood = payload["counts"]["id"], payload["counts"]["ood"]
+            config_hash, seed, curves = payload["config_hash"], payload["seed"], payload["curves"]
         except (KeyError, TypeError, AttributeError) as exc:
             # AttributeError: a field of the wrong JSON type, e.g. a methods list
             raise InputError(f"report JSON missing or malformed field: {exc}") from exc
+        typed = (
+            ("config_hash", config_hash, str),
+            ("seed", seed, int),
+            ("counts.id", n_id, int),
+            ("counts.ood", n_ood, int),
+        )
+        # type(), not isinstance: a JSON true is a bool, which is no seed or count
+        wrong = [name for name, value, kind in typed if type(value) is not kind]
+        if wrong:
+            raise InputError(f"report JSON malformed field: {', '.join(wrong)} of the wrong type")
+        return cls(methods, n_id, n_ood, config_hash, seed, curves)
 
 
 def build_report(

@@ -43,7 +43,7 @@ CHECKPOINT_VERSION = 1
 # with an inner size of 32 or more to a small-matrix kernel
 BLOCKED_GEMM_MACS = 100**3
 
-# forward runs a batch of at least twice this many rows in row blocks
+# forward runs a batch in blocks of this many rows, the last taking the tail
 FORWARD_BLOCK_ROWS = 8192
 
 
@@ -169,9 +169,9 @@ def _check_activation(a: np.ndarray, index: int) -> None:
         raise NumericalFailure(f"non-finite activation after layer {index}")
 
 
-def _layer_forward(a: np.ndarray, layer: Layer, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ W + b and the layer's activation, written into out (fresh when None)."""
-    z = np.matmul(a, layer.weights, out=out)
+def _layer_forward(a: np.ndarray, layer: Layer) -> np.ndarray:
+    """a @ W + b and the layer's activation, the last two written into the product."""
+    z = a @ layer.weights
     z += layer.bias
     return _apply_activation(z, layer.activation, z)
 
@@ -191,56 +191,33 @@ def _block_rows(net: DenseNet) -> int:
     return -(-rows // 64) * 64
 
 
-def _forward_blocks(net: DenseNet, x: np.ndarray, block_rows: int) -> np.ndarray:
-    """forward over blocks of block_rows rows, the last block taking the
-    tail, written into one (N, D_out) output.
-
-    Hidden activations alternate between two buffers sized for the largest
-    (last) block.  A layer's rows do not depend on the rows beside them in
-    the blocked GEMM kernel, so the output has the bits of one pass.  A
-    non-finite activation names the first failing layer of the first
-    failing block.
-    """
-    n = x.shape[0]
-    n_blocks = n // block_rows
-    most_rows = n - (n_blocks - 1) * block_rows
-    width = max((layer.fan_out for layer in net.layers[:-1]), default=0)
-    buffers = (np.empty(most_rows * width), np.empty(most_rows * width))
-    out = np.empty((n, net.output_dim))
-    last = len(net.layers) - 1
-    for k in range(n_blocks):
-        start = k * block_rows
-        stop = n if k == n_blocks - 1 else start + block_rows
-        a = x[start:stop]
-        for i, layer in enumerate(net.layers):
-            if i == last:
-                dest = out[start:stop]
-            else:
-                size = (stop - start) * layer.fan_out
-                dest = buffers[i % 2][:size].reshape(stop - start, layer.fan_out)
-            a = _layer_forward(a, layer, dest)
-            _check_activation(a, i)
-    return out
-
-
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Run the net on a (B, D_in) batch, returning (B, D_out).
 
-    Each layer's bias and relu are written into its ``a @ W`` product, and
-    x is not written.  A batch of fewer than twice _block_rows(net) rows
-    runs in one pass, with at most two activations of the whole batch
-    alive at a time; a larger one runs in row blocks (_forward_blocks), so
-    its memory does not grow with the batch beyond the input and output.
+    The batch runs in blocks of _block_rows(net) rows, the last block
+    taking the tail, so a batch of fewer than two blocks is one block and
+    memory grows with the batch only by its input and output.  Each
+    layer's bias and relu are written into its ``a @ W`` product, so at
+    most two activations of a block are alive at a time, and x is not
+    written.  A layer's rows do not depend on the rows beside them in the
+    blocked GEMM kernel, so the output has the bits of one pass.  A
+    non-finite activation names the first failing layer of the first
+    failing block.
     """
-    a = _check_batch(net, x)
+    x = _check_batch(net, x)
+    n = x.shape[0]
     block_rows = _block_rows(net)
-    if a.shape[0] >= 2 * block_rows:
-        return _forward_blocks(net, a, block_rows)
-    for i, layer in enumerate(net.layers):
-        # rebinding a frees the layer's input before the check's temporary
-        a = _layer_forward(a, layer)
-        _check_activation(a, i)
-    return a
+    n_blocks = max(1, n // block_rows)
+    outputs = []
+    for k in range(n_blocks):
+        stop = n if k == n_blocks - 1 else (k + 1) * block_rows
+        a = x[k * block_rows : stop]
+        for i, layer in enumerate(net.layers):
+            # rebinding a frees the layer's input before the check's temporary
+            a = _layer_forward(a, layer)
+            _check_activation(a, i)
+        outputs.append(a)
+    return outputs[0] if n_blocks == 1 else np.concatenate(outputs)
 
 
 def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None):

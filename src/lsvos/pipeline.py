@@ -104,8 +104,14 @@ class ExperimentConfig:
     methods: tuple[str, ...] = SCORER_NAMES
 
     def validate(self) -> None:
-        if not self.dataset:
-            raise InputError("dataset must be 'synthetic' or a feature directory")
+        # config.txt holds the path on one stripped line where '#' starts a
+        # comment, so a path with any of those would read back as another
+        path = self.dataset
+        if not path or path != path.strip() or "#" in path or path.splitlines() != [path]:
+            raise InputError(
+                "dataset must be 'synthetic' or a feature directory without '#', "
+                f"a line break or leading or trailing blanks, got {path!r}"
+            )
         for key, (attr, parse, _) in _KEYS.items():
             value = getattr(self, attr)
             if parse is float and not math.isfinite(value):
@@ -735,11 +741,12 @@ def _sweep_values(spec: str, values: str) -> list[str]:
 def sweep_from_specs(specs: list[str]) -> list[dict[str, str]]:
     """Expand "key=v1,v2,..." specs into per-run override dicts.
 
-    Multiple specs form the cartesian product of their value lists.  A
-    list-valued point goes in brackets: "model.encoder_hidden=[128,64],[256]"
-    is two points, (128, 64) and (256,).
+    Multiple specs form the cartesian product of their value lists, and a
+    key may be swept by one spec only.  A list-valued point goes in
+    brackets: "model.encoder_hidden=[128,64],[256]" is two points, (128, 64)
+    and (256,).
     """
-    axes: list[tuple[str, list[str]]] = []
+    axes: dict[str, list[str]] = {}
     for spec in specs:
         if "=" not in spec:
             raise InputError(f"sweep spec must be key=v1,v2,..., got {spec!r}")
@@ -747,12 +754,14 @@ def sweep_from_specs(specs: list[str]) -> list[dict[str, str]]:
         key = key.strip()
         if key not in _KEYS:
             raise InputError(f"unknown sweep key {key!r}")
+        if key in axes:
+            raise InputError(f"sweep key {key!r} is given twice")
         parts = _sweep_values(spec, values)
         if not parts:
             raise InputError(f"sweep spec {spec!r} lists no values")
-        axes.append((key, parts))
+        axes[key] = parts
     combos: list[dict[str, str]] = [{}]
-    for key, parts in axes:
+    for key, parts in axes.items():
         combos = [{**combo, key: value} for combo in combos for value in parts]
     return combos
 

@@ -178,6 +178,16 @@ class TestTrain:
         assert "error:" in err and "train.phase1_epochs" in err
         assert "config ok" not in out
 
+    @pytest.mark.parametrize(
+        "path", ["/tmp/run#2", "runs/a\nseed = 5", "runs/a\u2028b"]
+    )
+    def test_dry_run_refuses_a_dataset_path_config_txt_cannot_hold(self, path, capsys):
+        # config.txt would read these back as another path, with another hash
+        code = main(["train", "--set", f"dataset={path}", "--dry-run"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: dataset must be") and "config ok" not in out
+
     def test_bad_set_flag_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(micro_config_text())
@@ -346,12 +356,18 @@ class TestEvaluateAndReport:
         assert captured.out == ""
 
     def test_report_refuses_a_malformed_report(self, run_dir, capsys):
-        report = json.loads((run_dir / "report.json").read_text())
-        report["methods"] = []
-        (run_dir / "report.json").write_text(json.dumps(report))
-        capsys.readouterr()
+        good = json.loads((run_dir / "report.json").read_text())
+        # a mistyped config_hash or seed would crash or misprint the table
+        for field, value in [("methods", []), ("config_hash", 5), ("seed", "x"), ("seed", True)]:
+            (run_dir / "report.json").write_text(json.dumps({**good, field: value}))
+            capsys.readouterr()
+            assert main(["report", "--run", str(run_dir)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: report JSON")
+            assert captured.out == ""
+        (run_dir / "report.json").write_text(json.dumps({**good, "counts": {"id": 150, "ood": 8.0}}))
         assert main(["report", "--run", str(run_dir)]) == 1
-        assert capsys.readouterr().err.startswith("error: report JSON")
+        assert "counts.ood of the wrong type" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["manifest.json", "report.json"])
     def test_report_refuses_a_file_that_is_not_utf8(self, run_dir, capsys, name):
@@ -390,6 +406,23 @@ class TestAblate:
         assert len([ln for ln in lines if " ok" in ln]) == 2
         assert (out / "ablation.csv").is_file()
         assert (out / "run_001" / "report.json").is_file()
+
+    def test_a_key_swept_twice_is_refused_before_any_run(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(micro_config_text())
+        out = tmp_path / "ab"
+        code = main(
+            [
+                "ablate", "--config", str(cfg_path),
+                "--sweep", "noise.beta=0,1", "--sweep", "noise.beta=2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "'noise.beta' is given twice" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_failed_point_reported_and_exit_nonzero(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"

@@ -271,6 +271,23 @@ class TestReport:
         # a field of the wrong JSON type, not only a missing one
         with pytest.raises(InputError, match="malformed field"):
             EvaluationReport.from_json(json.dumps({"methods": []}))
+        # a config hash that is no string, or a seed or count that is no int
+        # (bool included), would crash or misprint `report`
+        text = metrics.build_report(self._sets(), "abc123", 7).to_json()
+        for field, value in [
+            ("config_hash", 5),
+            ("config_hash", None),
+            ("seed", "x"),
+            ("seed", 1.0),
+            ("seed", True),
+            ("id", 150.0),
+            ("ood", "80"),
+            ("ood", False),
+        ]:
+            payload = json.loads(text)
+            (payload["counts"] if field in ("id", "ood") else payload)[field] = value
+            with pytest.raises(InputError, match=f"{field} of the wrong type"):
+                EvaluationReport.from_json(json.dumps(payload))
 
 
 # coarse levels with both signed zeros, so ties are common and -0.0 == 0.0

@@ -126,12 +126,13 @@ def _biased_net(dims, rng, final="identity"):
 
 
 def _block_sizes(b):
-    # one pass, the smallest blocked batches, and a tail merged into the last block
-    return (b - 1, 2 * b - 1, 2 * b, 2 * b + 1, 3 * b + 17)
+    # one row; one block of fewer than b, exactly b and almost 2b rows; the
+    # smallest batches of two blocks; and a tail merged into the last block
+    return (1, b - 1, b, 2 * b - 1, 2 * b, 2 * b + 1, 3 * b + 17)
 
 
 class TestForwardBlocks:
-    """A batch of at least two blocks runs in row blocks with one pass's bits."""
+    """A batch runs in row blocks with one pass's bits."""
 
     def _assert_matches_one_pass(self, net, x):
         before = x.copy()
@@ -149,7 +150,7 @@ class TestForwardBlocks:
         hidden=st.lists(st.integers(40, 64), min_size=1, max_size=2),
         d_out=st.integers(1, 4),
         final=st.sampled_from(nn.ACTIVATIONS),
-        which=st.integers(0, 4),
+        which=st.integers(0, 6),
         order=st.sampled_from("CF"),
         seed=st.integers(0, 2**32 - 1),
     )

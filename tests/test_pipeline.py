@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import string
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,12 @@ class TestConfig:
             {"train_lr": math.nan},
             {"data_cov_scale": math.inf},
             {"noise_beta": math.inf},
+            # a dataset path that config.txt would read back as another
+            {"dataset": "run#2"},
+            {"dataset": "a\nb"},
+            {"dataset": "a\x85b"},
+            {"dataset": " a"},
+            {"dataset": "a\t"},
         ],
     )
     def test_validate_rejects(self, overrides):
@@ -203,6 +210,14 @@ _POSITIVE_FLOATS = st.floats(
 )
 
 
+def _valid_dataset(path: str) -> bool:
+    try:
+        ExperimentConfig(dataset=path).validate()
+    except InputError:
+        return False
+    return True
+
+
 @st.composite
 def valid_configs(draw):
     """Configs drawn from the ranges that validate() accepts."""
@@ -213,9 +228,13 @@ def valid_configs(draw):
     # LS-VOS synthesis decodes through the auto-encoder that phase 1 trains
     needs_phase1 = synth_method == "lsvos" and loss_lambda > 0.0 and phase2_epochs > 0
     return ExperimentConfig(
+        # printable ASCII (with '#', blanks and line breaks) and any other
+        # character (with the line breaks of str.splitlines), kept where
+        # validate() accepts them
         dataset=draw(
             st.just("synthetic")
-            | st.text("abcxyz0123456789_-./", min_size=1, max_size=20)
+            | st.text(string.printable, min_size=1, max_size=20).filter(_valid_dataset)
+            | st.text(min_size=1, max_size=20).filter(_valid_dataset)
         ),
         data_dim=draw(st.integers(2 * classes, 100_000)),
         data_classes=classes,
@@ -285,6 +304,13 @@ class TestSweepSpecs:
             sweep_from_specs(["loss.lambda="])
         with pytest.raises(InputError):
             sweep_from_specs(["loss.lambda"])
+
+    def test_rejects_a_key_given_twice(self):
+        # a second axis would overwrite the first in every combo
+        with pytest.raises(InputError, match="'noise.beta' is given twice"):
+            sweep_from_specs(["noise.beta=0,1", "noise.beta=2"])
+        with pytest.raises(InputError, match="given twice"):
+            sweep_from_specs(["noise.beta=1", "loss.lambda=0", " noise.beta =1"])
 
     def test_bracketed_values_are_one_list_valued_point_each(self):
         combos = sweep_from_specs(["model.encoder_hidden=[128,64],[256]"])
