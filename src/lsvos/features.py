@@ -213,13 +213,21 @@ class FeatureQueue:
 
 
 def save_features(path, dataset: FeatureDataset) -> None:
-    """Write a dataset to the binary feature format (float32 on the wire)."""
+    """Write a dataset to the binary feature format (float32 on the wire).
+
+    A vector value beyond float32's range is refused before the file is
+    opened, since it would be written as inf and every reader refuses that.
+    """
+    with np.errstate(over="ignore"):
+        wire = dataset.records.astype(record_dtype(dataset.dim, "<f4"))
+    if not np.all(np.isfinite(wire["vec"])):
+        raise InputError("feature vectors exceed the float32 range of the feature file")
     header = FEATURE_MAGIC + struct.pack(
         "<IIIQ", FEATURE_VERSION, dataset.dim, dataset.num_classes, len(dataset.records)
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(dataset.records.astype(record_dtype(dataset.dim, "<f4")).tobytes())
+        fh.write(wire.tobytes())
 
 
 def load_features(path) -> FeatureDataset:

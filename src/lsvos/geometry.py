@@ -63,9 +63,6 @@ class Box3D:
         z = self.center[2] - origin
         return z - half, z + half
 
-    def volume(self) -> float:
-        return self.size[0] * self.size[1] * self.size[2]
-
 
 @dataclass
 class Detection:

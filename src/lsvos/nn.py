@@ -140,15 +140,6 @@ class Workspace:
         return self._buf[start : self._used].reshape(shape)
 
 
-def _apply_activation(z: np.ndarray, activation: str, out: np.ndarray) -> np.ndarray:
-    """relu(z) written into out (z itself is allowed), or z for identity."""
-    if activation == "relu":
-        return np.maximum(z, 0.0, out=out)
-    if activation == "identity":
-        return z
-    raise InputError(f"unknown activation {activation!r}")
-
-
 def _check_batch(net: DenseNet, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -169,11 +160,15 @@ def _check_activation(a: np.ndarray, index: int) -> None:
         raise NumericalFailure(f"non-finite activation after layer {index}")
 
 
-def _layer_forward(a: np.ndarray, layer: Layer) -> np.ndarray:
-    """a @ W + b and the layer's activation, the last two written into the product."""
-    z = a @ layer.weights
+def _layer_forward(a: np.ndarray, layer: Layer, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ W + b and the layer's activation, all written into out (fresh if None)."""
+    z = np.matmul(a, layer.weights, out=out)
     z += layer.bias
-    return _apply_activation(z, layer.activation, z)
+    if layer.activation == "relu":
+        return np.maximum(z, 0.0, out=z)
+    if layer.activation == "identity":
+        return z
+    raise InputError(f"unknown activation {layer.activation!r}")
 
 
 def _block_rows(net: DenseNet) -> int:
@@ -221,47 +216,44 @@ def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
 
 
 def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None):
-    """Forward pass that keeps (input, pre-activation) per layer for backprop.
+    """Forward pass that keeps every layer's output for backprop.
 
-    Pre-activations and relu outputs are views taken from ``ws`` (a fresh
-    workspace when none is given).
+    Returns the output and the activation list [x, a_1, ..., a_L], where
+    a_i is layer i-1's output, written by _layer_forward into a view taken
+    from ``ws`` (a fresh workspace when none is given).
     """
     ws = Workspace() if ws is None else ws
     a = _check_batch(net, x)
-    caches = []
+    acts = [a]
     for i, layer in enumerate(net.layers):
-        z = np.matmul(a, layer.weights, out=ws.take((a.shape[0], layer.fan_out)))
-        z += layer.bias
-        caches.append((a, z))
-        # backward reads z, so a relu output needs a block of its own
-        out = ws.take(z.shape) if layer.activation == "relu" else z
-        a = _apply_activation(z, layer.activation, out)
+        a = _layer_forward(a, layer, ws.take((a.shape[0], layer.fan_out)))
         _check_activation(a, i)
-    return a, caches
+        acts.append(a)
+    return a, acts
 
 
 def backward(
-    net: DenseNet, caches, d_out: np.ndarray, ws: Workspace | None = None
+    net: DenseNet, acts, d_out: np.ndarray, ws: Workspace | None = None
 ) -> list[np.ndarray]:
     """Backprop d_out = dL/d(output) through the net.
 
-    Returns grads matching parameters(net): [dW0, db0, dW1, db1, ...], as
-    views taken from ``ws`` (a fresh workspace when none is given).  The
-    gradient with respect to the net's input is never formed.  A hidden
-    relu layer's output is dead once the layer above has its gradients, so
-    that layer's relu mask is written over it and the caches are spent.
+    acts is the activation list of forward_cached.  Returns grads matching
+    parameters(net): [dW0, db0, dW1, db1, ...], as views taken from ``ws``
+    (a fresh workspace when none is given).  The gradient with respect to
+    the net's input is never formed.  A relu layer's output is dead once
+    the layers above have their gradients (for the last layer, once the
+    loss has given d_out), so the layer's relu mask is written over its own
+    output and acts is spent: relu(z) > 0 exactly where the finite z > 0.
     """
     ws = Workspace() if ws is None else ws
     grads: list[np.ndarray] = []
     da = d_out
-    last = len(net.layers) - 1
-    for i in range(last, -1, -1):
+    for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        a_prev, z = caches[i]
+        a_prev = acts[i]
         if layer.activation == "relu":
-            dz = caches[i + 1][0] if i < last else ws.take(z.shape)
             # mask as 1.0/0.0 times da: the same bits as da * (z > 0.0)
-            np.greater(z, 0.0, out=dz)
+            dz = np.greater(acts[i + 1], 0.0, out=acts[i + 1])
             dz *= da
         else:
             dz = da
@@ -395,11 +387,11 @@ def gradients(
     """
     ws = Workspace() if ws is None else ws
     ws.reset()
-    out, caches = forward_cached(net, x, ws)
+    out, acts = forward_cached(net, x, ws)
     loss, d_out = loss_and_grad(out, loss_kind, targets)
     if not np.isfinite(loss):
         raise NumericalFailure(f"non-finite {loss_kind} loss")
-    return loss, backward(net, caches, d_out, ws)
+    return loss, backward(net, acts, d_out, ws)
 
 
 @dataclass

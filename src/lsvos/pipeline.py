@@ -16,7 +16,6 @@ changes the hash.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -816,22 +815,13 @@ def ablate(
 
 def _write_ablation_csv(path: Path, rows: list[dict], methods) -> None:
     keys = sorted({k for row in rows for k in row["overrides"]})
-    header = keys + ["status"]
-    for method in methods:
-        header += [f"{method}_auroc", f"{method}_aupr_id", f"{method}_fpr95"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            line = [row["overrides"].get(k, "") for k in keys] + [row["status"]]
-            for method in methods:
-                block = row.get("metrics", {}).get(method)
-                if block is None:
-                    line += ["", "", ""]
-                else:
-                    line += [
-                        repr(float(block["auroc"])),
-                        repr(float(block["aupr_id"])),
-                        repr(float(block["fpr95"])),
-                    ]
-            writer.writerow(line)
+    columns = ("auroc", "aupr_id", "fpr95")
+    header = keys + ["status"] + [f"{method}_{c}" for method in methods for c in columns]
+    lines = []
+    for row in rows:
+        line = [row["overrides"].get(k, "") for k in keys] + [row["status"]]
+        for method in methods:
+            block = row.get("metrics", {}).get(method)
+            line += ["", "", ""] if block is None else [float(block[c]) for c in columns]
+        lines.append(line)
+    write_csv(path, ",".join(header), lines)

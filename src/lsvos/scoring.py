@@ -12,6 +12,7 @@ scores at the target acceptance rate.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import threading
@@ -250,12 +251,12 @@ def classify(scores: np.ndarray, threshold: Threshold) -> np.ndarray:
 
 
 def write_csv(path, header: str, rows) -> None:
-    """One comma-joined line per row: floats as repr(float), the rest as str."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """The header line, then one csv.writer row per row, floats as repr(float)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        for row in rows:
+            writer.writerow(repr(float(c)) if isinstance(c, float) else c for c in row)
 
 
 def save_scores(path, score_sets: dict[str, ScoreSet]) -> None:

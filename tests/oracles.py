@@ -182,12 +182,12 @@ def random_net_and_batch(rng, loss_kind, max_dim=16, guard=5e-3):
             targets = rng.integers(0, 2, size=batch.shape[0]).astype(bool)
             if targets.all() or not targets.any():
                 targets[0] = ~targets[0]
-        _, caches = nn.forward_cached(net, batch)
-        margins = [
-            np.min(np.abs(z))
-            for layer, (_, z) in zip(net.layers, caches)
-            if layer.activation == "relu"
-        ]
+        a, margins = batch, []
+        for layer in net.layers:
+            z = a @ layer.weights + layer.bias
+            if layer.activation == "relu":
+                margins.append(np.min(np.abs(z)))
+            a = np.maximum(z, 0.0) if layer.activation == "relu" else z
         if not margins or min(margins) > guard:
             return net, batch, targets
     raise RuntimeError("could not draw a kink-free network")

@@ -99,6 +99,15 @@ class TestGenerate:
         assert code == 1
         assert "fp_overlap" in capsys.readouterr().err
 
+    def test_features_past_float32_fail_without_a_file(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        code = main(
+            ["generate", "--set", "data.fp_displacement=1e39", "--out", str(out), *GEN_SMALL]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not list(out.glob("*.vosf"))
+
     def test_unwritable_path_fails(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")

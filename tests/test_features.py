@@ -283,6 +283,15 @@ class TestPersistence:
         features.save_features(path2, back)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("value", [3.5e38, -1e39, 1.7e308])
+    def test_refuses_a_value_past_float32_before_opening_the_file(self, tmp_path, value):
+        ds = self._dataset()
+        ds.records["vec"][5, 2] = value
+        path = tmp_path / "feats.vosf"
+        with pytest.raises(InputError, match="float32"):
+            features.save_features(path, ds)
+        assert not path.exists()
+
     def test_binary_rejects_bad_magic_and_truncation(self, tmp_path):
         ds = self._dataset()
         path = tmp_path / "feats.vosf"

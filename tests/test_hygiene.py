@@ -1,5 +1,6 @@
-"""Source hygiene: no module-level import goes unused, no package name goes
-unnamed, and README's module table lists exactly the package's modules.
+"""Source hygiene: no module-level import goes unused, no package name or
+method goes unnamed, and README's module table lists exactly the package's
+modules.
 
 A stdlib `ast` scan of every file in src/lsvos, tests and demos.  Package
 `__init__.py` files are skipped: their imports are re-exports.
@@ -93,18 +94,39 @@ def _naming_references(tree: ast.AST) -> set[str]:
     return refs
 
 
-def test_every_top_level_name_in_the_package_is_named_elsewhere():
+def _all_references() -> set[str]:
     # a package __init__ only re-exports, so it neither defines nor names
     refs = set()
     for folder in NAMING_FOLDERS:
         for path in (REPO_ROOT / folder).rglob("*.py"):
             if path.name != "__init__.py":
                 refs |= _naming_references(ast.parse(path.read_text(), filename=str(path)))
+    return refs
+
+
+def test_every_top_level_name_in_the_package_is_named_elsewhere():
+    refs = _all_references()
     dead = [
         f"{path.name}:{line} {name}"
         for path in DEFINING
         for name, line in _top_level_definitions(ast.parse(path.read_text())).items()
         if name not in refs
+    ]
+    assert not dead, f"defined and never named elsewhere: {', '.join(dead)}"
+
+
+def test_every_method_and_property_in_the_package_is_named_elsewhere():
+    # dunders are called by Python itself, so only the other members count
+    refs = _all_references()
+    dead = [
+        f"{path.name}:{member.lineno} {node.name}.{member.name}"
+        for path in DEFINING
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        for member in node.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (member.name.startswith("__") and member.name.endswith("__"))
+        and member.name not in refs
     ]
     assert not dead, f"defined and never named elsewhere: {', '.join(dead)}"
 

@@ -439,6 +439,63 @@ class TestWorkspace:
         assert [g.tobytes() for g in grads] == [r.tobytes() for r in ref]
 
 
+def _zeroed(net, index):
+    # every pre-activation of the layer is exactly zero
+    net.layers[index].weights[...] = 0.0
+    net.layers[index].bias[...] = 0.0
+    return net
+
+
+class TestReluMaskFromOutput:
+    """backward masks each relu layer with its own output, not its pre-activation."""
+
+    @pytest.mark.parametrize(
+        "make_net",
+        [
+            lambda rng: nn.dense_net([5, 7, 4], rng, "relu"),
+            lambda rng: nn.dense_net([5, 7, 6, 4], rng, "relu"),
+            lambda rng: _zeroed(nn.dense_net([5, 7, 6, 4], rng), 0),
+            lambda rng: _zeroed(nn.dense_net([5, 7, 6, 4], rng, "relu"), 2),
+        ],
+        ids=["relu-last", "deep-relu-last", "zero-hidden", "zero-relu-last"],
+    )
+    @pytest.mark.parametrize("rows", [1, 9, 300])
+    def test_bitwise_equal_to_reference(self, make_net, rows):
+        rng = np.random.default_rng(rows)
+        net = make_net(rng)
+        ws = nn.Workspace()
+        for _ in range(2):
+            x = rng.normal(size=(rows, 5))
+            targets = rng.normal(size=(rows, 4))
+            ref_loss, ref = oracles.gradients_reference(net, x, "mse", targets)
+            for workspace in (ws, None):
+                loss, grads = nn.gradients(net, x, "mse", targets, workspace)
+                assert loss == ref_loss
+                assert [g.tobytes() for g in grads] == [r.tobytes() for r in ref]
+
+    def test_autoencoder_workspace_holds_outputs_and_gradients(self):
+        # the desk auto-encoder on its 1,500-row sample: one block per layer
+        # output, the parameter gradients, and the gradient of each layer's
+        # input above the first
+        rows, dims = 1500, [67, 128, 32, 128, 64]
+        rng = np.random.default_rng(7)
+        encoder = nn.dense_net(dims[:3], rng)
+        decoder = nn.dense_net(dims[2:], rng)
+        net = nn.DenseNet(encoder.layers + decoder.layers)
+        x = rng.normal(size=(rows, 67))
+        ws = nn.Workspace()
+        nn.gradients(net, x, "mse", x[:, :64], ws)
+        ws.reset()
+        pairs = list(zip(dims[:-1], dims[1:]))
+        want = (
+            sum(rows * fan_out for _, fan_out in pairs)
+            + sum(fan_in * fan_out + fan_out for fan_in, fan_out in pairs)
+            + sum(rows * fan_in for fan_in, _ in pairs[1:])
+        )
+        assert want == 985_312
+        assert ws._buf.size == want
+
+
 class TestAdam:
     def test_first_step_hand_value(self):
         # unit gradient: m_hat = v_hat = 1, so the step is -lr / (1 + eps)

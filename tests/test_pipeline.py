@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -487,6 +488,46 @@ class TestRunExperiment:
         digest = hashlib.sha256((tmp_path / "scores.csv").read_bytes()).hexdigest()
         assert digest == "0f51edf6cae849d003921d29590709c1d3945abd8c4f4ff655fb7ffb56713bb2"
 
+    def test_history_and_plot_csv_bytes_are_pinned(self, tmp_path):
+        # numpy 2.4 with OpenBLAS 0.3.31, 1 thread; recorded when write_csv
+        # joined each row's cells with commas itself
+        run_experiment(micro_cfg(), out_dir=tmp_path)
+        digests = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in [tmp_path / "history.csv", *sorted((tmp_path / "plots").glob("*.csv"))]
+        }
+        assert digests == {
+            "history.csv": "13114a48229247da46836207712e1f1bb66cf06ab249117ff5af7db81f62e32b",
+            "plots/hist_default_score.csv": (
+                "3b87ef72d2bfac1d94b89b747a792cc34f4e94180d1e562d0ab6e42c18c08e89"
+            ),
+            "plots/hist_mahalanobis.csv": (
+                "589f9faa40e38ffd8b8a6b04932c91c8028051fb246a7d6d86488a14ba2065ae"
+            ),
+            "plots/hist_uncertainty.csv": (
+                "818d122b195ad508c388e27f80c0d26a1c01fa3e99b6e2da863ca79c6812e5f9"
+            ),
+            "plots/pca.csv": "dff5a4c1e8e60b2a80ac99dd72b82f970ce4dce6cf72b21ab722e484da7d0f83",
+            "plots/pr_default_score.csv": (
+                "4a782be2c76c1774c55bd660fdba7b8291f83be6050261454e57fa9557f8c4b5"
+            ),
+            "plots/pr_mahalanobis.csv": (
+                "f802fe64958cecacc9cd71e03197be1b5bedab3f1e4c29d09ba9f8fd12aca5cc"
+            ),
+            "plots/pr_uncertainty.csv": (
+                "e4329353500f7cdab5663415ec5f3c1b697915f8d73a8df07676a6321381dbc8"
+            ),
+            "plots/roc_default_score.csv": (
+                "9638d4733cbf1b8b93995e5793f029bb71c1668a11423eb0871a8f85114ff682"
+            ),
+            "plots/roc_mahalanobis.csv": (
+                "ad5d4c80517d1a7c1254e6d1039feb288d269f68c17e40bfe608e72bc76771c1"
+            ),
+            "plots/roc_uncertainty.csv": (
+                "a55eda1265c8dc8d9035798373d90d7147ccc57d697aa4344581ad2c220802c5"
+            ),
+        }
+
     @pytest.mark.parametrize("method", ["lsvos", "vos"])
     def test_shared_workspace_matches_per_call_allocation(self, tmp_path, monkeypatch, method):
         # 400 inlier rows in batches of 128 end every epoch on a 16-row batch
@@ -743,6 +784,17 @@ class TestAblate:
         assert "uncertainty_auroc" in csv_lines[0]
         assert len(csv_lines) == 3
         assert (tmp_path / "run_000" / "report.json").is_file()
+
+    def test_csv_has_lf_lines_and_quotes_a_list_override(self, tmp_path):
+        base = micro_cfg(train_phase1_epochs=1, train_phase2_epochs=1)
+        sweep = sweep_from_specs(["model.encoder_hidden=[16,8],[32]"])
+        ablate(base, sweep, out_dir=tmp_path)
+        data = (tmp_path / "ablation.csv").read_bytes()
+        assert b"\r" not in data
+        table = list(csv.reader(data.decode().splitlines()))
+        assert table[0][:2] == ["model.encoder_hidden", "status"]
+        assert [row[:2] for row in table[1:]] == [["16,8", "ok"], ["32", "ok"]]
+        assert len({len(row) for row in table}) == 1
 
     def test_failures_recorded_without_stopping(self, tmp_path):
         base = micro_cfg(train_phase1_epochs=1, train_phase2_epochs=1)
