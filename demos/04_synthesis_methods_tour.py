@@ -84,7 +84,7 @@ print(f"\nfeature-space gaussian tail: {mean_center_distance(vos.vectors, vos.cl
 
 # Methods 3 to 5: simple baselines.  Mixing toward real false positives,
 # unit Gaussian noise, and inliers with additive jitter.
-mix = linear_mix(u_id, u_fp[: len(u_id)], w=0.5, rng=rng)
+mix = linear_mix(u_id, u_fp[: len(u_id)], rng=rng)
 noise = random_noise(300, spec.dim, rng)
 jitter = noisy_id(u_id, rng)
 print("linear mix toward FPs:", f"{np.linalg.norm(mix.vectors - means[0], axis=1).mean():.2f} from class 0 center")

@@ -38,7 +38,7 @@ print("aupr positive=ood:", round(aupr(ss, positive="ood"), 4))
 
 # FPR at 95% TPR: fraction of outliers still accepted when the
 # threshold is set to keep 95% of inliers.
-print("fpr at 95% tpr:", round(fpr_at_tpr(ss, tpr=0.95), 4))
+print("fpr at 95% tpr:", round(fpr_at_tpr(ss), 4))
 
 # The ROC curve itself is available for plotting.
 curve = roc_points(ss)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .datagen import generate_features
 from .errors import InputError, LsvosError
-from .features import save_features
+from .features import Label, save_features
 from .metrics import EvaluationReport, build_report
 from .models import ModelBundle
 from .pipeline import (
@@ -98,7 +98,7 @@ def cmd_evaluate(args) -> int:
     methods = apply_overrides(ExperimentConfig(), {"methods": args.methods}).methods
     bundle = ModelBundle.load(args.checkpoint)
     train, val = load_feature_dir(args.data)
-    score_sets = evaluate_bundle(bundle, train, val, methods)
+    score_sets = evaluate_bundle(bundle, *train.select(Label.ID), val, methods)
     # the datasets are dead once scored; build_report's sweeps need the room
     del train, val
     report = build_report(score_sets, "recomputed", 0)
@@ -218,10 +218,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LsvosError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, UnicodeDecodeError) as exc:  # an unreadable file or one not UTF-8 text
+    # OSError and UnicodeDecodeError: an unreadable file or one not UTF-8 text
+    except (LsvosError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -92,10 +92,9 @@ class FeatureDataset:
         if not np.isfinite(records["vec"]).all():
             raise InputError("feature vectors contain non-finite values")
 
-    def select(self, label: Label | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(vectors, class_ids) for records with the given label (None = all)."""
-        labels = self.records["label"]
-        chosen = labels == label if label is not None else np.ones(len(labels), bool)
+    def select(self, label: Label) -> tuple[np.ndarray, np.ndarray]:
+        """(vectors, class_ids) for records with the given label."""
+        chosen = self.records["label"] == label
         return self.records["vec"][chosen], self.records["class_id"][chosen].astype(np.int64)
 
     def counts(self) -> dict[str, int]:

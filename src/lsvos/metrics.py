@@ -5,8 +5,9 @@ so it equals the probability that a random outlier outscores a random
 inlier.  AUPR sweeps thresholds in descending score order with step
 interpolation; the positive class defaults to ID (accepted at low scores)
 and both orientations are reported since the choice changes the number.
-These and FPR95's inclusive tau read one sort of the scores.  ECE bins
-confidences into equal-width bins over [0, 1].
+FPR95 is the OOD fraction at the inclusive tau that accepts 95% of ID.
+These read one sort of the scores.  ECE bins confidences into 10
+equal-width bins over [0, 1], as VOS reports it.
 
 All functions assume the repo-wide score orientation: higher = more
 outlier-like.
@@ -90,16 +91,14 @@ def aupr(scores: ScoreSet | _Tally, positive: str = "id") -> float:
     return float(np.sum(recall_steps * precision))
 
 
-def fpr_at_tpr(scores: ScoreSet | _Tally, tpr: float = 0.95) -> float:
-    """Fraction of OOD at or below tau, the ceil(tpr * n_id)-th smallest ID score."""
+def fpr_at_tpr(scores: ScoreSet | _Tally) -> float:
+    """FPR95: fraction of OOD at or below tau, the ceil(0.95 * n_id)-th smallest ID score."""
     (id_below, ood_below), n_id, n_ood = _both_classes(scores, "fpr_at_tpr")
-    if not 0.0 < tpr <= 1.0:
-        raise InputError(f"tpr must be in (0, 1], got {tpr}")
-    return int(ood_below[np.searchsorted(id_below, math.ceil(tpr * n_id))]) / n_ood
+    return int(ood_below[np.searchsorted(id_below, math.ceil(0.95 * n_id))]) / n_ood
 
 
-def ece(confidences: np.ndarray, correct: np.ndarray, n_bins: int = 10) -> float:
-    """Expected calibration error over equal-width confidence bins.
+def ece(confidences: np.ndarray, correct: np.ndarray) -> float:
+    """Expected calibration error over 10 equal-width confidence bins.
 
     sum over bins of (count / N) * |accuracy - mean confidence|; bin edges
     are left-inclusive with 1.0 clamped into the last bin.
@@ -112,11 +111,9 @@ def ece(confidences: np.ndarray, correct: np.ndarray, n_bins: int = 10) -> float
         raise InputError("confidences and correctness must be aligned")
     if confidences.min() < 0.0 or confidences.max() > 1.0:
         raise InputError("confidences must lie in [0, 1]")
-    if n_bins <= 0:
-        raise InputError("n_bins must be positive")
-    idx = np.minimum((confidences * n_bins).astype(np.int64), n_bins - 1)
+    idx = np.minimum((confidences * 10).astype(np.int64), 9)
     total = 0.0
-    for b in range(n_bins):
+    for b in range(10):
         mask = idx == b
         count = int(mask.sum())
         if count == 0:
@@ -139,14 +136,15 @@ def roc_points(scores: ScoreSet | _Tally) -> dict[str, list[float]]:
     }
 
 
-def pr_points(scores: ScoreSet | _Tally, positive: str = "id") -> dict[str, list[float]]:
-    precision, recall = _pr_sweep(scores, positive)
+def pr_points(scores: ScoreSet | _Tally) -> dict[str, list[float]]:
+    """Precision-recall curve with ID, accepted at low scores, as the positive class."""
+    precision, recall = _pr_sweep(scores, "id")
     return {"precision": precision.tolist(), "recall": recall.tolist()}
 
 
-def score_histograms(scores: ScoreSet, n_bins: int = 20) -> dict:
-    """ID and OOD score histograms over shared bin edges."""
-    edges = np.histogram_bin_edges(scores.scores, bins=n_bins)
+def score_histograms(scores: ScoreSet) -> dict:
+    """ID and OOD score histograms over 20 shared equal-width bins."""
+    edges = np.histogram_bin_edges(scores.scores, bins=20)
     id_counts, _ = np.histogram(scores.id_scores, bins=edges)
     ood_counts, _ = np.histogram(scores.ood_scores, bins=edges)
     return {
@@ -253,13 +251,13 @@ def build_report(
             auroc=auroc(tally),
             aupr_id=aupr(tally, positive="id"),
             aupr_ood=aupr(tally, positive="ood"),
-            fpr95=fpr_at_tpr(tally, 0.95),
+            fpr95=fpr_at_tpr(tally),
             ece=ss.ece,
             orientation=DEFAULT_ORIENTATION,
         )
         curves[name] = {
             "roc": roc_points(tally),
-            "pr_id": pr_points(tally, positive="id"),
+            "pr_id": pr_points(tally),
             "histogram": score_histograms(ss),
         }
         del tally  # only one scorer's tally is alive at a time

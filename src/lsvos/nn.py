@@ -32,8 +32,6 @@ import numpy as np
 
 from .errors import InputError, NumericalFailure
 
-ACTIVATIONS = ("identity", "relu")
-
 CHECKPOINT_MAGIC = b"VOSC"
 CHECKPOINT_VERSION = 1
 
@@ -77,14 +75,10 @@ class DenseNet:
         return self.layers[-1].fan_out
 
 
-def dense_net(
-    dims: list[int] | tuple[int, ...],
-    rng: np.random.Generator,
-    final_activation: str = "identity",
-) -> DenseNet:
+def dense_net(dims: list[int] | tuple[int, ...], rng: np.random.Generator) -> DenseNet:
     """Build a net with the given layer widths, e.g. dims=[64, 128, 32].
 
-    Hidden layers use relu, the last layer uses final_activation.  Weights
+    Hidden layers use relu, the last layer is identity.  Weights
     are Glorot-uniform, U(-a, a) with a = sqrt(6 / (fan_in + fan_out));
     biases start at zero.
     """
@@ -92,15 +86,13 @@ def dense_net(
         raise InputError("dense_net needs at least an input and output width")
     if any(int(d) <= 0 for d in dims):
         raise InputError(f"layer widths must be positive, got {list(dims)}")
-    if final_activation not in ACTIVATIONS:
-        raise InputError(f"unknown activation {final_activation!r}")
     layers = []
     for i in range(len(dims) - 1):
         fan_in, fan_out = int(dims[i]), int(dims[i + 1])
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         b = np.zeros(fan_out)
-        act = "relu" if i < len(dims) - 2 else final_activation
+        act = "relu" if i < len(dims) - 2 else "identity"
         layers.append(Layer(w, b, act))
     return DenseNet(layers)
 
@@ -416,14 +408,12 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
     lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One Adam update, written into params, state.m and state.v in place.
 
     m <- b1 m + (1-b1) g,  v <- b2 v + (1-b2) g^2,
-    p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
+    p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps),
+    with Adam's published constants b1 = 0.9, b2 = 0.999, eps = 1e-8.
 
     Every new value is computed and checked before any is stored, so a
     NumericalFailure leaves the parameters and the state untouched.
@@ -433,6 +423,7 @@ def adam_step(
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise InputError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = state.step + 1
     updates = []
     for p, g, m, v in zip(params, grads, state.m, state.v):

@@ -417,7 +417,7 @@ def _synthesize(
         n_per_class = max(1, math.ceil(len(feats) / queue.num_classes))
         return vos_synthesize(queue, n_per_class, None, VOS_CANDIDATES, rng)
     if method == "linear_mix":
-        return linear_mix(feats, u_fp, 0.5, rng)
+        return linear_mix(feats, u_fp, rng)
     if method == "random_noise":
         return random_noise(len(feats), feats.shape[1], rng)
     if method == "noisy_id":
@@ -513,23 +513,25 @@ def _train(
 # --- evaluation ----------------------------------------------------------------
 
 
-def evaluate_bundle(bundle: ModelBundle, train_ds, val_ds, methods) -> dict[str, ScoreSet]:
+def evaluate_bundle(
+    bundle: ModelBundle, train_id, train_cls, val_ds, methods
+) -> dict[str, ScoreSet]:
     """Score held-out ID vs FP rows with each configured scorer.
 
     Every score set follows the repo orientation (higher = more
     anomalous); max-softmax is negated accordingly.  A set's `ece` is filled
     for the scorers that expose a probability: the classifier's max softmax
     (class correctness on ID rows) and the uncertainty head's sigmoid
-    (OOD decision correctness on all rows).  Both datasets must have the
-    model's feature dim and class count.
+    (OOD decision correctness on all rows).  The Mahalanobis scorer fits on
+    the train ID rows and their class ids.  val_ds must have the model's
+    feature dim and class count.
     """
-    for ds in (train_ds, val_ds):
-        if (ds.dim, ds.num_classes) != (bundle.feature_dim, bundle.num_classes):
-            raise InputError(
-                f"model takes {bundle.feature_dim}-dim features of "
-                f"{bundle.num_classes} classes; the data has {ds.dim}-dim "
-                f"features of {ds.num_classes} classes"
-            )
+    if (val_ds.dim, val_ds.num_classes) != (bundle.feature_dim, bundle.num_classes):
+        raise InputError(
+            f"model takes {bundle.feature_dim}-dim features of "
+            f"{bundle.num_classes} classes; the data has {val_ds.dim}-dim "
+            f"features of {val_ds.num_classes} classes"
+        )
     labels = val_ds.records["label"]
     id_idx = np.flatnonzero(labels == Label.ID)
     fp_idx = np.flatnonzero(labels == Label.FP)
@@ -558,8 +560,7 @@ def evaluate_bundle(bundle: ModelBundle, train_ds, val_ds, methods) -> dict[str,
             correct = probs.argmax(axis=1) == val_id_cls
             calibration = ece(probs.max(axis=1), correct)
         elif method == "mahalanobis":
-            train_id, train_cls = train_ds.select(Label.ID)
-            model = fit_gaussian_model(train_id, train_cls, train_ds.num_classes)
+            model = fit_gaussian_model(train_id, train_cls, bundle.num_classes)
             scores = mahalanobis_score(model, rows)
         else:
             raise InputError(f"unknown scorer {method!r}")
@@ -577,7 +578,8 @@ def _pca_rows(groups: dict[str, np.ndarray]) -> list[tuple[str, float, float]]:
     loading positive, so the plot file is reproducible.
     """
     stacked = np.vstack([g for g in groups.values() if len(g)])
-    centered = stacked - stacked.mean(axis=0)
+    mean = stacked.mean(axis=0)
+    centered = stacked - mean
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     comps = vt[: min(2, vt.shape[0])].copy()
     for comp in comps:
@@ -588,7 +590,7 @@ def _pca_rows(groups: dict[str, np.ndarray]) -> list[tuple[str, float, float]]:
     for name, block in groups.items():
         if len(block) == 0:
             continue
-        proj = (block - stacked.mean(axis=0)) @ comps.T
+        proj = (block - mean) @ comps.T
         for point in proj:
             x = float(point[0])
             y = float(point[1]) if proj.shape[1] > 1 else 0.0
@@ -639,7 +641,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     train_id, train_cls = train_ds.select(Label.ID)
     train_fp, _ = train_ds.select(Label.FP)
     bundle, history = _train(cfg, train_id, train_cls, train_fp, train_ds.num_classes, rngs)
-    score_sets = evaluate_bundle(bundle, train_ds, val_ds, cfg.methods)
+    score_sets = evaluate_bundle(bundle, train_id, train_cls, val_ds, cfg.methods)
     report = build_report(score_sets, config_hash(cfg), cfg.seed)
     out_path: Path | None = None
     outputs: dict[str, str] = {}

@@ -69,7 +69,9 @@ def fit_gaussian_model(
 
     The covariance pools within-class scatter over all classes, normalized
     by N - K.  If it fails its Cholesky factorization it is ridged with
-    eps * I, eps = 1e-6 * trace / dim, and a warning is emitted.
+    eps * I, eps = 1e-6 * trace / dim, and a warning is emitted.  Every
+    class id must lie in [0, K): a row of another class would count in N
+    but in no class's scatter.
     """
     rows = np.asarray(rows, dtype=np.float64)
     class_ids = np.asarray(class_ids, dtype=np.int64)
@@ -80,6 +82,8 @@ def fit_gaussian_model(
     n, dim = rows.shape
     if n <= num_classes:
         raise InputError("need more rows than classes to fit a pooled covariance")
+    if class_ids.min() < 0 or class_ids.max() >= num_classes:
+        raise InputError(f"class ids must lie in [0, {num_classes})")
     means = np.zeros((num_classes, dim))
     scatter = np.zeros((dim, dim))
     for cid in range(num_classes):

@@ -172,14 +172,10 @@ def vos_synthesize(
     )
 
 
-def linear_mix(
-    u_id: np.ndarray, u_fp: np.ndarray, w: float, rng: np.random.Generator
-) -> SynthBatch:
-    """Rows w * u_id[i] + (1-w) * u_fp[j], i sequential, j uniform."""
+def linear_mix(u_id: np.ndarray, u_fp: np.ndarray, rng: np.random.Generator) -> SynthBatch:
+    """Midpoints 0.5 * u_id[i] + 0.5 * u_fp[j], i sequential, j uniform."""
     u_id = np.asarray(u_id, dtype=np.float64)
     u_fp = np.asarray(u_fp, dtype=np.float64)
-    if not 0.0 <= w <= 1.0:
-        raise InputError(f"mix weight must be in [0, 1], got {w}")
     if u_id.ndim != 2 or u_id.shape[0] == 0:
         raise InputError("u_id must be a non-empty (M, D) matrix")
     if u_fp.size == 0:
@@ -187,7 +183,7 @@ def linear_mix(
     if u_fp.ndim != 2 or u_fp.shape[1] != u_id.shape[1]:
         raise InputError("u_fp must share the feature dimension of u_id")
     picks = rng.integers(0, u_fp.shape[0], size=u_id.shape[0])
-    vectors = w * u_id + (1.0 - w) * u_fp[picks]
+    vectors = 0.5 * u_id + 0.5 * u_fp[picks]
     return SynthBatch(vectors)
 
 

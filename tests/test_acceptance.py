@@ -79,7 +79,7 @@ def test_criterion_01_metric_oracles():
                 oriented = -ss.scores if positive == "id" else ss.scores
                 want = exhaustive_aupr(oriented, mask)
                 assert abs(got - want) < 1e-9
-            got = fpr_at_tpr(ss, 0.95)
+            got = fpr_at_tpr(ss)
             want = oracle_fpr_at_tpr(ss, 0.95)
             assert abs(got - want) < 1e-9
         elapsed = time.monotonic() - started
@@ -184,7 +184,7 @@ def test_criterion_06_tau_calibration():
             np.concatenate([np.arange(1.0, 101.0), np.arange(51.0, 151.0)]),
             np.concatenate([np.zeros(100, bool), np.ones(100, bool)]),
         )
-        assert fpr_at_tpr(ss, 0.95) == 0.45
+        assert fpr_at_tpr(ss) == 0.45
 
 
 def test_criterion_07_queue_semantics():

@@ -100,12 +100,12 @@ class TestSelect:
 
     def test_all_and_empty(self):
         ds = self._dataset()
-        vectors, ids = ds.select()
-        np.testing.assert_array_equal(vectors, np.arange(12.0).reshape(6, 2))
-        assert vectors.flags["C_CONTIGUOUS"] and len(ids) == 6
-        # a copy, not a view into the records
-        vectors[0, 0] = 99.0
-        assert ds.records["vec"][0, 0] == 0.0
+        for label in Label:
+            vectors, ids = ds.select(label)
+            assert vectors.flags["C_CONTIGUOUS"] and len(ids) == ds.counts()[label.name]
+            # a copy, not a view into the records
+            vectors[...] = 99.0
+        np.testing.assert_array_equal(ds.records["vec"], np.arange(12.0).reshape(6, 2))
         empty = FeatureDataset(2, 3, ds.records[:0])
         vectors, ids = empty.select(Label.FP)
         assert vectors.shape == (0, 2) and ids.shape == (0,)

@@ -12,6 +12,12 @@ from lsvos.errors import InputError, NumericalFailure
 import oracles
 
 
+def _last_activation(net, activation):
+    # a checkpoint may carry a relu last layer; dense_net always builds identity
+    net.layers[-1].activation = activation
+    return net
+
+
 class TestForward:
     def test_two_layer_hand_computation(self):
         # layer 1: relu([1, 2] @ [[1, -1], [0, 2]] + [0, -10]) = relu([1, 3-10])
@@ -68,12 +74,12 @@ class TestForwardInPlace:
     @given(
         dims=st.lists(st.integers(1, 40), min_size=2, max_size=5),
         rows=st.integers(1, 300),
-        final=st.sampled_from(nn.ACTIVATIONS),
+        final=st.sampled_from(["identity", "relu"]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bitwise_equal_to_fresh_arrays(self, dims, rows, final, seed):
         rng = np.random.default_rng(seed)
-        net = nn.dense_net(dims, rng, final)
+        net = _last_activation(nn.dense_net(dims, rng), final)
         for layer in net.layers:
             layer.bias[:] = rng.normal(size=layer.fan_out)
         x = rng.normal(size=(rows, dims[0]))
@@ -119,7 +125,7 @@ class TestForwardInPlace:
 
 
 def _biased_net(dims, rng, final="identity"):
-    net = nn.dense_net(dims, rng, final)
+    net = _last_activation(nn.dense_net(dims, rng), final)
     for layer in net.layers:
         layer.bias[:] = rng.normal(size=layer.fan_out)
     return net
@@ -149,7 +155,7 @@ class TestForwardBlocks:
         # most 25,024 rows keep the batches small
         hidden=st.lists(st.integers(40, 64), min_size=1, max_size=2),
         d_out=st.integers(1, 4),
-        final=st.sampled_from(nn.ACTIVATIONS),
+        final=st.sampled_from(["identity", "relu"]),
         which=st.integers(0, 6),
         order=st.sampled_from("CF"),
         seed=st.integers(0, 2**32 - 1),
@@ -334,6 +340,24 @@ class TestGradients:
         with pytest.raises(NumericalFailure):
             nn.gradients(net, np.ones((1, 2)), "mse", np.ones((1, 2)))
 
+    @pytest.mark.parametrize("loss_kind", ["uncertainty-sigmoid", "uncertainty-bce"])
+    def test_only_the_activation_check_catches_an_overflowed_logit(self, loss_kind):
+        # finite weights whose last layer overflows the outlier's logit to +inf
+        net = nn.dense_net([3, 4, 1], np.random.default_rng(8))
+        net.layers[0].weights[...] = 1e200
+        net.layers[1].weights[...] = 1e200
+        x = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
+        is_out = np.array([True, False])
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalFailure, match="after layer 1$"
+        ):
+            nn.gradients(net, x, loss_kind, is_out)
+        # past that check the loss is finite and the outlier's gradient a
+        # silent -0: a check on the loss and gradients alone would train on
+        loss, grad = nn.loss_and_grad(np.array([[np.inf], [0.0]]), loss_kind, is_out)
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        assert grad[0, 0] == 0.0 and np.signbit(grad[0, 0])
+
 
 def _workspace_nets():
     rng = np.random.default_rng(21)
@@ -452,10 +476,10 @@ class TestReluMaskFromOutput:
     @pytest.mark.parametrize(
         "make_net",
         [
-            lambda rng: nn.dense_net([5, 7, 4], rng, "relu"),
-            lambda rng: nn.dense_net([5, 7, 6, 4], rng, "relu"),
+            lambda rng: _last_activation(nn.dense_net([5, 7, 4], rng), "relu"),
+            lambda rng: _last_activation(nn.dense_net([5, 7, 6, 4], rng), "relu"),
             lambda rng: _zeroed(nn.dense_net([5, 7, 6, 4], rng), 0),
-            lambda rng: _zeroed(nn.dense_net([5, 7, 6, 4], rng, "relu"), 2),
+            lambda rng: _zeroed(_last_activation(nn.dense_net([5, 7, 6, 4], rng), "relu"), 2),
         ],
         ids=["relu-last", "deep-relu-last", "zero-hidden", "zero-relu-last"],
     )

@@ -740,7 +740,7 @@ class TestEvaluateBundle:
         id_only = FeatureDataset(8, 3, val.records[val.records["label"] == Label.ID])
         res = run_experiment(cfg)
         with pytest.raises(InputError):
-            evaluate_bundle(res.bundle, train, id_only, ("mahalanobis",))
+            evaluate_bundle(res.bundle, *train.select(Label.ID), id_only, ("mahalanobis",))
 
     @pytest.mark.parametrize("split", ["train", "val"])
     @pytest.mark.parametrize("dim, classes", [(6, 3), (8, 4)])
@@ -759,14 +759,16 @@ class TestEvaluateBundle:
             decoder_hidden=(8,), uncertainty_hidden=(8,), classifier_hidden=(8,),
         )
         train, val = data(8, 3)
-        evaluate_bundle(bundle, train, val, ("uncertainty",))
+        evaluate_bundle(bundle, *train.select(Label.ID), val, ("uncertainty", "mahalanobis"))
         other_train, other_val = data(dim, classes)
         if split == "train":
-            train = other_train
+            # only the Mahalanobis fit reads the train rows: it or its
+            # scorer refuses rows of another dim or class ids out of range
+            with pytest.raises(InputError):
+                evaluate_bundle(bundle, *other_train.select(Label.ID), val, ("mahalanobis",))
         else:
-            val = other_val
-        with pytest.raises(InputError, match="the data has"):
-            evaluate_bundle(bundle, train, val, ("uncertainty",))
+            with pytest.raises(InputError, match="the data has"):
+                evaluate_bundle(bundle, *train.select(Label.ID), other_val, ("uncertainty",))
 
 
 class TestAblate:

@@ -107,6 +107,17 @@ class TestMahalanobis:
         with pytest.raises(InputError):
             scoring.fit_gaussian_model(np.ones((5, 2)), np.zeros(5, dtype=int), 2)
 
+    @pytest.mark.parametrize("stray", [5, 2, -1])
+    def test_class_ids_outside_the_class_count_are_refused(self, stray):
+        # a stray row would count in N but in no class's scatter, shrinking
+        # the pooled covariance without a word
+        rng = np.random.default_rng(9)
+        rows = rng.normal(size=(40, 3))
+        ids = np.repeat([0, 1], 20)
+        ids[::4] = stray
+        with pytest.raises(InputError, match=r"\[0, 2\)"):
+            scoring.fit_gaussian_model(rows, ids, 2)
+
 
 def _random_model(rng, dim, k, integer=False):
     """Class means plus a well-conditioned shared covariance, fitted to nothing."""

@@ -290,30 +290,28 @@ class TestVosSynthesize:
 class TestLinearMix:
     def test_midpoint_example(self):
         batch = synthesis.linear_mix(
-            np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]), 0.5, np.random.default_rng(0)
+            np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]), np.random.default_rng(0)
         )
         np.testing.assert_array_equal(batch.vectors, [[1.0, 1.0]])
 
-    def test_weight_one_returns_inliers(self):
-        rng = np.random.default_rng(1)
-        u_id = rng.normal(size=(5, 3))
-        batch = synthesis.linear_mix(u_id, rng.normal(size=(4, 3)), 1.0, rng)
-        np.testing.assert_allclose(batch.vectors, u_id)
+    def test_bits_of_the_weighted_form_at_one_half(self):
+        rng = np.random.default_rng(3)
+        u_id, u_fp = rng.normal(size=(50, 4)), rng.normal(size=(9, 4))
+        batch = synthesis.linear_mix(u_id, u_fp, np.random.default_rng(4))
+        picks = np.random.default_rng(4).integers(0, 9, size=50)
+        w = 0.5
+        assert batch.vectors.tobytes() == (w * u_id + (1.0 - w) * u_fp[picks]).tobytes()
 
     def test_row_count_follows_inliers(self):
         rng = np.random.default_rng(2)
         batch = synthesis.linear_mix(
-            rng.normal(size=(7, 2)), rng.normal(size=(3, 2)), 0.5, rng
+            rng.normal(size=(7, 2)), rng.normal(size=(3, 2)), rng
         )
         assert batch.vectors.shape == (7, 2)
 
     def test_empty_fp_not_ready(self):
         with pytest.raises(NotReadyError):
-            synthesis.linear_mix(np.ones((2, 2)), np.zeros((0, 2)), 0.5, np.random.default_rng(0))
-
-    def test_bad_weight_rejected(self):
-        with pytest.raises(InputError):
-            synthesis.linear_mix(np.ones((2, 2)), np.ones((2, 2)), 1.5, np.random.default_rng(0))
+            synthesis.linear_mix(np.ones((2, 2)), np.zeros((0, 2)), np.random.default_rng(0))
 
 
 class TestRandomNoise:
