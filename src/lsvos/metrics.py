@@ -219,14 +219,21 @@ class EvaluationReport:
         except (KeyError, TypeError, AttributeError) as exc:
             # AttributeError: a field of the wrong JSON type, e.g. a methods list
             raise InputError(f"report JSON missing or malformed field: {exc}") from exc
-        typed = (
-            ("config_hash", config_hash, str),
-            ("seed", seed, int),
-            ("counts.id", n_id, int),
-            ("counts.ood", n_ood, int),
-        )
-        # type(), not isinstance: a JSON true is a bool, which is no seed or count
-        wrong = [name for name, value, kind in typed if type(value) is not kind]
+        # a metric is a JSON number; ece may also be null
+        field_kinds = {"ece": (int, float, type(None)), "orientation": (str,)}
+        typed = [
+            ("config_hash", config_hash, (str,)),
+            ("seed", seed, (int,)),
+            ("counts.id", n_id, (int,)),
+            ("counts.ood", n_ood, (int,)),
+        ] + [
+            (f"methods.{name}.{key}", value, field_kinds.get(key, (int, float)))
+            for name, m in methods.items()
+            for key, value in asdict(m).items()
+        ]
+        # type(), not isinstance: a JSON true is a bool, which is no number,
+        # seed or count, yet would print as 1.0000
+        wrong = [name for name, value, kinds in typed if type(value) not in kinds]
         if wrong:
             raise InputError(f"report JSON malformed field: {', '.join(wrong)} of the wrong type")
         return cls(methods, n_id, n_ood, config_hash, seed, curves)

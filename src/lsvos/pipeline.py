@@ -420,9 +420,8 @@ def _synthesize(
         return linear_mix(feats, u_fp, rng)
     if method == "random_noise":
         return random_noise(len(feats), feats.shape[1], rng)
-    if method == "noisy_id":
-        return noisy_id(feats, rng)
-    raise InputError(f"unknown synthesis method {method!r}")
+    # noisy_id: the last of METHODS, which cfg.validate() has checked
+    return noisy_id(feats, rng)
 
 
 def _train(
@@ -475,12 +474,8 @@ def _train(
                     loss_unc = 0.0
                     if lam > 0.0:
                         synth = _synthesize(cfg, bundle, queue, feats, cls, u_fp, rng_synth)
-                        fp_batch = fp_cycle.take(len(feats))
-                        u_ood = (
-                            np.vstack([synth.vectors, fp_batch])
-                            if len(fp_batch)
-                            else synth.vectors
-                        )
+                        # a train split without FP rows takes a (0, D) batch
+                        u_ood = np.vstack([synth.vectors, fp_cycle.take(len(feats))])
                         loss_unc, unc_g = uncertainty_gradients(
                             bundle.uncertainty, feats, u_ood, cfg.loss_variant, ws=ws
                         )

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -168,9 +167,10 @@ def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
     C-contiguous copy.  Checked bitwise with numpy 2.4 for D up to 512;
     D > 8192 is unverified.
 
-    Large inputs spread their blocks over _score_threads(N) threads, the
-    calling thread among them, each with its own buffers.  A block's sums
-    do not depend on which thread runs it, so neither do the scores.
+    Large inputs spread their blocks over _score_threads(N) threads: the
+    caller and the workers of a pool that ends with the call, each with its
+    own buffers.  A block's sums do not depend on which thread runs it, so
+    neither do the scores.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != model.means.shape[1]:
@@ -193,26 +193,17 @@ def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
         (np.empty(dim * width), np.empty(width)) for _ in range(_score_threads(n))
     ]
     args = (spans, queries, model, p_rows, per_class)
-    failures = []
+    # imported here, not with the package: concurrent.futures pulls in
+    # logging, ~0.4 MB of RSS that only this pool needs
+    from concurrent.futures import ThreadPoolExecutor
 
-    def score_in_helper(centered, partial):
-        try:
-            _score_blocks(*args, centered, partial)
-        except BaseException as exc:  # raised again in the calling thread
-            failures.append(exc)
-
-    helpers = []
-    try:
-        for centered, partial in buffers[1:]:
-            helper = threading.Thread(target=score_in_helper, args=(centered, partial))
-            helper.start()
-            helpers.append(helper)
+    # a pool that gets no job starts no thread; leaving the block waits for
+    # every helper, even when the caller's own blocks raise
+    with ThreadPoolExecutor(max(1, len(buffers) - 1)) as pool:
+        helpers = [pool.submit(_score_blocks, *args, *bufs) for bufs in buffers[1:]]
         _score_blocks(*args, *buffers[0])
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failures:
-        raise failures[0]
+    for helper in helpers:
+        helper.result()
     return per_class.min(axis=0)
 
 

@@ -377,6 +377,19 @@ class TestEvaluateAndReport:
         (run_dir / "report.json").write_text(json.dumps({**good, "counts": {"id": 150, "ood": 8.0}}))
         assert main(["report", "--run", str(run_dir)]) == 1
         assert "counts.ood of the wrong type" in capsys.readouterr().err
+        # JSON true and false printed as 1.0000 and 0.0000
+        name = next(iter(good["methods"]))
+        block = {
+            "auroc": True, "aupr_id": False, "aupr_ood": 1, "fpr95": 0,
+            "ece": True, "orientation": 5,
+        }
+        (run_dir / "report.json").write_text(json.dumps({**good, "methods": {name: block}}))
+        assert main(["report", "--run", str(run_dir)]) == 1
+        captured = capsys.readouterr()
+        for field in ("auroc", "aupr_id", "ece", "orientation"):
+            assert f"methods.{name}.{field}" in captured.err
+        assert "aupr_ood" not in captured.err and "fpr95" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("name", ["manifest.json", "report.json"])
     def test_report_refuses_a_file_that_is_not_utf8(self, run_dir, capsys, name):

@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion from a clean directory."""
+"""Every script under demos/ runs to completion from a clean directory, with
+warnings as errors and nothing on stderr."""
 
 import os
 import subprocess
@@ -16,11 +17,13 @@ def test_demo_exits_zero(demo, tmp_path):
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = os.pathsep.join([str(REPO_ROOT / "src")] + ([inherited] if inherited else []))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        # a subprocess escapes pytest's filterwarnings, so -W error it here
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert list(tmp_path.iterdir()) == []

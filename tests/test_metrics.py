@@ -282,6 +282,31 @@ class TestReport:
             (payload["counts"] if field in ("id", "ood") else payload)[field] = value
             with pytest.raises(InputError, match=f"{field} of the wrong type"):
                 EvaluationReport.from_json(json.dumps(payload))
+        # a metric that is no JSON number (bool included), an ece that is
+        # neither a number nor null, or an orientation that is no string
+        name = next(iter(json.loads(text)["methods"]))
+        for field, value in [
+            ("auroc", True),
+            ("aupr_id", False),
+            ("aupr_ood", True),
+            ("fpr95", False),
+            ("ece", True),
+            ("orientation", 5),
+            ("orientation", None),
+        ]:
+            payload = json.loads(text)
+            payload["methods"][name][field] = value
+            with pytest.raises(InputError, match=f"methods.{name}.{field} of the wrong type"):
+                EvaluationReport.from_json(json.dumps(payload))
+        for field, value in [("auroc", "0.5"), ("ece", "0.1"), ("fpr95", None)]:
+            payload = json.loads(text)
+            payload["methods"][name][field] = value
+            with pytest.raises(InputError, match="malformed field"):
+                EvaluationReport.from_json(json.dumps(payload))
+        # JSON numbers of either kind still load
+        payload = json.loads(text)
+        payload["methods"][name].update(auroc=1, fpr95=0, ece=None)
+        assert EvaluationReport.from_json(json.dumps(payload)).methods[name].auroc == 1
 
 
 # coarse levels with both signed zeros, so ties are common and -0.0 == 0.0

@@ -340,6 +340,24 @@ class TestGradients:
         with pytest.raises(NumericalFailure):
             nn.gradients(net, np.ones((1, 2)), "mse", np.ones((1, 2)))
 
+    def test_an_overflowed_weight_gradient_names_its_layer(self):
+        # activations 17 and 340 and the loss stay finite, but layer 0's
+        # dW = x.T @ dz holds 1.7e308 * 20
+        net = nn.DenseNet(
+            [
+                nn.Layer(np.full((3, 2), 1e-307), np.zeros(2), "relu"),
+                nn.Layer(np.array([[10.0, -10.0], [10.0, -10.0]]), np.zeros(2), "identity"),
+            ]
+        )
+        x = np.array([[1.7e308, 0.0, 0.0]])
+        out, _ = nn.forward_cached(net, x)
+        assert np.all(np.isfinite(out))
+        assert np.isfinite(nn.loss_and_grad(out, "cross-entropy", np.array([1]))[0])
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalFailure, match="non-finite gradient at layer 0$"
+        ):
+            nn.gradients(net, x, "cross-entropy", np.array([1]))
+
     @pytest.mark.parametrize("loss_kind", ["uncertainty-sigmoid", "uncertainty-bce"])
     def test_only_the_activation_check_catches_an_overflowed_logit(self, loss_kind):
         # finite weights whose last layer overflows the outlier's logit to +inf

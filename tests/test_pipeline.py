@@ -688,6 +688,48 @@ class TestRunExperiment:
         assert res.report.n_id == 150
         assert res.report.n_ood == 80
 
+    @staticmethod
+    def _id_only_feature_dir(tmp_path, monkeypatch) -> str:
+        """A feature dir whose train split has no FP rows, at a relative path
+        (an absolute tmp path would change the report's config hash)."""
+        from lsvos.datagen import GeneratorSpec, generate_features
+
+        spec = GeneratorSpec(
+            dim=8, num_classes=3, n_id_train=300, n_fp_train=120, n_id_val=150, n_fp_val=80, seed=3
+        )
+        train, val = generate_features(spec)
+        only_id = train.records[train.records["label"] == Label.ID]
+        monkeypatch.chdir(tmp_path)
+        Path("feats").mkdir()
+        save_features("feats/train.vosf", features.FeatureDataset(8, 3, only_id))
+        save_features("feats/val.vosf", val)
+        return "feats"
+
+    @pytest.mark.parametrize(
+        "method, report_sha256",
+        [
+            ("lsvos", "8b50954e2877b8ee389673ffd0657fde6a3e53b377ce8e05417735412699a236"),
+            ("vos", "79535ee31c8738951f77d2b42463e025cf904f54762906674f921400a90db1fd"),
+            ("random_noise", "aa0a523f767951aed35f14617e35cadbbcadd962221d6153084069238b698c59"),
+            ("noisy_id", "7a6536df012defaedef2623259a4029080e7d2383561a3ab92c433c427d89cb2"),
+        ],
+    )
+    def test_a_train_split_without_fp_rows_trains_on_synthesis_alone(
+        self, tmp_path, monkeypatch, method, report_sha256
+    ):
+        # numpy 2.4 with OpenBLAS 0.3.31, 1 thread; recorded when _train
+        # skipped the vstack of an empty FP batch
+        dataset = self._id_only_feature_dir(tmp_path, monkeypatch)
+        res = run_experiment(micro_cfg(dataset=dataset, synth_method=method), out_dir="run")
+        assert {row["phase"] for row in res.history} == {1, 2}
+        digest = hashlib.sha256(Path("run/report.json").read_bytes()).hexdigest()
+        assert digest == report_sha256
+
+    def test_linear_mix_needs_train_fp_rows(self, tmp_path, monkeypatch):
+        dataset = self._id_only_feature_dir(tmp_path, monkeypatch)
+        with pytest.raises(NotReadyError, match="no false-positive features"):
+            run_experiment(micro_cfg(dataset=dataset, synth_method="linear_mix"))
+
     def test_dataset_directory_missing_files(self, tmp_path):
         with pytest.raises(InputError) as err:
             run_experiment(micro_cfg(dataset=str(tmp_path)))

@@ -304,6 +304,51 @@ class TestMahalanobisThreads:
             assert threading.active_count() == before
             assert scores.tobytes() == reference, threads
 
+    def _record_runners(self, monkeypatch):
+        """The thread of every _score_blocks call, in call order."""
+        score_blocks = scoring._score_blocks
+        runners = []
+
+        def record(*args):
+            runners.append(threading.current_thread())
+            score_blocks(*args)
+
+        monkeypatch.setattr(scoring, "_score_blocks", record)
+        return runners
+
+    def test_a_desk_val_split_scores_inline_and_starts_no_thread(self, monkeypatch):
+        # 2,700 rows, as in every desk val split, get a count of 1
+        rng = np.random.default_rng(9)
+        model = _random_model(rng, 8, 2)
+        queries = rng.normal(size=(2700, 8))
+        assert scoring._score_threads(len(queries)) == 1
+        runners = self._record_runners(monkeypatch)
+        started = []
+        start = threading.Thread.start
+
+        def record_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record_start)
+        scores = scoring.mahalanobis_score(model, queries)
+        assert runners == [threading.current_thread()]
+        assert started == []
+        assert scores.tobytes() == mahalanobis_reference(model, queries).tobytes()
+
+    def test_helper_threads_end_with_the_call(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        model = _random_model(rng, 8, 2)
+        queries = rng.normal(size=(self.N, 8))
+        monkeypatch.setattr(scoring, "_score_threads", lambda n: 3)
+        runners = self._record_runners(monkeypatch)
+        before = threading.active_count()
+        scoring.mahalanobis_score(model, queries)
+        assert threading.active_count() == before
+        # the caller scores blocks beside two helpers
+        assert len(runners) == 3
+        assert runners.count(threading.current_thread()) == 1
+
     def test_a_failing_helper_raises_in_the_caller(self, monkeypatch):
         rng = np.random.default_rng(7)
         model = _random_model(rng, 8, 2)
