@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -209,33 +209,36 @@ class EvaluationReport:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed report JSON: {exc}") from exc
+        # a metric is a JSON number; ece may also be null.  Types are checked
+        # before MethodReport's range check, which cannot compare a string
+        field_kinds = {"ece": (int, float, type(None)), "orientation": (str,)}
         try:
-            methods = {
-                name: MethodReport(**block)
-                for name, block in payload["methods"].items()
-            }
+            blocks = payload["methods"].items()
             n_id, n_ood = payload["counts"]["id"], payload["counts"]["ood"]
             config_hash, seed, curves = payload["config_hash"], payload["seed"], payload["curves"]
+            typed = [
+                ("config_hash", config_hash, (str,)),
+                ("seed", seed, (int,)),
+                ("counts.id", n_id, (int,)),
+                ("counts.ood", n_ood, (int,)),
+                ("curves", curves, (dict,)),
+            ] + [
+                (f"methods.{name}.{f.name}", block[f.name], field_kinds.get(f.name, (int, float)))
+                for name, block in blocks
+                for f in fields(MethodReport)
+            ]
         except (KeyError, TypeError, AttributeError) as exc:
             # AttributeError: a field of the wrong JSON type, e.g. a methods list
             raise InputError(f"report JSON missing or malformed field: {exc}") from exc
-        # a metric is a JSON number; ece may also be null
-        field_kinds = {"ece": (int, float, type(None)), "orientation": (str,)}
-        typed = [
-            ("config_hash", config_hash, (str,)),
-            ("seed", seed, (int,)),
-            ("counts.id", n_id, (int,)),
-            ("counts.ood", n_ood, (int,)),
-        ] + [
-            (f"methods.{name}.{key}", value, field_kinds.get(key, (int, float)))
-            for name, m in methods.items()
-            for key, value in asdict(m).items()
-        ]
         # type(), not isinstance: a JSON true is a bool, which is no number,
         # seed or count, yet would print as 1.0000
         wrong = [name for name, value, kinds in typed if type(value) not in kinds]
         if wrong:
             raise InputError(f"report JSON malformed field: {', '.join(wrong)} of the wrong type")
+        try:
+            methods = {name: MethodReport(**block) for name, block in blocks}
+        except TypeError as exc:  # a key MethodReport does not have
+            raise InputError(f"report JSON malformed field: {exc}") from exc
         return cls(methods, n_id, n_ood, config_hash, seed, curves)
 
 

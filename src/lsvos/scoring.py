@@ -110,40 +110,52 @@ def fit_gaussian_model(
 
 # numpy's einsum iterator buffers 8192 elements per operand
 _EINSUM_BUFFER = 8192
-# query rows centered at a time: a (D, 1024) block stays in cache while
-# the einsum sweeps it once per (j, k) pair
-_ROW_BLOCK = 1024
-# fewest row blocks worth a thread of their own
-_BLOCKS_PER_THREAD = 8
+# the precision operand broadcast along a block's rows, (D, D, B + 1)
+# float64, stays within this many bytes: 8.4 MB at D = 64, where B = 256
+_WIDE_BYTES = 2**23
+# block rows B: fewer than 32 lose to the stride-0 precision operand at
+# D = 200; more than 1,024 gain nothing at small D
+_MIN_BLOCK = 32
+_MAX_BLOCK = 1024
+# fewest query rows worth a thread of their own
+_ROWS_PER_THREAD = 8192
+
+
+def _block_rows(dim: int) -> int:
+    """Query rows centered at a time at dimension dim: as many as keep the
+    (D, D, B + 1) precision operand within _WIDE_BYTES, clamped to
+    [_MIN_BLOCK, _MAX_BLOCK]."""
+    return min(_MAX_BLOCK, max(_MIN_BLOCK, _WIDE_BYTES // (8 * dim * dim)))
 
 
 def _score_threads(n: int) -> int:
     """Threads scoring n query rows: one per usable CPU, each with at
-    least _BLOCKS_PER_THREAD row blocks, and never fewer than one."""
+    least _ROWS_PER_THREAD rows, and never fewer than one."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n // (_BLOCKS_PER_THREAD * _ROW_BLOCK)))
+    return max(1, min(cpus, n // _ROWS_PER_THREAD))
 
 
-def _score_blocks(spans, queries, model, p_rows, per_class, centered, partial):
+def _score_blocks(spans, queries, model, p_rows, wide, per_class, centered, partial):
     """Fill per_class[:, r0:r1] for every (r0, r1) taken from spans.
 
     Runs only np.subtract, np.einsum and an in-place add, which release
-    the GIL, and writes only the columns of the spans it takes, so
-    several threads can share one spans iterator.
+    the GIL, reads the shared wide only, and writes only the columns of
+    the spans it takes, so several threads can share one spans iterator.
     """
     dim = queries.shape[1]
     for r0, r1 in spans:
-        c = centered[: dim * (r1 - r0)].reshape(dim, r1 - r0)
+        w = r1 - r0
+        c = centered[: dim * w].reshape(dim, w)
         for cid, mean in enumerate(model.means):
             np.subtract(queries[r0:r1].T, mean[:, None], out=c)
             out = per_class[cid, r0:r1]
             for j0 in range(0, dim, p_rows):
                 j1 = j0 + p_rows
-                dest = out if j0 == 0 else partial[: r1 - r0]
-                np.einsum("ji,jk,ki->i", c[j0:j1], model.precision[j0:j1], c, out=dest)
+                dest = out if j0 == 0 else partial[:w]
+                np.einsum("ji,jki,ki->i", c[j0:j1], wide[j0:j1, :, :w], c, out=dest)
                 if j0:
                     out += dest
 
@@ -153,10 +165,14 @@ def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
 
     Bitwise equal to ``np.einsum("ij,jk,ik->i", c, P, c)`` per class, with
     c = queries - mean, but faster: the rows sit in the einsum's inner loop.
-    Each block of query rows is centered into one reused C-contiguous
-    (D, rows) buffer and summed with ``np.einsum("ji,jk,ki->i", ...)``, so
-    the loop runs over independent rows instead of one chain of dependent
-    adds.  Every row still sums its D^2 terms (c_ij * P_jk) * c_ik in flat
+    Each block of B = _block_rows(D) query rows is centered into one reused
+    C-contiguous (D, rows) buffer and summed with
+    ``np.einsum("ji,jki,ki->i", c, wide, c)``, where wide is P copied along
+    a last axis of B + 1 rows, filled once per call and shared read-only.
+    Every operand then has unit stride along the rows, so numpy runs its
+    contiguous three-operand loop over independent rows instead of one
+    chain of dependent adds (or its slower strided loop, for a stride-0
+    P).  Every row still sums its D^2 terms (c_ij * P_jk) * c_ik in flat
     (j, k) order.  The row-major einsum restarted its sum every
     8192 // D rows of P (its iterator buffer) and added each partial into
     the output; from D = 91 on this runs one einsum per such block of P
@@ -169,8 +185,8 @@ def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
 
     Large inputs spread their blocks over _score_threads(N) threads: the
     caller and the workers of a pool that ends with the call, each with its
-    own buffers.  A block's sums do not depend on which thread runs it, so
-    neither do the scores.
+    own centered and partial buffers.  A block's sums do not depend on
+    which thread runs it, so neither do the scores.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != model.means.shape[1]:
@@ -179,20 +195,24 @@ def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
         )
     n, dim = queries.shape
     p_rows = max(1, _EINSUM_BUFFER // dim)
+    block = _block_rows(dim)
     if n <= 2:
         starts = list(range(n))
     else:
-        starts = list(range(0, n, _ROW_BLOCK))
+        starts = list(range(0, n, block))
         if n - starts[-1] == 1:
             starts.pop()
     # each span goes to one thread: a list iterator's next() holds the GIL
     spans = iter(list(zip(starts, starts[1:] + [n])))
-    width = min(n, _ROW_BLOCK + 1)
+    width = min(n, block + 1)
+    wide = np.empty((dim, dim, width))
+    wide[...] = model.precision[:, :, None]
+    wide.flags.writeable = False
     per_class = np.empty((model.means.shape[0], n))
     buffers = [
         (np.empty(dim * width), np.empty(width)) for _ in range(_score_threads(n))
     ]
-    args = (spans, queries, model, p_rows, per_class)
+    args = (spans, queries, model, p_rows, wide, per_class)
     # imported here, not with the package: concurrent.futures pulls in
     # logging, ~0.4 MB of RSS that only this pool needs
     from concurrent.futures import ThreadPoolExecutor

@@ -293,16 +293,30 @@ class TestReport:
             ("ece", True),
             ("orientation", 5),
             ("orientation", None),
+            # named before the range check, which cannot compare a string
+            ("auroc", "0.5"),
+            ("ece", "0.1"),
+            ("fpr95", None),
         ]:
             payload = json.loads(text)
             payload["methods"][name][field] = value
             with pytest.raises(InputError, match=f"methods.{name}.{field} of the wrong type"):
                 EvaluationReport.from_json(json.dumps(payload))
-        for field, value in [("auroc", "0.5"), ("ece", "0.1"), ("fpr95", None)]:
+        # curves that are no JSON object
+        for value in ([1, 2], None, "curves"):
             payload = json.loads(text)
-            payload["methods"][name][field] = value
-            with pytest.raises(InputError, match="malformed field"):
+            payload["curves"] = value
+            with pytest.raises(InputError, match="curves of the wrong type"):
                 EvaluationReport.from_json(json.dumps(payload))
+        # a metric block missing a field, or holding one MethodReport lacks
+        payload = json.loads(text)
+        del payload["methods"][name]["fpr95"]
+        with pytest.raises(InputError, match="missing or malformed field"):
+            EvaluationReport.from_json(json.dumps(payload))
+        payload = json.loads(text)
+        payload["methods"][name]["extra"] = 0.5
+        with pytest.raises(InputError, match="malformed field"):
+            EvaluationReport.from_json(json.dumps(payload))
         # JSON numbers of either kind still load
         payload = json.loads(text)
         payload["methods"][name].update(auroc=1, fpr95=0, ece=None)

@@ -144,6 +144,27 @@ def _random_queries(rng, model, n, integer=False):
     return queries
 
 
+def _edge_rows(dim):
+    """Row counts that put a block edge (B rows) or a thread edge (T rows)
+    next to the last row, at dimension dim."""
+    b, t = scoring._block_rows(dim), scoring._ROWS_PER_THREAD
+    return {
+        "B-1": b - 1,
+        "B": b,
+        "B+1": b + 1,
+        "2B+1": 2 * b + 1,
+        "T-1": t - 1,
+        "T": t,
+        "T+1": t + 1,
+    }
+
+
+def _block_edges(dim):
+    """1, 2 and the row counts at the block edges of dimension dim."""
+    edges = _edge_rows(dim)
+    return [1, 2] + [edges[key] for key in ("B-1", "B", "B+1", "2B+1")]
+
+
 def _assert_matches_reference(model, queries):
     # a query of any layout scores as its C-contiguous copy, which the
     # reference holds for C-order input
@@ -159,7 +180,7 @@ class TestMahalanobisRowsInner:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        n=st.integers(0, 3000) | st.sampled_from([1, 2, 1025, 2049]),
+        data=st.data(),
         dim=st.integers(1, 200) | st.sampled_from([90, 91, 128]),
         k=st.integers(1, 4),
         integer=st.booleans(),
@@ -167,8 +188,9 @@ class TestMahalanobisRowsInner:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bitwise_equal_to_the_row_major_loop(
-        self, n, dim, k, integer, column_major, seed
+        self, data, dim, k, integer, column_major, seed
     ):
+        n = data.draw(st.integers(0, 3000) | st.sampled_from(_block_edges(dim)), "n")
         rng = np.random.default_rng(seed)
         model = _random_model(rng, dim, k, integer)
         queries = _random_queries(rng, model, n, integer)
@@ -183,6 +205,8 @@ class TestMahalanobisRowsInner:
             (3000, 128, 2, False),  # P restarts every 64 rows
             (1, 200, 2, False),
             (1025, 91, 2, True),  # scores as its row-major copy, which restarts
+            (4097, 128, 3, False),  # 64 blocks of 64 rows, the last with a lone row
+            (993, 200, 3, False),  # 31 blocks of 32 rows; P restarts every 40 rows
         ],
     )
     def test_fixed_shapes(self, n, dim, k, column_major):
@@ -193,15 +217,49 @@ class TestMahalanobisRowsInner:
             queries = np.asfortranarray(queries)
         _assert_matches_reference(model, queries)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 1025, 2049])
+    @pytest.mark.parametrize("rows", [1, 2, 3, "B-1", "B", "B+1", "2B+1"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_few_and_lone_rows_over_many_draws(self, n, dim):
+    def test_few_and_lone_rows_over_many_draws(self, rows, dim):
         # at D = 2 one row, or each of two, sums pairwise and rows among
         # more sum in flat order; a third of random draws tell them apart
+        n = _edge_rows(dim)[rows] if isinstance(rows, str) else rows
         rng = np.random.default_rng(n * dim)
         for _ in range(20):
             model = _random_model(rng, dim, 2)
             _assert_matches_reference(model, rng.normal(size=(n, dim)))
+
+    @pytest.mark.parametrize("dim", [128, 200])
+    def test_p_restarts_inside_small_blocks(self, dim):
+        # P restarts every 8192 // D rows, inside blocks of fewer rows than
+        # at small D, and the last block may take a lone row
+        rng = np.random.default_rng(dim)
+        model = _random_model(rng, dim, 3)
+        for n in _block_edges(dim):
+            _assert_matches_reference(model, _random_queries(rng, model, n))
+
+    @pytest.mark.parametrize("dim", [64, 128])
+    def test_the_precision_operand_is_contiguous_along_the_rows(self, monkeypatch, dim):
+        # a stride-0 precision operand gives the same bits on a slower
+        # loop, so only the operands tell the two apart
+        einsum = np.einsum
+        calls = []
+
+        def record(subscripts, *ops, **kwargs):
+            calls.append((subscripts, ops))
+            return einsum(subscripts, *ops, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", record)
+        rng = np.random.default_rng(dim)
+        model = _random_model(rng, dim, 2)
+        scoring.mahalanobis_score(model, rng.normal(size=(3 * scoring._block_rows(dim), dim)))
+        assert calls
+        for subscripts, ops in calls:
+            inputs, row = subscripts.split("->")
+            # every operand, the precision one among them, steps one
+            # element per row
+            for term, op in zip(inputs.split(","), ops, strict=True):
+                assert row in term, subscripts
+                assert op.strides[term.index(row)] == op.itemsize, subscripts
 
     def test_strided_views_match(self):
         rng = np.random.default_rng(5)
@@ -219,13 +277,14 @@ class TestMahalanobisRowsInner:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(0, 300) | st.sampled_from([1, 2, 3, 1025, 2049]),
+        data=st.data(),
         dim=st.integers(1, 200) | st.sampled_from([2, 91, 128]),
         k=st.integers(1, 3),
         layout=st.sampled_from(["fortran", "strided", "reversed", "row", "column"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_any_layout_scores_as_its_c_contiguous_copy(self, n, dim, k, layout, seed):
+    def test_any_layout_scores_as_its_c_contiguous_copy(self, data, dim, k, layout, seed):
+        n = data.draw(st.integers(0, 300) | st.sampled_from([3, *_block_edges(dim)]), "n")
         rng = np.random.default_rng(seed)
         model = _random_model(rng, dim, k)
         queries = _random_queries(rng, model, n)
@@ -263,14 +322,15 @@ class TestMahalanobisRowsInner:
 class TestMahalanobisThreads:
     """Row blocks spread over threads keep the bits of the one-thread loop."""
 
-    # enough rows for two threads of _BLOCKS_PER_THREAD blocks, plus a
-    # lone last row that joins the block before it
-    N = 2 * scoring._BLOCKS_PER_THREAD * scoring._ROW_BLOCK + 1
+    # enough rows for two threads, plus a lone last row that joins the
+    # block before it
+    N = 2 * scoring._ROWS_PER_THREAD + 1
 
     def test_thread_count_follows_cpus_and_rows(self, monkeypatch):
-        per_thread = scoring._BLOCKS_PER_THREAD * scoring._ROW_BLOCK
+        per_thread = scoring._ROWS_PER_THREAD
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         assert [scoring._score_threads(n) for n in (0, 2700, per_thread - 1)] == [1, 1, 1]
+        assert [scoring._score_threads(n) for n in (per_thread, 2 * per_thread - 1)] == [1, 1]
         assert scoring._score_threads(2 * per_thread) == 2
         assert scoring._score_threads(100 * per_thread) == 4
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -303,6 +363,17 @@ class TestMahalanobisThreads:
             scores = scoring.mahalanobis_score(model, queries)
             assert threading.active_count() == before
             assert scores.tobytes() == reference, threads
+
+    @pytest.mark.parametrize("rows", ["B-1", "B", "B+1", "2B+1", "T-1", "T", "T+1"])
+    def test_block_and_thread_edges_at_any_thread_count(self, monkeypatch, rows):
+        dim = 64
+        rng = np.random.default_rng(dim)
+        model = _random_model(rng, dim, 2)
+        queries = _random_queries(rng, model, _edge_rows(dim)[rows])
+        reference = mahalanobis_reference(model, queries).tobytes()
+        for threads in (1, 2, 3, 7):
+            monkeypatch.setattr(scoring, "_score_threads", lambda n: threads)
+            assert scoring.mahalanobis_score(model, queries).tobytes() == reference, threads
 
     def _record_runners(self, monkeypatch):
         """The thread of every _score_blocks call, in call order."""
@@ -368,7 +439,7 @@ class TestMahalanobisThreads:
         assert threading.active_count() == before
 
     def test_no_centered_copy_of_every_query_is_kept(self, monkeypatch):
-        # as the one-thread test, plus one centered (D, 1025) buffer per thread
+        # as the one-thread test, plus one centered (D, B + 1) buffer per thread
         n, dim, k, threads = 20_000, 64, 3, 3
         monkeypatch.setattr(scoring, "_score_threads", lambda n: threads)
         rng = np.random.default_rng(6)
@@ -380,7 +451,26 @@ class TestMahalanobisThreads:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n * (dim + k + 1) + threads * 8 * dim * (scoring._ROW_BLOCK + 1)
+        assert peak < 8 * n * (dim + k + 1) + threads * 8 * dim * (scoring._block_rows(dim) + 1)
+
+    def test_every_thread_shares_one_precision_operand(self, monkeypatch):
+        # the (D, D, B + 1) copy of P is made once per call, not per thread
+        n, dim, k = 20_000, 64, 3
+        rng = np.random.default_rng(6)
+        model = _random_model(rng, dim, k)
+        queries = rng.normal(size=(n, dim))
+        peaks = {}
+        for threads in (1, 3):
+            monkeypatch.setattr(scoring, "_score_threads", lambda n: threads)
+            tracemalloc.start()
+            try:
+                scoring.mahalanobis_score(model, queries)
+                _, peaks[threads] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        wide = 8 * dim * dim * (scoring._block_rows(dim) + 1)
+        assert peaks[1] > wide
+        assert peaks[3] - peaks[1] < wide
 
 
 class TestCalibration:
