@@ -110,8 +110,8 @@ def fit_gaussian_model(
 
 # numpy's einsum iterator buffers 8192 elements per operand
 _EINSUM_BUFFER = 8192
-# the precision operand broadcast along a block's rows, (D, D, B + 1)
-# float64, stays within this many bytes: 8.4 MB at D = 64, where B = 256
+# the precision operand copied along a block's rows, (D, D, B + 1)
+# float64, takes about this many bytes: 8.4 MB at D = 64, where B = 256
 _WIDE_BYTES = 2**23
 # block rows B: fewer than 32 lose to the stride-0 precision operand at
 # D = 200; more than 1,024 gain nothing at small D
@@ -122,9 +122,9 @@ _ROWS_PER_THREAD = 8192
 
 
 def _block_rows(dim: int) -> int:
-    """Query rows centered at a time at dimension dim: as many as keep the
-    (D, D, B + 1) precision operand within _WIDE_BYTES, clamped to
-    [_MIN_BLOCK, _MAX_BLOCK]."""
+    """Query rows centered at a time at dimension dim: B = _WIDE_BYTES //
+    (8 D^2), so that the (D, D, B + 1) precision operand takes about
+    _WIDE_BYTES, clamped to [_MIN_BLOCK, _MAX_BLOCK]."""
     return min(_MAX_BLOCK, max(_MIN_BLOCK, _WIDE_BYTES // (8 * dim * dim)))
 
 
