@@ -59,7 +59,7 @@ print("\nreference: real inliers sit at",
 print("\nlatent-noise synthesis at increasing beta:")
 for beta in (0.0, 0.5, 1.0, 5.0):
     batch = lsvos_synthesize(bundle, u_id, id_classes, NoiseSpec(alpha=0.25, beta=beta), rng)
-    print(f"  beta={beta:<4}  center distance {mean_center_distance(batch.vectors, batch.class_ids):6.2f}")
+    print(f"  beta={beta:<4}  center distance {mean_center_distance(batch.vectors, id_classes):6.2f}")
 
 # beta = 0 adds nothing in the latent space, so the output is exactly
 # the auto-encoder's reconstruction of the same rows: the decoder run on
@@ -80,7 +80,8 @@ queue = FeatureQueue(dim=spec.dim, num_classes=spec.num_classes, capacity_per_cl
 queue.push_many(u_id, id_classes)
 vos_args = dict(n_per_class=100, quantile=0.03, n_candidates=5000)
 vos = vos_synthesize(queue, **vos_args, rng=rng)
-print(f"\nfeature-space gaussian tail: {mean_center_distance(vos.vectors, vos.class_ids):6.2f}")
+vos_classes = np.repeat(np.arange(spec.num_classes), vos_args["n_per_class"])  # class-major blocks
+print(f"\nfeature-space gaussian tail: {mean_center_distance(vos.vectors, vos_classes):6.2f}")
 
 # Methods 3 to 5: simple baselines.  Mixing toward real false positives,
 # unit Gaussian noise, and inliers with additive jitter.

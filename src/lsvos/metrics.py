@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -201,45 +202,68 @@ class EvaluationReport:
             "methods": {name: asdict(m) for name, m in self.methods.items()},
             "curves": self.curves,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json_text(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "EvaluationReport":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed report JSON: {exc}") from exc
-        # a metric is a JSON number; ece may also be null.  Types are checked
-        # before MethodReport's range check, which cannot compare a string
-        field_kinds = {"ece": (int, float, type(None)), "orientation": (str,)}
-        try:
-            blocks = payload["methods"].items()
-            n_id, n_ood = payload["counts"]["id"], payload["counts"]["ood"]
-            config_hash, seed, curves = payload["config_hash"], payload["seed"], payload["curves"]
-            typed = [
-                ("config_hash", config_hash, (str,)),
-                ("seed", seed, (int,)),
-                ("counts.id", n_id, (int,)),
-                ("counts.ood", n_ood, (int,)),
-                ("curves", curves, (dict,)),
-            ] + [
-                (f"methods.{name}.{f.name}", block[f.name], field_kinds.get(f.name, (int, float)))
-                for name, block in blocks
-                for f in fields(MethodReport)
-            ]
-        except (KeyError, TypeError, AttributeError) as exc:
-            # AttributeError: a field of the wrong JSON type, e.g. a methods list
-            raise InputError(f"report JSON missing or malformed field: {exc}") from exc
-        # type(), not isinstance: a JSON true is a bool, which is no number,
-        # seed or count, yet would print as 1.0000
-        wrong = [name for name, value, kinds in typed if type(value) not in kinds]
-        if wrong:
-            raise InputError(f"report JSON malformed field: {', '.join(wrong)} of the wrong type")
-        try:
-            methods = {name: MethodReport(**block) for name, block in blocks}
-        except TypeError as exc:  # a key MethodReport does not have
-            raise InputError(f"report JSON malformed field: {exc}") from exc
-        return cls(methods, n_id, n_ood, config_hash, seed, curves)
+        # the file's layout, typed by the fields it holds
+        hints = get_type_hints(cls)
+        hints["counts"] = {"id": hints.pop("n_id"), "ood": hints.pop("n_ood")}
+        payload = read_json(text, {**hints, "aupr_default_positive": Literal["id"]}, "report")
+        counts = payload.pop("counts")
+        del payload["aupr_default_positive"]
+        return cls(n_id=counts["id"], n_ood=counts["ood"], **payload)
+
+
+def json_text(payload) -> str:
+    """The JSON text of every file a run writes: sorted keys, 2-space indent."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def read_json(text: str, schema, what: str):
+    """A dataclass or {key: hint} layout read from JSON text; one InputError names every fault."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed {what} JSON: {exc}") from exc
+    faults: list[str] = []
+    value = _typed(schema, payload, "", faults)
+    if faults:
+        raise InputError(f"{what} JSON missing or malformed field: {'; '.join(faults)}")
+    return value
+
+
+def _typed(hint, value, name: str, faults: list[str]):
+    """`value` checked against a type hint, or None with its faults appended.
+
+    A dataclass or layout is read from an object with no other key; a
+    dataclass field with a default may be missing.  dict[str, V] has each
+    value checked, a bare dict (the curves) only that it is an object.
+    """
+    dot = f"{name}." if name else ""
+    if (is_dataclass(hint) or isinstance(hint, dict)) and type(value) is dict:
+        cls, layout, defaults = dict, hint, ()
+        if is_dataclass(hint):
+            cls, layout = hint, get_type_hints(hint)
+            defaults = [f.name for f in fields(hint) if f.default is not MISSING]
+        before = len(faults)
+        faults += [f"{dot}{k} is no field" for k in value if k not in layout]
+        faults += [f"{dot}{k} missing" for k in layout if k not in value and k not in defaults]
+        read = {k: _typed(layout[k], v, dot + k, faults) for k, v in value.items() if k in layout}
+        return cls(**read) if len(faults) == before else None
+    args = get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _typed(args[0], value, name, faults)
+    if get_origin(hint) is dict and type(value) is dict:
+        return {key: _typed(args[1], v, dot + key, faults) for key, v in value.items()}
+    # type(), not isinstance: a JSON true is a bool, which is no number, seed
+    # or count, yet would print as 1.0000
+    if type(value) is hint or (hint is float and type(value) is int):
+        return value
+    if get_origin(hint) is Literal and value in args:  # a constant
+        return value
+    faults.append(f"{name or 'the top level'} of the wrong type")
+    return None
 
 
 def build_report(

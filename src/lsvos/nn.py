@@ -512,6 +512,8 @@ def load_checkpoint(path) -> dict[str, DenseNet]:
             name = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InputError(f"net name {raw!r} is not valid UTF-8") from exc
+        if name in nets:  # a second copy would silently replace the first
+            raise InputError(f"net {name!r} appears twice in the checkpoint")
         (n_layers,) = reader.unpack("<I")
         if n_layers == 0:
             raise InputError(f"net {name!r} has no layers")

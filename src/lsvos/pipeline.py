@@ -17,13 +17,12 @@ changes the hash.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import platform
 import re
 import time
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_type_hints
@@ -34,7 +33,7 @@ from . import nn
 from .datagen import GeneratorSpec, generate_features
 from .errors import InputError, LsvosError, NotReadyError, NumericalFailure
 from .features import FEATURE_VERSION, FeatureDataset, FeatureQueue, Label, load_features
-from .metrics import EvaluationReport, build_report, ece
+from .metrics import EvaluationReport, build_report, ece, json_text, read_json
 from .models import (
     UNCERTAINTY_VARIANTS,
     ModelBundle,
@@ -314,21 +313,11 @@ class RunManifest:
     blas_threads: int | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return json_text(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        try:
-            payload = json.loads(text)
-            return cls(
-                **{
-                    f.name: payload[f.name]
-                    for f in fields(cls)
-                    if f.name in payload or f.default is MISSING
-                }
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise InputError(f"malformed manifest JSON: {exc}") from exc
+        return read_json(text, cls, "manifest")
 
 
 def blas_environment() -> tuple[str | None, int | None]:
@@ -662,9 +651,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
                 "seed": cfg.seed,
             }
         )
-        (out_path / "model_card.json").write_text(
-            json.dumps(card, sort_keys=True, indent=2) + "\n"
-        )
+        (out_path / "model_card.json").write_text(json_text(card))
         val_id, _ = val_ds.select(Label.ID)
         val_fp, _ = val_ds.select(Label.FP)
         pca_groups = {"id": val_id, "fp": val_fp}
@@ -805,7 +792,7 @@ def ablate(
         rows.append(row)
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / "ablation.json").write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
+        (out_path / "ablation.json").write_text(json_text(rows))
         _write_ablation_csv(out_path / "ablation.csv", rows, base_cfg.methods)
     return rows
 

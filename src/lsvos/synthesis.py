@@ -45,10 +45,9 @@ class NoiseSpec:
 
 @dataclass
 class SynthBatch:
-    """Synthesized outlier rows, and the class each was made from when known."""
+    """Synthesized outlier rows."""
 
     vectors: np.ndarray
-    class_ids: np.ndarray | None = None
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -56,10 +55,6 @@ class SynthBatch:
             raise InputError("synth batch vectors must be (M, D)")
         if not np.all(np.isfinite(self.vectors)):
             raise NumericalFailure("synthesis produced non-finite outliers")
-        if self.class_ids is not None:
-            self.class_ids = np.asarray(self.class_ids, dtype=np.int64)
-            if self.class_ids.shape != (self.vectors.shape[0],):
-                raise InputError("class_ids must have one entry per synthesized row")
 
 
 def latent_noise(shape, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
@@ -93,7 +88,7 @@ def lsvos_synthesize(
     noise = latent_noise(z.shape, spec, rng)
     # beta = 0 keeps the codes bitwise untouched (noise add skipped)
     z_star = z if spec.beta == 0.0 else z + noise
-    return SynthBatch(nn.forward(bundle.decoder, z_star), class_ids=class_ids)
+    return SynthBatch(nn.forward(bundle.decoder, z_star))
 
 
 def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
@@ -119,9 +114,10 @@ def vos_synthesize(
 
     Fits per-class means with a shared covariance from the queue contents
     (one-hot block stripped), draws n_candidates per class, keeps the
-    n_per_class with the lowest Gaussian log-likelihood.  `quantile`, when
-    given, bounds the kept fraction: selection must stay within the lowest
-    quantile * n_candidates candidates.
+    n_per_class with the lowest Gaussian log-likelihood, class by class in
+    blocks of n_per_class rows.  `quantile`, when given, bounds the kept
+    fraction: selection must stay within the lowest quantile * n_candidates
+    candidates.
     """
     if n_per_class <= 0 or n_candidates <= 0:
         raise InputError("n_per_class and n_candidates must be positive")
@@ -167,9 +163,7 @@ def vos_synthesize(
         draws += model.means[cid]
         kept = np.searchsorted(mapped, top[:n_per_class])
         vectors[cid * n_per_class : (cid + 1) * n_per_class] = draws[kept]
-    return SynthBatch(
-        vectors, class_ids=np.repeat(np.arange(queue.num_classes), n_per_class)
-    )
+    return SynthBatch(vectors)
 
 
 def linear_mix(u_id: np.ndarray, u_fp: np.ndarray, rng: np.random.Generator) -> SynthBatch:

@@ -26,7 +26,7 @@ def vos_reference(queue, n_per_class, n_candidates, rng):
     The class loop of synthesis.vos_synthesize before it ranked before
     mapping: each class draws a fresh (n_candidates, D) block, maps all of
     it, fully argsorts by ||z||^2 and keeps the head.  Returns the kept
-    rows and their class ids.  A quantile only guards the arguments, so
+    rows in class-major blocks.  A quantile only guards the arguments, so
     the reference takes none.
     """
     dim = queue.dim
@@ -38,7 +38,7 @@ def vos_reference(queue, n_per_class, n_candidates, rng):
     rows = np.vstack(blocks)
     class_ids = np.concatenate(ids)
     model = fit_gaussian_model(rows, class_ids, queue.num_classes)
-    kept_blocks, kept_ids = [], []
+    kept_blocks = []
     for cid in range(queue.num_classes):
         z = rng.standard_normal((n_candidates, dim))
         draws = z @ model.cholesky.T
@@ -46,9 +46,8 @@ def vos_reference(queue, n_per_class, n_candidates, rng):
         maha = np.einsum("ij,ij->i", z, z)
         order = np.argsort(-maha, kind="stable")
         kept_blocks.append(draws[order[:n_per_class]])
-        kept_ids.append(np.full(n_per_class, cid))
         del z, draws
-    return np.vstack(kept_blocks), np.concatenate(kept_ids)
+    return np.vstack(kept_blocks)
 
 
 def mahalanobis_reference(model, queries):

@@ -364,6 +364,16 @@ class TestEvaluateAndReport:
         assert captured.err.startswith("error:") and "manifest.json" in captured.err
         assert captured.out == ""
 
+    def test_report_refuses_a_mistyped_manifest(self, run_dir, capsys):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        (run_dir / "manifest.json").write_text(json.dumps({**manifest, "seed": True}))
+        capsys.readouterr()
+        assert main(["report", "--run", str(run_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "manifest.json" in captured.err
+        assert "seed of the wrong type" in captured.err
+        assert captured.out == ""
+
     def test_report_refuses_a_malformed_report(self, run_dir, capsys):
         good = json.loads((run_dir / "report.json").read_text())
         # a mistyped config_hash or seed would crash or misprint the table

@@ -138,3 +138,26 @@ def test_readme_module_table_names_exactly_the_package_modules():
     modules = {f"lsvos.{path.stem}" for path in DEFINING}
     assert len(listed) == len(set(listed)), f"listed twice: {listed}"
     assert set(listed) == modules
+
+
+# every JSON file the package writes or reads goes through these two
+JSON_CODEC = {("metrics.py", "json_text"), ("metrics.py", "read_json")}
+
+
+def test_json_text_is_written_and_read_in_one_place():
+    stray = []
+    for path in DEFINING:
+        for node in ast.parse(path.read_text()).body:
+            if (path.name, getattr(node, "name", None)) in JSON_CODEC:
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.ImportFrom) and sub.module == "json":
+                    stray.append(f"{path.name}:{sub.lineno} from json import")
+                elif (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "json"
+                    and sub.attr in ("dumps", "loads")
+                ):
+                    stray.append(f"{path.name}:{sub.lineno} json.{sub.attr}")
+    assert not stray, f"JSON handled outside metrics.json_text/read_json: {', '.join(stray)}"

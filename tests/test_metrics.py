@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from lsvos import metrics
 from lsvos.errors import InputError, UndefinedMetricError
 from lsvos.metrics import EvaluationReport, MethodReport
+from lsvos.pipeline import RunManifest
 from lsvos.scoring import ScoreSet
 
 import oracles
@@ -377,3 +379,130 @@ class TestOneSortPerScorer:
         sets = {name: _random_tied_set(rng) for name in ("a", "b", "c")}
         metrics.build_report(sets, "h", 0)
         assert len(calls) == 3
+
+
+# --- the typed JSON reader ------------------------------------------------------
+
+# a value of every JSON kind, keyed by the Python type json.loads gives it
+_JSON_KINDS = {
+    bool: st.booleans(),
+    int: st.integers(-3, 3),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(max_size=3),
+    list: st.lists(st.integers(), max_size=2),
+    dict: st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    type(None): st.none(),
+}
+_NUMBER = (int, float)
+
+
+def _valid_report() -> dict:
+    rng = np.random.default_rng(3)
+    sets = {"mahalanobis": _random_tied_set(rng, 30), "uncertainty": _random_tied_set(rng, 30)}
+    sets["uncertainty"].ece = 0.25
+    return json.loads(metrics.build_report(sets, "abc", 4).to_json())
+
+
+def _valid_manifest() -> dict:
+    manifest = RunManifest(
+        config_hash="abc", seed=4, package_version="0.1.0", numpy_version="2.0",
+        python_version="3.11", checkpoint_format_version=1, feature_format_version=2,
+        wall_clock_seconds=1.5, outputs={"report": "report.json", "model": "model.ckpt"},
+        created="2024-01-01T00:00:00+00:00", blas_vendor="openblas", blas_threads=1,
+    )
+    return json.loads(manifest.to_json())
+
+
+# dotted field -> the JSON kinds it accepts, written out independently of
+# the dataclasses so the reader is held to them
+_REPORT_KINDS = {
+    "counts": (dict,), "counts.id": (int,), "counts.ood": (int,),
+    "config_hash": (str,), "seed": (int,), "aupr_default_positive": (str,),
+    "methods": (dict,), "curves": (dict,),
+    **{
+        f"methods.{name}{leaf}": kinds
+        for name in ("mahalanobis", "uncertainty")
+        for leaf, kinds in [
+            ("", (dict,)), (".auroc", _NUMBER), (".aupr_id", _NUMBER), (".aupr_ood", _NUMBER),
+            (".fpr95", _NUMBER), (".ece", (*_NUMBER, type(None))), (".orientation", (str,)),
+        ]
+    },
+}
+_MANIFEST_KINDS = {
+    "config_hash": (str,), "seed": (int,), "package_version": (str,),
+    "numpy_version": (str,), "python_version": (str,), "checkpoint_format_version": (int,),
+    "feature_format_version": (int,), "wall_clock_seconds": _NUMBER, "outputs": (dict,),
+    "outputs.report": (str,), "outputs.model": (str,), "created": (str,),
+    "blas_vendor": (str, type(None)), "blas_threads": (int, type(None)),
+}
+
+
+@st.composite
+def _one_mistyped(draw, payload: dict, kinds: dict):
+    """(payload with one field of a JSON kind it does not accept, that field)."""
+    field = draw(st.sampled_from(sorted(kinds)))
+    wrong = draw(st.sampled_from([k for k in _JSON_KINDS if k not in kinds[field]]))
+    *outer, last = field.split(".")
+    target = payload = json.loads(json.dumps(payload))
+    for key in outer:
+        target = target[key]
+    target[last] = draw(_JSON_KINDS[wrong])
+    return payload, field
+
+
+class TestTypedReader:
+    @settings(max_examples=150, deadline=None)
+    @given(_one_mistyped(_valid_report(), _REPORT_KINDS))
+    def test_a_mistyped_report_field_is_named(self, case):
+        payload, field = case
+        with pytest.raises(InputError, match=rf"field: {re.escape(field)} of the wrong type$"):
+            EvaluationReport.from_json(json.dumps(payload))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_one_mistyped(_valid_manifest(), _MANIFEST_KINDS))
+    def test_a_mistyped_manifest_field_is_named(self, case):
+        payload, field = case
+        with pytest.raises(InputError, match=rf"field: {re.escape(field)} of the wrong type$"):
+            RunManifest.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "update, field",
+        [
+            ({"seed": True}, "seed"),  # a bool is no int
+            ({"checkpoint_format_version": 1.5}, "checkpoint_format_version"),
+            ({"wall_clock_seconds": "x"}, "wall_clock_seconds"),  # a string is no number
+            ({"blas_threads": "2"}, "blas_threads"),
+            ({"config_hash": 5}, "config_hash"),
+            ({"created": None}, "created"),
+            ({"outputs": [1]}, "outputs"),  # a list is no object
+            ({"outputs": {"a": 1}}, "outputs.a"),
+        ],
+    )
+    def test_each_probed_manifest_value_is_refused(self, update, field):
+        payload = {**_valid_manifest(), **update}
+        with pytest.raises(InputError, match=rf"field: {re.escape(field)} of the wrong type$"):
+            RunManifest.from_json(json.dumps(payload))
+
+    def test_valid_payloads_load_and_unknown_keys_are_refused_at_every_level(self):
+        assert RunManifest.from_json(json.dumps(_valid_manifest())).blas_threads == 1
+        assert EvaluationReport.from_json(json.dumps(_valid_report())).seed == 4
+        for where in ([], ["counts"], ["methods", "uncertainty"]):
+            payload = _valid_report()
+            target = payload
+            for key in where:
+                target = target[key]
+            target["extra"] = 1
+            name = ".".join([*where, "extra"])
+            with pytest.raises(InputError, match=rf"field: {re.escape(name)} is no field$"):
+                EvaluationReport.from_json(json.dumps(payload))
+        payload = {**_valid_manifest(), "timings": {}}
+        with pytest.raises(InputError, match="timings is no field"):
+            RunManifest.from_json(json.dumps(payload))
+
+    def test_the_report_constant_and_the_top_level_are_checked(self):
+        payload = {**_valid_report(), "aupr_default_positive": "ood"}
+        with pytest.raises(InputError, match="aupr_default_positive of the wrong type"):
+            EvaluationReport.from_json(json.dumps(payload))
+        for read in (EvaluationReport.from_json, RunManifest.from_json):
+            with pytest.raises(InputError, match="the top level of the wrong type"):
+                read("[]")

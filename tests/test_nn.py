@@ -703,3 +703,18 @@ class TestCheckpoint:
         path.write_bytes(data)
         with pytest.raises(InputError, match="UTF-8"):
             nn.load_checkpoint(path)
+
+    def test_rejects_a_net_name_given_twice(self, tmp_path):
+        # two 'uncertainty' nets of hidden width 5 and 7: the second would
+        # silently replace the first
+        name = b"uncertainty"
+        parts = [nn.CHECKPOINT_MAGIC, struct.pack("<II", nn.CHECKPOINT_VERSION, 2)]
+        for hidden in (5, 7):
+            parts += [struct.pack("<H", len(name)), name, struct.pack("<I", 2)]
+            for fan_in, fan_out in ((3, hidden), (hidden, 1)):
+                parts.append(struct.pack("<IIB", fan_in, fan_out, 1))
+                parts.append(np.zeros(fan_in * fan_out + fan_out, dtype="<f8").tobytes())
+        path = tmp_path / "twice.ckpt"
+        path.write_bytes(b"".join(parts))
+        with pytest.raises(InputError, match="'uncertainty' appears twice"):
+            nn.load_checkpoint(path)

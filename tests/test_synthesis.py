@@ -43,10 +43,6 @@ class TestSynthBatch:
         with pytest.raises(NumericalFailure):
             synthesis.SynthBatch(np.array([[0.0, np.nan]]))
 
-    def test_class_ids_must_cover_every_row(self):
-        with pytest.raises(InputError):
-            synthesis.SynthBatch(np.zeros((3, 2)), class_ids=[0, 1])
-
 
 class TestNoiseSpec:
     def test_defaults(self):
@@ -101,13 +97,16 @@ class TestLsvosSynthesize:
         )
         assert np.array_equal(batch.vectors, _reconstruct(bundle, u, cids))
 
-    def test_output_shape_and_class_ids(self):
+    def test_output_shape_and_row_order(self):
+        # row i is made from inlier row i: reversing the inputs reverses the rows
         bundle = _bundle()
         rng = np.random.default_rng(7)
-        cids = rng.integers(0, 2, size=6)
-        batch = synthesis.lsvos_synthesize(bundle, rng.normal(size=(6, 3)), cids, NoiseSpec(), rng)
+        u, cids = rng.normal(size=(6, 3)), rng.integers(0, 2, size=6)
+        spec = NoiseSpec(alpha=0.25, beta=0.0)
+        batch = synthesis.lsvos_synthesize(bundle, u, cids, spec, rng)
         assert batch.vectors.shape == (6, 3)
-        np.testing.assert_array_equal(batch.class_ids, cids)
+        flipped = synthesis.lsvos_synthesize(bundle, u[::-1], cids[::-1], spec, rng)
+        np.testing.assert_allclose(flipped.vectors, batch.vectors[::-1], rtol=1e-12)
 
     def test_deterministic_under_fixed_seed(self):
         bundle = _bundle()
@@ -135,12 +134,14 @@ class TestLsvosSynthesize:
 
 class TestVosSynthesize:
     def test_row_count_and_class_blocks(self):
+        # class c's queue sits around (3c, 3c); its 50 rows are block c
         q = _filled_queue(num_classes=3)
         batch = synthesis.vos_synthesize(q, 50, None, 400, np.random.default_rng(1))
         assert batch.vectors.shape == (150, 2)
-        np.testing.assert_array_equal(
-            batch.class_ids, np.repeat(np.arange(3), 50)
-        )
+        centers = 3.0 * np.arange(3)[:, None] * np.ones(2)
+        for cid in range(3):
+            block_mean = batch.vectors[cid * 50 : (cid + 1) * 50].mean(axis=0)
+            assert np.argmin(np.linalg.norm(centers - block_mean, axis=1)) == cid
 
     def test_kept_are_lowest_likelihood_prefix(self):
         # same rng stream: keeping everything sorts candidates by rising
@@ -149,8 +150,8 @@ class TestVosSynthesize:
         small = synthesis.vos_synthesize(q, 10, None, 300, np.random.default_rng(2))
         full = synthesis.vos_synthesize(q, 300, None, 300, np.random.default_rng(2))
         for cid in range(2):
-            kept = small.vectors[small.class_ids == cid]
-            ranked = full.vectors[full.class_ids == cid]
+            kept = small.vectors[cid * 10 : (cid + 1) * 10]
+            ranked = full.vectors[cid * 300 : (cid + 1) * 300]
             np.testing.assert_array_equal(kept, ranked[:10])
 
     def test_kept_rows_are_the_largest_distances_in_descending_order(self):
@@ -167,7 +168,7 @@ class TestVosSynthesize:
         for cid in range(k):
             cands = rng.standard_normal((n_cand, dim)) @ model.cholesky.T + model.means[cid]
             dist = np.array([d @ model.precision @ d for d in cands - model.means[cid]])
-            kept = batch.vectors[batch.class_ids == cid]
+            kept = batch.vectors[cid * n_keep : (cid + 1) * n_keep]
             kept_dist = np.array([d @ model.precision @ d for d in kept - model.means[cid]])
             for row in kept:
                 assert np.any(np.all(cands == row, axis=1))
@@ -193,10 +194,9 @@ class TestVosSynthesize:
     def _assert_matches_reference(q, n_keep, quantile, n_cand, seed):
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         batch = synthesis.vos_synthesize(q, n_keep, quantile, n_cand, rng_new)
-        vectors, class_ids = vos_reference(q, n_keep, n_cand, rng_ref)
+        vectors = vos_reference(q, n_keep, n_cand, rng_ref)
         assert batch.vectors.shape == vectors.shape
         assert batch.vectors.tobytes() == vectors.tobytes()
-        np.testing.assert_array_equal(batch.class_ids, class_ids)
         np.testing.assert_array_equal(rng_new.random(4), rng_ref.random(4))
 
     @settings(max_examples=120, deadline=None)
