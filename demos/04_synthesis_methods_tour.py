@@ -20,6 +20,7 @@ from lsvos.synthesis import (
     lsvos_synthesize,
     noisy_id,
     random_noise,
+    rank_candidates,
     vos_synthesize,
 )
 
@@ -73,13 +74,18 @@ print("beta=0 equals plain reconstruction bit for bit:",
 # The latent codes themselves live in a much smaller space.
 print("latent codes shape:", codes.shape)
 
-# Method 2: feature-space Gaussian sampling.  Fit class Gaussians to the
-# queue contents and keep only the lowest-likelihood candidate draws;
-# the quantile guard refuses to keep more than the tail it was asked for.
+# Method 2: feature-space Gaussian sampling.  Draw standard-normal
+# candidates and rank them by squared norm, which is their Mahalanobis
+# distance once mapped; then fit class Gaussians to the queue contents and
+# map only the lowest-likelihood draws.  The quantile guard refuses to keep
+# more than the tail it was asked for.
 queue = FeatureQueue(dim=spec.dim, num_classes=spec.num_classes, capacity_per_class=1000)
 queue.push_many(u_id, id_classes)
 vos_args = dict(n_per_class=100, quantile=0.03, n_candidates=5000)
-vos = vos_synthesize(queue, **vos_args, rng=rng)
+ranked = rank_candidates(
+    rng, spec.num_classes, vos_args["n_per_class"], vos_args["n_candidates"], spec.dim
+)
+vos = vos_synthesize(queue, **vos_args, ranked=ranked)
 vos_classes = np.repeat(np.arange(spec.num_classes), vos_args["n_per_class"])  # class-major blocks
 print(f"\nfeature-space gaussian tail: {mean_center_distance(vos.vectors, vos_classes):6.2f}")
 

@@ -216,14 +216,34 @@ class EvaluationReport:
 
 
 def json_text(payload) -> str:
-    """The JSON text of every file a run writes: sorted keys, 2-space indent."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The JSON text of every file a run writes: sorted keys, 2-space indent.
+
+    A non-finite float raises ValueError: JSON has no NaN or Infinity, and
+    read_json refuses them.
+    """
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def read_json(text: str, schema, what: str):
-    """A dataclass or {key: hint} layout read from JSON text; one InputError names every fault."""
+    """A dataclass or {key: hint} layout read from JSON text; one InputError names every fault.
+
+    A key given twice in one object, or a NaN or Infinity (which JSON does
+    not have), is refused before any field is read.
+    """
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"malformed {what} JSON: key {key!r} is given twice")
+            obj[key] = value
+        return obj
+
+    def no_constant(name: str):
+        raise InputError(f"malformed {what} JSON: {name} is no JSON number")
+
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=unique_keys, parse_constant=no_constant)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed {what} JSON: {exc}") from exc
     faults: list[str] = []

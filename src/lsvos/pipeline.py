@@ -22,6 +22,7 @@ import os
 import platform
 import re
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -54,6 +55,7 @@ from .synthesis import (
     lsvos_synthesize,
     noisy_id,
     random_noise,
+    rank_candidates,
     vos_synthesize,
 )
 
@@ -397,14 +399,19 @@ def _synthesize(
     cls: np.ndarray,
     u_fp: np.ndarray,
     rng: np.random.Generator,
+    ranked: list | None = None,
 ) -> SynthBatch:
     method = cfg.synth_method
     if method == "lsvos":
         spec = NoiseSpec(cfg.noise_alpha, cfg.noise_beta)
         return lsvos_synthesize(bundle, feats, cls, spec, rng)
     if method == "vos":
-        n_per_class = max(1, math.ceil(len(feats) / queue.num_classes))
-        return vos_synthesize(queue, n_per_class, None, VOS_CANDIDATES, rng)
+        n_per_class = _vos_per_class(len(feats), queue.num_classes)
+        if ranked is None:  # the plot-only call; _train ranks its own calls ahead
+            ranked = rank_candidates(
+                rng, queue.num_classes, n_per_class, VOS_CANDIDATES, queue.dim
+            )
+        return vos_synthesize(queue, n_per_class, None, VOS_CANDIDATES, ranked)
     if method == "linear_mix":
         return linear_mix(feats, u_fp, rng)
     if method == "random_noise":
@@ -413,9 +420,53 @@ def _synthesize(
     return noisy_id(feats, rng)
 
 
+def _vos_per_class(n_rows: int, num_classes: int) -> int:
+    """The rows a VOS call keeps per class for a batch of n_rows inliers."""
+    return max(1, math.ceil(n_rows / num_classes))
+
+
+def _vos_call_sizes(cfg: ExperimentConfig, n_rows: int, num_classes: int) -> list[int]:
+    """n_per_class of each VOS synthesis call _train makes, in call order."""
+    if cfg.synth_method != "vos" or cfg.loss_lambda <= 0.0:
+        return []
+    batch = cfg.train_batch_size
+    per_epoch = [
+        _vos_per_class(min(batch, n_rows - start), num_classes)
+        for start in range(0, n_rows, batch)
+    ]
+    return per_epoch * effective_epochs(cfg.train_phase2_epochs, cfg.train_epoch_scale)
+
+
 def _train(
     cfg: ExperimentConfig, u_id, id_cls, u_fp, num_classes: int, rngs
 ) -> tuple[ModelBundle, list[dict]]:
+    """Both training phases; a run with VOS calls ranks their candidates ahead.
+
+    A one-worker pool draws and ranks each VOS call's candidates while the
+    steps before that call run (see README).  The job for call i + 1 is
+    submitted only after call i takes its result, so rng_synth has one user
+    at a time and ends as if every call had drawn its own.
+    """
+    sizes = _vos_call_sizes(cfg, len(u_id), num_classes)
+    if not sizes:
+        return _fit(cfg, u_id, id_cls, u_fp, num_classes, rngs, iter(()))
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng_synth, dim = rngs[2], u_id.shape[1]
+    block = np.empty((VOS_CANDIDATES, dim))  # refilled by every job
+    # leaving the pool waits for a pending job, also when a step raises
+    with ThreadPoolExecutor(1) as pool:
+        jobs = (
+            pool.submit(rank_candidates, rng_synth, num_classes, n, VOS_CANDIDATES, dim, block)
+            for n in sizes
+        )
+        return _fit(cfg, u_id, id_cls, u_fp, num_classes, rngs, jobs)
+
+
+def _fit(
+    cfg: ExperimentConfig, u_id, id_cls, u_fp, num_classes: int, rngs, jobs: Iterator
+) -> tuple[ModelBundle, list[dict]]:
+    """The training steps; advancing `jobs` submits the next VOS call's ranking."""
     rng_model, rng_train, rng_synth = rngs
     if len(u_id) == 0:
         raise InputError("training needs at least one inlier feature row")
@@ -446,6 +497,7 @@ def _train(
         (1, effective_epochs(cfg.train_phase1_epochs, cfg.train_epoch_scale), 0.0),
         (2, effective_epochs(cfg.train_phase2_epochs, cfg.train_epoch_scale), cfg.loss_lambda),
     )
+    pending = next(jobs, None)  # phase 1 never draws from rng_synth
     step = 0
     for phase, n_epochs, lam in schedule:
         for epoch in range(n_epochs):
@@ -462,7 +514,13 @@ def _train(
                     nn.adam_step(clf_params, clf_g, clf_state, lr=cfg.train_lr)
                     loss_unc = 0.0
                     if lam > 0.0:
-                        synth = _synthesize(cfg, bundle, queue, feats, cls, u_fp, rng_synth)
+                        ranked = None
+                        if pending is not None:
+                            ranked = pending.result()
+                            pending = next(jobs, None)
+                        synth = _synthesize(
+                            cfg, bundle, queue, feats, cls, u_fp, rng_synth, ranked
+                        )
                         # a train split without FP rows takes a (0, D) batch
                         u_ood = np.vstack([synth.vectors, fp_cycle.take(len(feats))])
                         loss_unc, unc_g = uncertainty_gradients(

@@ -103,26 +103,66 @@ def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
     return near[np.argsort(neg[near], kind="stable")[:n]]
 
 
-def vos_synthesize(
-    queue: FeatureQueue,
-    n_per_class: int,
-    quantile: float | None,
-    n_candidates: int,
+def rank_candidates(
     rng: np.random.Generator,
-) -> SynthBatch:
-    """Keep the lowest-likelihood Gaussian samples as outliers.
+    num_classes: int,
+    n_per_class: int,
+    n_candidates: int,
+    dim: int,
+    block: np.ndarray | None = None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Draw and rank each class's VOS candidates, mapping none of them.
 
-    Fits per-class means with a shared covariance from the queue contents
-    (one-hot block stripped), draws n_candidates per class, keeps the
-    n_per_class with the lowest Gaussian log-likelihood, class by class in
-    blocks of n_per_class rows.  `quantile`, when given, bounds the kept
-    fraction: selection must stay within the lowest quantile * n_candidates
-    candidates.
+    Per class, refills one (n_candidates, dim) block z from rng and ranks
+    its rows by ||z||^2: under a shared covariance, the lowest
+    log-likelihood within a class is exactly the largest Mahalanobis
+    distance, and for a draw mean + L z with L L^T = cov that squared
+    distance is exactly ||z||^2.  Returns one (rows, kept) pair per class:
+    the top-ranked rows of z in drawn order, and the positions among them
+    of the n_per_class kept rows, largest distance first.  `block`, when
+    given, is the reused draw buffer.  Makes no BLAS call.
     """
     if n_per_class <= 0 or n_candidates <= 0:
         raise InputError("n_per_class and n_candidates must be positive")
     if n_per_class > n_candidates:
         raise InputError("cannot keep more candidates than were drawn")
+    z = np.empty((n_candidates, dim)) if block is None else block
+    if z.shape != (n_candidates, dim):
+        raise InputError(f"draw block must be ({n_candidates}, {dim}), got {z.shape}")
+    # enough top-ranked rows that their product with the Cholesky factor
+    # stays on the blocked kernel whenever a product over every candidate
+    # would, so each kept row has that product's bits.  Rows stay in drawn
+    # order: mapping all of them is that very product.
+    n_map = min(
+        n_candidates, max(n_per_class, 2, math.ceil(nn.BLOCKED_GEMM_MACS / dim**2))
+    )
+    ranked = []
+    for _ in range(num_classes):
+        rng.standard_normal(out=z)
+        top = _top_n(np.einsum("ij,ij->i", z, z), n_map)
+        mapped = np.sort(top)
+        ranked.append((z[mapped], np.searchsorted(mapped, top[:n_per_class])))
+    return ranked
+
+
+def vos_synthesize(
+    queue: FeatureQueue,
+    n_per_class: int,
+    quantile: float | None,
+    n_candidates: int,
+    ranked: list[tuple[np.ndarray, np.ndarray]],
+) -> SynthBatch:
+    """Keep the lowest-likelihood Gaussian samples as outliers.
+
+    Fits per-class means with a shared covariance from the queue contents
+    (one-hot block stripped) and maps each class's ranked candidates,
+    `rank_candidates(rng, queue.num_classes, n_per_class, n_candidates,
+    queue.dim)`, to mean + L z.  The n_per_class kept rows with the lowest
+    Gaussian log-likelihood fill class-major blocks of n_per_class rows.
+    `quantile`, when given, bounds the kept fraction: selection must stay
+    within the lowest quantile * n_candidates candidates.  Draws no random
+    numbers.
+    """
     if quantile is not None:
         if not 0.0 < quantile <= 1.0:
             raise InputError(f"quantile must be in (0, 1], got {quantile}")
@@ -132,6 +172,13 @@ def vos_synthesize(
                 f"lowest-likelihood quantile {quantile}"
             )
     dim = queue.dim
+    if len(ranked) != queue.num_classes or any(
+        rows.shape[1:] != (dim,) or kept.shape != (n_per_class,) for rows, kept in ranked
+    ):
+        raise InputError(
+            f"ranked candidates must give each of {queue.num_classes} classes "
+            f"{n_per_class} kept rows of dim {dim}"
+        )
     blocks, ids = [], []
     for cid in range(queue.num_classes):
         snap = queue.snapshot(cid)
@@ -142,26 +189,10 @@ def vos_synthesize(
     rows = np.vstack(blocks)
     class_ids = np.concatenate(ids)
     model = fit_gaussian_model(rows, class_ids, queue.num_classes)
-    # rank before mapping: only the top-ranked rows go through the Cholesky
-    # factor, but enough of them that the product stays on the blocked kernel
-    # whenever a product over every candidate would, so each kept row has that
-    # product's bits.  Rows are mapped in drawn order: mapping all of them is
-    # that very product.
-    n_map = min(
-        n_candidates, max(n_per_class, 2, math.ceil(nn.BLOCKED_GEMM_MACS / dim**2))
-    )
-    z = np.empty((n_candidates, dim))
     vectors = np.empty((queue.num_classes * n_per_class, dim))
-    for cid in range(queue.num_classes):
-        rng.standard_normal(out=z)
-        # shared covariance: within one class, lowest log-likelihood is
-        # exactly largest Mahalanobis distance, and for a draw mean + L z
-        # with L L^T = cov that squared distance is exactly ||z||^2
-        top = _top_n(np.einsum("ij,ij->i", z, z), n_map)
-        mapped = np.sort(top)
-        draws = z[mapped] @ model.cholesky.T
+    for cid, (drawn, kept) in enumerate(ranked):
+        draws = drawn @ model.cholesky.T
         draws += model.means[cid]
-        kept = np.searchsorted(mapped, top[:n_per_class])
         vectors[cid * n_per_class : (cid + 1) * n_per_class] = draws[kept]
     return SynthBatch(vectors)
 

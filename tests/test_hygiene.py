@@ -1,6 +1,7 @@
 """Source hygiene: no module-level import goes unused, no package name or
-method goes unnamed, and README's module table lists exactly the package's
-modules.
+method goes unnamed, README's module table lists exactly the package's
+modules, JSON goes through one reader and writer, and threads start in
+two functions only.
 
 A stdlib `ast` scan of every file in src/lsvos, tests and demos.  Package
 `__init__.py` files are skipped: their imports are re-exports.
@@ -161,3 +162,24 @@ def test_json_text_is_written_and_read_in_one_place():
                 ):
                     stray.append(f"{path.name}:{sub.lineno} json.{sub.attr}")
     assert not stray, f"JSON handled outside metrics.json_text/read_json: {', '.join(stray)}"
+
+
+# the only functions that start threads; README states the rules their
+# helpers keep (no BLAS call, no traced function, bits independent of them)
+THREAD_HOMES = {("scoring.py", "mahalanobis_score"), ("pipeline.py", "_train")}
+THREAD_NAMES = {"ThreadPoolExecutor", "Thread"}
+
+
+def test_threads_start_only_where_the_readme_rules_cover_them():
+    stray = []
+    for path in DEFINING:
+        for node in ast.parse(path.read_text()).body:
+            if (path.name, getattr(node, "name", None)) in THREAD_HOMES:
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                    names = {alias.name.rsplit(".", 1)[-1] for alias in sub.names}
+                else:
+                    names = {getattr(sub, "id", None), getattr(sub, "attr", None)}
+                stray += [f"{path.name}:{sub.lineno} {name}" for name in names & THREAD_NAMES]
+    assert not stray, f"threads outside {sorted(THREAD_HOMES)}: {', '.join(stray)}"

@@ -506,3 +506,23 @@ class TestTypedReader:
         for read in (EvaluationReport.from_json, RunManifest.from_json):
             with pytest.raises(InputError, match="the top level of the wrong type"):
                 read("[]")
+
+    def test_a_key_given_twice_is_refused_by_name(self):
+        # json.loads alone keeps the last of two equal keys
+        report, manifest = json.dumps(_valid_report()), json.dumps(_valid_manifest())
+        for read, text, key in [
+            (RunManifest.from_json, manifest[:-1] + ', "seed": 9}', "seed"),
+            (EvaluationReport.from_json, report[:-1] + ', "seed": 9}', "seed"),
+            (EvaluationReport.from_json, report.replace('"counts": {', '"counts": {"ood": 1, '), "ood"),
+        ]:
+            with pytest.raises(InputError, match=f"JSON: key '{key}' is given twice$"):
+                read(text)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_a_non_finite_number_is_neither_read_nor_written(self, value):
+        # json.dumps writes them as NaN, Infinity and -Infinity by default
+        text = json.dumps({**_valid_manifest(), "wall_clock_seconds": value})
+        with pytest.raises(InputError, match="JSON: -?(NaN|Infinity) is no JSON number$"):
+            RunManifest.from_json(text)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            metrics.json_text({"wall_clock_seconds": value})

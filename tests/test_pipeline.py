@@ -4,6 +4,7 @@ import json
 import math
 import re
 import string
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -755,6 +756,109 @@ class TestRunExperiment:
         res = run_experiment(micro_cfg())
         phase2 = [row for row in res.history if row["phase"] == 2]
         assert all(-2.0 <= row["loss_unc"] < 0.0 for row in phase2)
+
+
+def _train_inputs(cfg):
+    """What run_experiment hands _train for a synthetic config."""
+    train, _ = pipeline.generate_features(pipeline.generator_spec(cfg))
+    u_id, id_cls = train.select(Label.ID)
+    u_fp, _ = train.select(Label.FP)
+    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, k])) for k in (1, 2, 3)]
+    return u_id, id_cls, u_fp, train.num_classes, rngs
+
+
+class TestDrawAhead:
+    """A VOS run ranks each synthesis call's candidates one call ahead on a helper thread."""
+
+    # 400 ID rows in batches of 150, 150 and 100: each epoch keeps 50, 50
+    # and 34 rows per class
+    SHORT_TAIL = dict(synth_method="vos", train_batch_size=150, train_phase2_epochs=3)
+
+    def test_a_run_with_a_short_last_batch_keeps_its_bytes(self, tmp_path):
+        # numpy 2.4 with OpenBLAS 0.3.31, 1 thread; recorded when each VOS
+        # call drew its candidates itself
+        cfg = micro_cfg(**self.SHORT_TAIL)
+        assert pipeline._vos_call_sizes(cfg, 400, 3) == [50, 50, 34] * 3
+        run_experiment(cfg, out_dir=tmp_path)
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == "243f708a53d787fff52f1a64557e6111e4aacb3aee01cfcc4b41ff7dcdac524a"
+
+    def test_rng_synth_ends_as_after_drawing_each_call_in_turn(self):
+        cfg = micro_cfg(**self.SHORT_TAIL)
+        u_id, id_cls, u_fp, k, rngs = _train_inputs(cfg)
+        _, history = pipeline._train(cfg, u_id, id_cls, u_fp, k, rngs)
+        # the sequential loop: each phase-2 step drew one block per class
+        replay = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
+        for _ in range(sum(row["phase"] == 2 for row in history) * k):
+            replay.standard_normal((pipeline.VOS_CANDIDATES, cfg.data_dim))
+        assert rngs[2].bit_generator.state == replay.bit_generator.state
+
+    def test_every_traced_function_runs_on_the_calling_thread(self, monkeypatch):
+        # the tracer's span stack assumes one thread
+        monkeypatch.syspath_prepend(str(README.parent / "bench"))
+        from tracer import Tracer
+
+        threads: dict[str, set[int]] = {}
+
+        class ThreadRecorder(Tracer):
+            def _wrap(self, name, fn):
+                traced = super()._wrap(name, fn)
+
+                def recorded(*args, **kwargs):
+                    threads.setdefault(name, set()).add(threading.get_ident())
+                    return traced(*args, **kwargs)
+
+                return recorded
+
+        with ThreadRecorder().installed():
+            run_experiment(micro_cfg(**self.SHORT_TAIL))
+        assert len(threads) > 20 and "synthesis.vos_synthesize" in threads
+        assert set().union(*threads.values()) == {threading.get_ident()}
+
+    @pytest.mark.parametrize(
+        "overrides, n_threads",
+        [
+            (dict(synth_method="lsvos"), 0),
+            (dict(synth_method="vos", loss_lambda=0.0), 0),
+            (dict(synth_method="vos", train_phase2_epochs=0), 0),
+            (SHORT_TAIL, 1),
+        ],
+    )
+    def test_only_a_run_with_vos_calls_starts_a_thread(self, monkeypatch, overrides, n_threads):
+        started = []
+        start = threading.Thread.start
+
+        def recorded_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        run_experiment(micro_cfg(**overrides))
+        assert len(started) == n_threads
+
+    def test_a_phase_2_queue_not_ready_leaves_no_thread(self):
+        # no phase 1 and one row per batch: the first step's queue holds one class
+        before = threading.active_count()
+        cfg = micro_cfg(synth_method="vos", train_phase1_epochs=0, train_batch_size=1)
+        with pytest.raises(NotReadyError, match="queue empty"):
+            run_experiment(cfg)
+        assert threading.active_count() == before
+
+    def test_a_phase_2_divergence_leaves_no_thread(self, monkeypatch):
+        before = threading.active_count()
+        calls = []
+        uncertainty_gradients = pipeline.uncertainty_gradients
+
+        def diverging(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:  # the job for the fourth call is pending
+                raise NumericalFailure("injected")
+            return uncertainty_gradients(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "uncertainty_gradients", diverging)
+        with pytest.raises(NumericalFailure, match="phase 2, step 8: injected"):
+            run_experiment(micro_cfg(**self.SHORT_TAIL))
+        assert threading.active_count() == before
 
 
 class TestEvaluateBundle:

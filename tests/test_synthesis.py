@@ -38,6 +38,14 @@ def _filled_queue(dim=2, num_classes=2, per_class=400, seed=0, scale=1.0):
     return q
 
 
+def _vos(queue, n_per_class, quantile, n_candidates, rng):
+    """vos_synthesize on candidates ranked from rng, as every caller builds them."""
+    ranked = synthesis.rank_candidates(
+        rng, queue.num_classes, n_per_class, n_candidates, queue.dim
+    )
+    return synthesis.vos_synthesize(queue, n_per_class, quantile, n_candidates, ranked)
+
+
 class TestSynthBatch:
     def test_non_finite_rows_rejected(self):
         with pytest.raises(NumericalFailure):
@@ -136,7 +144,7 @@ class TestVosSynthesize:
     def test_row_count_and_class_blocks(self):
         # class c's queue sits around (3c, 3c); its 50 rows are block c
         q = _filled_queue(num_classes=3)
-        batch = synthesis.vos_synthesize(q, 50, None, 400, np.random.default_rng(1))
+        batch = _vos(q, 50, None, 400, np.random.default_rng(1))
         assert batch.vectors.shape == (150, 2)
         centers = 3.0 * np.arange(3)[:, None] * np.ones(2)
         for cid in range(3):
@@ -147,8 +155,8 @@ class TestVosSynthesize:
         # same rng stream: keeping everything sorts candidates by rising
         # likelihood, and a smaller keep must be exactly its prefix
         q = _filled_queue()
-        small = synthesis.vos_synthesize(q, 10, None, 300, np.random.default_rng(2))
-        full = synthesis.vos_synthesize(q, 300, None, 300, np.random.default_rng(2))
+        small = _vos(q, 10, None, 300, np.random.default_rng(2))
+        full = _vos(q, 300, None, 300, np.random.default_rng(2))
         for cid in range(2):
             kept = small.vectors[cid * 10 : (cid + 1) * 10]
             ranked = full.vectors[cid * 300 : (cid + 1) * 300]
@@ -159,7 +167,7 @@ class TestVosSynthesize:
         # candidates from the same stream and rank them by d^T P d
         dim, k, n_keep, n_cand = 4, 3, 25, 500
         q = _filled_queue(dim=dim, num_classes=k, per_class=300, seed=7)
-        batch = synthesis.vos_synthesize(q, n_keep, None, n_cand, np.random.default_rng(8))
+        batch = _vos(q, n_keep, None, n_cand, np.random.default_rng(8))
         snaps = [q.snapshot(cid)[:, :dim] for cid in range(k)]
         model = fit_gaussian_model(
             np.vstack(snaps), np.repeat(np.arange(k), [len(s) for s in snaps]), k
@@ -184,7 +192,7 @@ class TestVosSynthesize:
         q = _filled_queue(dim=dim, num_classes=k, per_class=500)
         tracemalloc.start()
         try:
-            synthesis.vos_synthesize(q, 512, None, n_cand, np.random.default_rng(1))
+            _vos(q, 512, None, n_cand, np.random.default_rng(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -193,7 +201,7 @@ class TestVosSynthesize:
     @staticmethod
     def _assert_matches_reference(q, n_keep, quantile, n_cand, seed):
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        batch = synthesis.vos_synthesize(q, n_keep, quantile, n_cand, rng_new)
+        batch = _vos(q, n_keep, quantile, n_cand, rng_new)
         vectors = vos_reference(q, n_keep, n_cand, rng_ref)
         assert batch.vectors.shape == vectors.shape
         assert batch.vectors.tobytes() == vectors.tobytes()
@@ -255,7 +263,7 @@ class TestVosSynthesize:
         q = FeatureQueue(dim=1, num_classes=1, capacity_per_class=3000)
         rng = np.random.default_rng(3)
         q.push_many(rng.normal(size=(3000, 1)), np.zeros(3000, dtype=int))
-        batch = synthesis.vos_synthesize(q, 5000, 0.05, 100_000, np.random.default_rng(4))
+        batch = _vos(q, 5000, 0.05, 100_000, np.random.default_rng(4))
         kept = np.abs(batch.vectors[:, 0])
         assert kept.min() > 1.8
         assert kept.max() > 3.0
@@ -263,28 +271,62 @@ class TestVosSynthesize:
     def test_quantile_guard(self):
         q = _filled_queue()
         with pytest.raises(InputError):
-            synthesis.vos_synthesize(q, 100, 0.05, 1000, np.random.default_rng(0))
+            _vos(q, 100, 0.05, 1000, np.random.default_rng(0))
         with pytest.raises(InputError):
-            synthesis.vos_synthesize(q, 200, None, 100, np.random.default_rng(0))
+            _vos(q, 200, None, 100, np.random.default_rng(0))
 
     def test_empty_class_not_ready(self):
         q = FeatureQueue(dim=2, num_classes=2)
         q.push_many(np.zeros((1, 2)), [0])
         with pytest.raises(NotReadyError):
-            synthesis.vos_synthesize(q, 5, None, 50, np.random.default_rng(0))
+            _vos(q, 5, None, 50, np.random.default_rng(0))
 
     def test_singular_covariance_regularized_with_warning(self):
         q = FeatureQueue(dim=2, num_classes=1, capacity_per_class=50)
         q.push_many(np.ones((30, 2)), np.zeros(30, dtype=int))
         with pytest.warns(UserWarning, match="regulariz"):
-            batch = synthesis.vos_synthesize(q, 5, None, 100, np.random.default_rng(5))
+            batch = _vos(q, 5, None, 100, np.random.default_rng(5))
         assert np.all(np.isfinite(batch.vectors))
 
     def test_deterministic_under_fixed_seed(self):
         q = _filled_queue()
-        a = synthesis.vos_synthesize(q, 20, None, 200, np.random.default_rng(6))
-        b = synthesis.vos_synthesize(q, 20, None, 200, np.random.default_rng(6))
+        a = _vos(q, 20, None, 200, np.random.default_rng(6))
+        b = _vos(q, 20, None, 200, np.random.default_rng(6))
         assert np.array_equal(a.vectors, b.vectors)
+
+    def test_a_reused_block_ranks_as_a_fresh_one(self):
+        # the pipeline refills one block for every call, short batches too
+        block = np.full((300, 3), np.nan)
+        rng_fresh, rng_reused = np.random.default_rng(7), np.random.default_rng(7)
+        for n_keep in (40, 7, 40):
+            fresh = synthesis.rank_candidates(rng_fresh, 2, n_keep, 300, 3)
+            reused = synthesis.rank_candidates(rng_reused, 2, n_keep, 300, 3, block)
+            for (rows, kept), (rows_b, kept_b) in zip(fresh, reused, strict=True):
+                assert rows.tobytes() == rows_b.tobytes()
+                np.testing.assert_array_equal(kept, kept_b)
+        assert rng_fresh.bit_generator.state == rng_reused.bit_generator.state
+
+    def test_ranked_rows_outlive_a_refill_of_the_block(self):
+        # the next call's draw refills the block while this call maps its rows
+        block = np.empty((50, 2))
+        rng = np.random.default_rng(1)
+        ranked = synthesis.rank_candidates(rng, 1, 5, 50, 2, block)
+        rows = ranked[0][0].copy()
+        synthesis.rank_candidates(rng, 1, 5, 50, 2, block)
+        np.testing.assert_array_equal(ranked[0][0], rows)
+
+    def test_a_block_of_another_shape_is_refused(self):
+        with pytest.raises(InputError, match="draw block must be"):
+            synthesis.rank_candidates(np.random.default_rng(0), 2, 5, 50, 2, np.empty((50, 3)))
+
+    def test_ranked_candidates_must_fit_the_call(self):
+        q = _filled_queue()  # 2 classes of dim 2
+        rng = np.random.default_rng(0)
+        ranked = synthesis.rank_candidates(rng, 2, 5, 50, 2)
+        wide = synthesis.rank_candidates(rng, 2, 5, 50, 3)
+        for n_keep, given in ((6, ranked), (5, ranked[:1]), (5, wide)):
+            with pytest.raises(InputError, match="ranked candidates must give"):
+                synthesis.vos_synthesize(q, n_keep, None, 50, given)
 
 
 class TestLinearMix:
