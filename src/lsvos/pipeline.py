@@ -22,7 +22,6 @@ import os
 import platform
 import re
 import time
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -50,6 +49,7 @@ from .scoring import ScoreSet, fit_gaussian_model, mahalanobis_score, save_score
 from .synthesis import (
     METHODS,
     NoiseSpec,
+    RankedCandidates,
     SynthBatch,
     linear_mix,
     lsvos_synthesize,
@@ -399,7 +399,7 @@ def _synthesize(
     cls: np.ndarray,
     u_fp: np.ndarray,
     rng: np.random.Generator,
-    ranked: list | None = None,
+    ranked: RankedCandidates | None = None,
 ) -> SynthBatch:
     method = cfg.synth_method
     if method == "lsvos":
@@ -407,7 +407,7 @@ def _synthesize(
         return lsvos_synthesize(bundle, feats, cls, spec, rng)
     if method == "vos":
         n_per_class = _vos_per_class(len(feats), queue.num_classes)
-        if ranked is None:  # the plot-only call; _train ranks its own calls ahead
+        if ranked is None:  # the plot-only call; _fit ranks its own calls ahead
             ranked = rank_candidates(
                 rng, queue.num_classes, n_per_class, VOS_CANDIDATES, queue.dim
             )
@@ -425,48 +425,31 @@ def _vos_per_class(n_rows: int, num_classes: int) -> int:
     return max(1, math.ceil(n_rows / num_classes))
 
 
-def _vos_call_sizes(cfg: ExperimentConfig, n_rows: int, num_classes: int) -> list[int]:
-    """n_per_class of each VOS synthesis call _train makes, in call order."""
-    if cfg.synth_method != "vos" or cfg.loss_lambda <= 0.0:
-        return []
-    batch = cfg.train_batch_size
-    per_epoch = [
-        _vos_per_class(min(batch, n_rows - start), num_classes)
-        for start in range(0, n_rows, batch)
-    ]
-    return per_epoch * effective_epochs(cfg.train_phase2_epochs, cfg.train_epoch_scale)
-
-
 def _train(
     cfg: ExperimentConfig, u_id, id_cls, u_fp, num_classes: int, rngs
 ) -> tuple[ModelBundle, list[dict]]:
     """Both training phases; a run with VOS calls ranks their candidates ahead.
 
     A one-worker pool draws and ranks each VOS call's candidates while the
-    steps before that call run (see README).  The job for call i + 1 is
-    submitted only after call i takes its result, so rng_synth has one user
-    at a time and ends as if every call had drawn its own.
+    steps before that call run (see README).  A run with no VOS call
+    submits nothing, so its pool starts no thread.
     """
-    sizes = _vos_call_sizes(cfg, len(u_id), num_classes)
-    if not sizes:
-        return _fit(cfg, u_id, id_cls, u_fp, num_classes, rngs, iter(()))
     from concurrent.futures import ThreadPoolExecutor
 
-    rng_synth, dim = rngs[2], u_id.shape[1]
-    block = np.empty((VOS_CANDIDATES, dim))  # refilled by every job
     # leaving the pool waits for a pending job, also when a step raises
     with ThreadPoolExecutor(1) as pool:
-        jobs = (
-            pool.submit(rank_candidates, rng_synth, num_classes, n, VOS_CANDIDATES, dim, block)
-            for n in sizes
-        )
-        return _fit(cfg, u_id, id_cls, u_fp, num_classes, rngs, jobs)
+        return _fit(cfg, u_id, id_cls, u_fp, num_classes, rngs, pool)
 
 
 def _fit(
-    cfg: ExperimentConfig, u_id, id_cls, u_fp, num_classes: int, rngs, jobs: Iterator
+    cfg: ExperimentConfig, u_id, id_cls, u_fp, num_classes: int, rngs, pool
 ) -> tuple[ModelBundle, list[dict]]:
-    """The training steps; advancing `jobs` submits the next VOS call's ranking."""
+    """The training steps; `pool` ranks each VOS call's candidates one call ahead.
+
+    The job for call i + 1 is submitted only after call i takes its
+    result, so rng_synth has one user at a time and ends as if every call
+    had drawn its own.
+    """
     rng_model, rng_train, rng_synth = rngs
     if len(u_id) == 0:
         raise InputError("training needs at least one inlier feature row")
@@ -497,13 +480,30 @@ def _fit(
         (1, effective_epochs(cfg.train_phase1_epochs, cfg.train_epoch_scale), 0.0),
         (2, effective_epochs(cfg.train_phase2_epochs, cfg.train_epoch_scale), cfg.loss_lambda),
     )
+    batch = cfg.train_batch_size
+    spans = [(start, min(start + batch, len(u_id))) for start in range(0, len(u_id), batch)]
+    # n_per_class of each VOS call, in call order, from the steps run below
+    sizes = [
+        _vos_per_class(stop - start, num_classes)
+        for _, n_epochs, lam in schedule
+        if lam > 0.0 and cfg.synth_method == "vos"
+        for _ in range(n_epochs)
+        for start, stop in spans
+    ]
+    # one block that every job refills; a run without VOS calls allocates
+    # none, since even the untouched block read +3 MB train-desk peak RSS
+    block = np.empty((VOS_CANDIDATES, dim)) if sizes else None
+    jobs = (
+        pool.submit(rank_candidates, rng_synth, num_classes, n, VOS_CANDIDATES, dim, block)
+        for n in sizes
+    )
     pending = next(jobs, None)  # phase 1 never draws from rng_synth
     step = 0
     for phase, n_epochs, lam in schedule:
         for epoch in range(n_epochs):
             order = rng_train.permutation(len(u_id))
-            for start in range(0, len(order), cfg.train_batch_size):
-                idx = order[start : start + cfg.train_batch_size]
+            for start, stop in spans:
+                idx = order[start:stop]
                 feats, cls = u_id[idx], id_cls[idx]
                 queue.push_many(feats, cls)
                 x_ae = queue.sample(cfg.sample_n_per_class, rng_train)

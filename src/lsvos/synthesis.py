@@ -103,6 +103,19 @@ def _top_n(keys: np.ndarray, n: int) -> np.ndarray:
     return near[np.argsort(neg[near], kind="stable")[:n]]
 
 
+@dataclass(frozen=True)
+class RankedCandidates:
+    """Each class's top-ranked VOS candidates, drawn but not yet mapped.
+
+    `classes[c]` is class c's (rows, kept) pair: the top-ranked rows of its
+    n_candidates draws in drawn order, and the positions among them of the
+    kept rows, largest distance first.
+    """
+
+    n_candidates: int
+    classes: list[tuple[np.ndarray, np.ndarray]]
+
+
 def rank_candidates(
     rng: np.random.Generator,
     num_classes: int,
@@ -110,17 +123,15 @@ def rank_candidates(
     n_candidates: int,
     dim: int,
     block: np.ndarray | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> RankedCandidates:
     """Draw and rank each class's VOS candidates, mapping none of them.
 
     Per class, refills one (n_candidates, dim) block z from rng and ranks
     its rows by ||z||^2: under a shared covariance, the lowest
     log-likelihood within a class is exactly the largest Mahalanobis
     distance, and for a draw mean + L z with L L^T = cov that squared
-    distance is exactly ||z||^2.  Returns one (rows, kept) pair per class:
-    the top-ranked rows of z in drawn order, and the positions among them
-    of the n_per_class kept rows, largest distance first.  `block`, when
-    given, is the reused draw buffer.  Makes no BLAS call.
+    distance is exactly ||z||^2.  Keeps n_per_class rows per class.
+    `block`, when given, is the reused draw buffer.  Makes no BLAS call.
     """
     if n_per_class <= 0 or n_candidates <= 0:
         raise InputError("n_per_class and n_candidates must be positive")
@@ -136,13 +147,13 @@ def rank_candidates(
     n_map = min(
         n_candidates, max(n_per_class, 2, math.ceil(nn.BLOCKED_GEMM_MACS / dim**2))
     )
-    ranked = []
+    classes = []
     for _ in range(num_classes):
         rng.standard_normal(out=z)
         top = _top_n(np.einsum("ij,ij->i", z, z), n_map)
         mapped = np.sort(top)
-        ranked.append((z[mapped], np.searchsorted(mapped, top[:n_per_class])))
-    return ranked
+        classes.append((z[mapped], np.searchsorted(mapped, top[:n_per_class])))
+    return RankedCandidates(n_candidates, classes)
 
 
 def vos_synthesize(
@@ -150,7 +161,7 @@ def vos_synthesize(
     n_per_class: int,
     quantile: float | None,
     n_candidates: int,
-    ranked: list[tuple[np.ndarray, np.ndarray]],
+    ranked: RankedCandidates,
 ) -> SynthBatch:
     """Keep the lowest-likelihood Gaussian samples as outliers.
 
@@ -172,12 +183,17 @@ def vos_synthesize(
                 f"lowest-likelihood quantile {quantile}"
             )
     dim = queue.dim
-    if len(ranked) != queue.num_classes or any(
-        rows.shape[1:] != (dim,) or kept.shape != (n_per_class,) for rows, kept in ranked
+    if (
+        ranked.n_candidates != n_candidates
+        or len(ranked.classes) != queue.num_classes
+        or any(
+            rows.shape[1:] != (dim,) or kept.shape != (n_per_class,)
+            for rows, kept in ranked.classes
+        )
     ):
         raise InputError(
             f"ranked candidates must give each of {queue.num_classes} classes "
-            f"{n_per_class} kept rows of dim {dim}"
+            f"{n_per_class} kept rows of dim {dim} from {n_candidates} draws"
         )
     blocks, ids = [], []
     for cid in range(queue.num_classes):
@@ -190,7 +206,7 @@ def vos_synthesize(
     class_ids = np.concatenate(ids)
     model = fit_gaussian_model(rows, class_ids, queue.num_classes)
     vectors = np.empty((queue.num_classes * n_per_class, dim))
-    for cid, (drawn, kept) in enumerate(ranked):
+    for cid, (drawn, kept) in enumerate(ranked.classes):
         draws = drawn @ model.cholesky.T
         draws += model.means[cid]
         vectors[cid * n_per_class : (cid + 1) * n_per_class] = draws[kept]

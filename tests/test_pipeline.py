@@ -774,12 +774,20 @@ class TestDrawAhead:
     # and 34 rows per class
     SHORT_TAIL = dict(synth_method="vos", train_batch_size=150, train_phase2_epochs=3)
 
-    def test_a_run_with_a_short_last_batch_keeps_its_bytes(self, tmp_path):
+    def test_a_run_with_a_short_last_batch_keeps_its_bytes(self, tmp_path, monkeypatch):
+        sizes = []
+        rank_candidates = pipeline.rank_candidates
+
+        def recorded(rng, num_classes, n_per_class, *args):
+            sizes.append(n_per_class)
+            return rank_candidates(rng, num_classes, n_per_class, *args)
+
+        monkeypatch.setattr(pipeline, "rank_candidates", recorded)
+        run_experiment(micro_cfg(**self.SHORT_TAIL), out_dir=tmp_path)
+        # nine training calls, then the plot-only call over all 400 rows
+        assert sizes == [50, 50, 34] * 3 + [134]
         # numpy 2.4 with OpenBLAS 0.3.31, 1 thread; recorded when each VOS
         # call drew its candidates itself
-        cfg = micro_cfg(**self.SHORT_TAIL)
-        assert pipeline._vos_call_sizes(cfg, 400, 3) == [50, 50, 34] * 3
-        run_experiment(cfg, out_dir=tmp_path)
         digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == "243f708a53d787fff52f1a64557e6111e4aacb3aee01cfcc4b41ff7dcdac524a"
 

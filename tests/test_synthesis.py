@@ -301,7 +301,8 @@ class TestVosSynthesize:
         for n_keep in (40, 7, 40):
             fresh = synthesis.rank_candidates(rng_fresh, 2, n_keep, 300, 3)
             reused = synthesis.rank_candidates(rng_reused, 2, n_keep, 300, 3, block)
-            for (rows, kept), (rows_b, kept_b) in zip(fresh, reused, strict=True):
+            pairs = zip(fresh.classes, reused.classes, strict=True)
+            for (rows, kept), (rows_b, kept_b) in pairs:
                 assert rows.tobytes() == rows_b.tobytes()
                 np.testing.assert_array_equal(kept, kept_b)
         assert rng_fresh.bit_generator.state == rng_reused.bit_generator.state
@@ -311,9 +312,9 @@ class TestVosSynthesize:
         block = np.empty((50, 2))
         rng = np.random.default_rng(1)
         ranked = synthesis.rank_candidates(rng, 1, 5, 50, 2, block)
-        rows = ranked[0][0].copy()
+        rows = ranked.classes[0][0].copy()
         synthesis.rank_candidates(rng, 1, 5, 50, 2, block)
-        np.testing.assert_array_equal(ranked[0][0], rows)
+        np.testing.assert_array_equal(ranked.classes[0][0], rows)
 
     def test_a_block_of_another_shape_is_refused(self):
         with pytest.raises(InputError, match="draw block must be"):
@@ -324,7 +325,9 @@ class TestVosSynthesize:
         rng = np.random.default_rng(0)
         ranked = synthesis.rank_candidates(rng, 2, 5, 50, 2)
         wide = synthesis.rank_candidates(rng, 2, 5, 50, 3)
-        for n_keep, given in ((6, ranked), (5, ranked[:1]), (5, wide)):
+        fewer = synthesis.rank_candidates(rng, 2, 5, 40, 2)
+        one_class = synthesis.RankedCandidates(50, ranked.classes[:1])
+        for n_keep, given in ((6, ranked), (5, one_class), (5, wide), (5, fewer)):
             with pytest.raises(InputError, match="ranked candidates must give"):
                 synthesis.vos_synthesize(q, n_keep, None, 50, given)
 
