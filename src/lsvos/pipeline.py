@@ -22,8 +22,10 @@ import os
 import platform
 import re
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
 
@@ -53,6 +55,7 @@ from .synthesis import (
     SynthBatch,
     linear_mix,
     lsvos_synthesize,
+    mapped_rows,
     noisy_id,
     random_noise,
     rank_candidates,
@@ -436,19 +439,25 @@ def _train(
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    # leaving the pool waits for a pending job, also when a step raises
-    with ThreadPoolExecutor(1) as pool:
+    pool = ThreadPoolExecutor(1)
+    try:
         return _fit(cfg, u_id, id_cls, u_fp, num_classes, rngs, pool)
+    finally:
+        # a step that raised leaves queued jobs: drop them, wait for the running one
+        pool.shutdown(cancel_futures=True)
 
 
 def _fit(
     cfg: ExperimentConfig, u_id, id_cls, u_fp, num_classes: int, rngs, pool
 ) -> tuple[ModelBundle, list[dict]]:
-    """The training steps; `pool` ranks each VOS call's candidates one call ahead.
+    """The training steps; `pool` ranks VOS calls' candidates up to `depth` calls ahead.
 
-    The job for call i + 1 is submitted only after call i takes its
-    result, so rng_synth has one user at a time and ends as if every call
-    had drawn its own.
+    The first `depth` jobs are submitted before the first step; each call
+    takes the oldest result, then submits the next call's job.  The one
+    worker runs them in call order, so rng_synth has one user at a time
+    and ends as if every call had drawn its own.  `depth` is the most
+    calls whose ranked rows fit in the bytes of the draw block, and at
+    least 1: 13 at D = 64 and K = 3, 1 at D = 8.
     """
     rng_model, rng_train, rng_synth = rngs
     if len(u_id) == 0:
@@ -497,7 +506,10 @@ def _fit(
         pool.submit(rank_candidates, rng_synth, num_classes, n, VOS_CANDIDATES, dim, block)
         for n in sizes
     )
-    pending = next(jobs, None)  # phase 1 never draws from rng_synth
+    # the largest call banks the most ranked rows
+    n_map = mapped_rows(VOS_CANDIDATES, max(sizes, default=1), dim)
+    depth = max(1, VOS_CANDIDATES // (num_classes * n_map))
+    pending = deque(islice(jobs, depth))  # phase 1 never draws from rng_synth
     step = 0
     for phase, n_epochs, lam in schedule:
         for epoch in range(n_epochs):
@@ -514,10 +526,8 @@ def _fit(
                     nn.adam_step(clf_params, clf_g, clf_state, lr=cfg.train_lr)
                     loss_unc = 0.0
                     if lam > 0.0:
-                        ranked = None
-                        if pending is not None:
-                            ranked = pending.result()
-                            pending = next(jobs, None)
+                        ranked = pending.popleft().result() if pending else None
+                        pending.extend(islice(jobs, 1))
                         synth = _synthesize(
                             cfg, bundle, queue, feats, cls, u_fp, rng_synth, ranked
                         )

@@ -116,6 +116,17 @@ class RankedCandidates:
     classes: list[tuple[np.ndarray, np.ndarray]]
 
 
+def mapped_rows(n_candidates: int, n_per_class: int, dim: int) -> int:
+    """The top-ranked rows per class that rank_candidates keeps for mapping.
+
+    Enough rows that their product with the Cholesky factor stays on the
+    blocked kernel whenever a product over every candidate would, so each
+    kept row has that product's bits: 245 at D = 64, all 10,000 at D = 8.
+    Rows stay in drawn order, so mapping all of them is that very product.
+    """
+    return min(n_candidates, max(n_per_class, 2, math.ceil(nn.BLOCKED_GEMM_MACS / dim**2)))
+
+
 def rank_candidates(
     rng: np.random.Generator,
     num_classes: int,
@@ -140,13 +151,7 @@ def rank_candidates(
     z = np.empty((n_candidates, dim)) if block is None else block
     if z.shape != (n_candidates, dim):
         raise InputError(f"draw block must be ({n_candidates}, {dim}), got {z.shape}")
-    # enough top-ranked rows that their product with the Cholesky factor
-    # stays on the blocked kernel whenever a product over every candidate
-    # would, so each kept row has that product's bits.  Rows stay in drawn
-    # order: mapping all of them is that very product.
-    n_map = min(
-        n_candidates, max(n_per_class, 2, math.ceil(nn.BLOCKED_GEMM_MACS / dim**2))
-    )
+    n_map = mapped_rows(n_candidates, n_per_class, dim)
     classes = []
     for _ in range(num_classes):
         rng.standard_normal(out=z)

@@ -5,6 +5,7 @@ import math
 import re
 import string
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from lsvos.pipeline import (
     run_experiment,
     sweep_from_specs,
 )
-from lsvos.synthesis import METHODS
+from lsvos.synthesis import METHODS, mapped_rows
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -768,11 +769,18 @@ def _train_inputs(cfg):
 
 
 class TestDrawAhead:
-    """A VOS run ranks each synthesis call's candidates one call ahead on a helper thread."""
+    """A VOS run ranks its synthesis calls' candidates ahead on a helper thread.
+
+    It keeps up to depth = max(1, 10000 // (K * mapped_rows)) jobs queued,
+    so the ranked rows banked ahead fit in the bytes of one draw block:
+    one call at D = 8, 13 calls at D = 64 with K = 3.
+    """
 
     # 400 ID rows in batches of 150, 150 and 100: each epoch keeps 50, 50
     # and 34 rows per class
     SHORT_TAIL = dict(synth_method="vos", train_batch_size=150, train_phase2_epochs=3)
+    # 18 VOS calls at D = 64, five more than the 13 that are queued at the start
+    DEEP = dict(SHORT_TAIL, data_dim=64, train_phase2_epochs=6)
 
     def test_a_run_with_a_short_last_batch_keeps_its_bytes(self, tmp_path, monkeypatch):
         sizes = []
@@ -791,8 +799,22 @@ class TestDrawAhead:
         digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == "243f708a53d787fff52f1a64557e6111e4aacb3aee01cfcc4b41ff7dcdac524a"
 
-    def test_rng_synth_ends_as_after_drawing_each_call_in_turn(self):
-        cfg = micro_cfg(**self.SHORT_TAIL)
+    def test_a_run_with_more_calls_than_depth_keeps_its_bytes(self, tmp_path):
+        run_experiment(micro_cfg(**self.DEEP), out_dir=tmp_path)
+        # numpy 2.4 with OpenBLAS 0.3.31, 1 thread; recorded when each call's
+        # job was submitted only after the previous call took its result
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("report.json", "model.ckpt")
+        }
+        assert digests == {
+            "report.json": "983811aee93fbce243646389297f5273550144722f64dc53d416644eb39a7064",
+            "model.ckpt": "d369024e78f6a9426bec5341efae7a9e04ac1987e71c5e2fb6cf9f47fe4830e7",
+        }
+
+    @pytest.mark.parametrize("overrides", [SHORT_TAIL, DEEP], ids=["D8", "D64"])
+    def test_rng_synth_ends_as_after_drawing_each_call_in_turn(self, overrides):
+        cfg = micro_cfg(**overrides)
         u_id, id_cls, u_fp, k, rngs = _train_inputs(cfg)
         _, history = pipeline._train(cfg, u_id, id_cls, u_fp, k, rngs)
         # the sequential loop: each phase-2 step drew one block per class
@@ -801,7 +823,58 @@ class TestDrawAhead:
             replay.standard_normal((pipeline.VOS_CANDIDATES, cfg.data_dim))
         assert rngs[2].bit_generator.state == replay.bit_generator.state
 
-    def test_every_traced_function_runs_on_the_calling_thread(self, monkeypatch):
+    def test_the_helper_banks_at_most_a_draw_block_of_ranked_rows(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        cfg = micro_cfg(**self.DEEP)
+        u_id, id_cls, u_fp, k, rngs = _train_inputs(cfg)
+        n_map = mapped_rows(pipeline.VOS_CANDIDATES, 50, cfg.data_dim)
+        depth = pipeline.VOS_CANDIDATES // (k * n_map)
+        assert depth == 13
+        state = threading.Condition()
+        started, taken = [0], [0]
+        banked, ahead, banked_bytes = [], [], []
+
+        def recorded(fn, *args):  # runs on the helper
+            with state:
+                started[0] += 1
+                ahead.append(started[0] - taken[0])  # running or finished, not taken
+            ranked = fn(*args)
+            with state:
+                banked.append(sum(rows.nbytes for rows, _ in ranked.classes))
+                banked_bytes.append(sum(banked))
+                state.notify_all()
+            return ranked
+
+        class Job:
+            def __init__(self, future):
+                self.future = future
+
+            def result(self):
+                with state:
+                    if taken[0] == 0:  # let the helper run as far ahead as it may
+                        assert state.wait_for(lambda: len(banked) == depth, timeout=20)
+                ranked = self.future.result()
+                with state:
+                    taken[0] += 1
+                    banked.pop(0)
+                return ranked
+
+        class RecordingPool:
+            def __init__(self, pool):
+                self.pool = pool
+
+            def submit(self, fn, *args):
+                return Job(self.pool.submit(recorded, fn, *args))
+
+        with ThreadPoolExecutor(1) as pool:
+            _, history = pipeline._fit(cfg, u_id, id_cls, u_fp, k, rngs, RecordingPool(pool))
+        assert taken[0] == started[0] == sum(row["phase"] == 2 for row in history) == 18
+        assert max(ahead) == depth
+        assert max(banked_bytes) <= pipeline.VOS_CANDIDATES * cfg.data_dim * 8
+
+    @pytest.mark.parametrize("overrides", [SHORT_TAIL, DEEP], ids=["D8", "D64"])
+    def test_every_traced_function_runs_on_the_calling_thread(self, monkeypatch, overrides):
         # the tracer's span stack assumes one thread
         monkeypatch.syspath_prepend(str(README.parent / "bench"))
         from tracer import Tracer
@@ -819,7 +892,7 @@ class TestDrawAhead:
                 return recorded
 
         with ThreadRecorder().installed():
-            run_experiment(micro_cfg(**self.SHORT_TAIL))
+            run_experiment(micro_cfg(**overrides))
         assert len(threads) > 20 and "synthesis.vos_synthesize" in threads
         assert set().union(*threads.values()) == {threading.get_ident()}
 
@@ -852,20 +925,44 @@ class TestDrawAhead:
             run_experiment(cfg)
         assert threading.active_count() == before
 
-    def test_a_phase_2_divergence_leaves_no_thread(self, monkeypatch):
+    @pytest.mark.parametrize("overrides", [SHORT_TAIL, DEEP], ids=["D8", "D64"])
+    def test_a_phase_2_divergence_leaves_no_thread(self, monkeypatch, overrides):
         before = threading.active_count()
+        state = threading.Condition()
+        running, failed, late = [False], [False], []
+        rank_candidates = pipeline.rank_candidates
+
+        def recorded(*args):  # runs on the helper
+            with state:
+                late.append(failed[0])
+                running[0] = True
+                state.notify_all()
+            ranked = rank_candidates(*args)
+            with state:
+                running[0] = False
+                raised = failed[0]
+            # the job running at the failure gives the error time to cancel the rest
+            if raised:
+                time.sleep(0.05)
+            return ranked
+
         calls = []
         uncertainty_gradients = pipeline.uncertainty_gradients
 
         def diverging(*args, **kwargs):
             calls.append(args)
-            if len(calls) == 3:  # the job for the fourth call is pending
+            if len(calls) == 3:  # the jobs for later calls are queued or running
+                with state:
+                    assert state.wait_for(lambda: running[0], timeout=60)
+                    failed[0] = True
                 raise NumericalFailure("injected")
             return uncertainty_gradients(*args, **kwargs)
 
+        monkeypatch.setattr(pipeline, "rank_candidates", recorded)
         monkeypatch.setattr(pipeline, "uncertainty_gradients", diverging)
         with pytest.raises(NumericalFailure, match="phase 2, step 8: injected"):
-            run_experiment(micro_cfg(**self.SHORT_TAIL))
+            run_experiment(micro_cfg(**overrides))
+        assert late and not any(late)
         assert threading.active_count() == before
 
 

@@ -316,6 +316,22 @@ class TestVosSynthesize:
         synthesis.rank_candidates(rng, 1, 5, 50, 2, block)
         np.testing.assert_array_equal(ranked.classes[0][0], rows)
 
+    @pytest.mark.parametrize(
+        "dim, n_per_class, n_map, depth",
+        [(64, 50, 245, 13), (64, 300, 300, 11), (8, 50, 10_000, 1)],
+    )
+    def test_mapped_rows_set_how_many_calls_fit_in_a_draw_block(
+        self, dim, n_per_class, n_map, depth
+    ):
+        # a 3-class run banks max(1, 10000 // (3 * n_map)) calls of ranked
+        # rows ahead: 13 calls or ~4.9 MB at D = 64, one call at D = 8
+        assert synthesis.mapped_rows(10_000, n_per_class, dim) == n_map
+        ranked = synthesis.rank_candidates(
+            np.random.default_rng(0), 3, n_per_class, 10_000, dim
+        )
+        assert [rows.shape for rows, _ in ranked.classes] == [(n_map, dim)] * 3
+        assert max(1, 10_000 // (3 * n_map)) == depth
+
     def test_a_block_of_another_shape_is_refused(self):
         with pytest.raises(InputError, match="draw block must be"):
             synthesis.rank_candidates(np.random.default_rng(0), 2, 5, 50, 2, np.empty((50, 3)))
