@@ -60,6 +60,9 @@ class GeneratorSpec:
             )
         if not 0.0 <= self.fp_overlap <= 1.0:
             raise InputError(f"fp_overlap must be in [0, 1], got {self.fp_overlap}")
+        for name in ("class_separation", "cov_scale", "fp_displacement"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.cov_scale <= 0.0 or self.fp_displacement < 0.0 or self.class_separation < 0.0:
             raise InputError("scale parameters must be positive")
         for name in ("n_id_train", "n_fp_train", "n_id_val", "n_fp_val"):

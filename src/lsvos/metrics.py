@@ -110,7 +110,7 @@ def ece(confidences: np.ndarray, correct: np.ndarray) -> float:
         raise InputError("ece needs a non-empty 1-D confidence array")
     if confidences.shape != correct.shape:
         raise InputError("confidences and correctness must be aligned")
-    if confidences.min() < 0.0 or confidences.max() > 1.0:
+    if not np.all((confidences >= 0.0) & (confidences <= 1.0)):
         raise InputError("confidences must lie in [0, 1]")
     idx = np.minimum((confidences * 10).astype(np.int64), 9)
     total = 0.0

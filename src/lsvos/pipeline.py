@@ -410,7 +410,7 @@ def _synthesize(
         return lsvos_synthesize(bundle, feats, cls, spec, rng)
     if method == "vos":
         n_per_class = _vos_per_class(len(feats), queue.num_classes)
-        if ranked is None:  # the plot-only call; _fit ranks its own calls ahead
+        if ranked is None:  # the plot-only call; _train ranks its own calls ahead
             ranked = rank_candidates(
                 rng, queue.num_classes, n_per_class, VOS_CANDIDATES, queue.dim
             )
@@ -431,34 +431,19 @@ def _vos_per_class(n_rows: int, num_classes: int) -> int:
 def _train(
     cfg: ExperimentConfig, u_id, id_cls, u_fp, num_classes: int, rngs
 ) -> tuple[ModelBundle, list[dict]]:
-    """Both training phases; a run with VOS calls ranks their candidates ahead.
+    """Both training phases; a one-worker pool ranks VOS calls' candidates ahead.
 
-    A one-worker pool draws and ranks each VOS call's candidates while the
-    steps before that call run (see README).  A run with no VOS call
-    submits nothing, so its pool starts no thread.
+    The pool keeps up to `depth` rank jobs queued (see README): the first
+    `depth` are submitted before the first step, and each VOS call takes
+    the oldest result, then submits the next call's job.  The one worker
+    runs them in call order, so rng_synth has one user at a time and ends
+    as if every call had drawn its own.  `depth` is the most calls whose
+    ranked rows fit in the bytes of the draw block, and at least 1: 13 at
+    D = 64 and K = 3, 1 at D = 8.  A run with no VOS call submits nothing,
+    so its pool starts no thread.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    pool = ThreadPoolExecutor(1)
-    try:
-        return _fit(cfg, u_id, id_cls, u_fp, num_classes, rngs, pool)
-    finally:
-        # a step that raised leaves queued jobs: drop them, wait for the running one
-        pool.shutdown(cancel_futures=True)
-
-
-def _fit(
-    cfg: ExperimentConfig, u_id, id_cls, u_fp, num_classes: int, rngs, pool
-) -> tuple[ModelBundle, list[dict]]:
-    """The training steps; `pool` ranks VOS calls' candidates up to `depth` calls ahead.
-
-    The first `depth` jobs are submitted before the first step; each call
-    takes the oldest result, then submits the next call's job.  The one
-    worker runs them in call order, so rng_synth has one user at a time
-    and ends as if every call had drawn its own.  `depth` is the most
-    calls whose ranked rows fit in the bytes of the draw block, and at
-    least 1: 13 at D = 64 and K = 3, 1 at D = 8.
-    """
     rng_model, rng_train, rng_synth = rngs
     if len(u_id) == 0:
         raise InputError("training needs at least one inlier feature row")
@@ -468,10 +453,10 @@ def _fit(
         num_classes,
         rng_model,
         latent_dim=cfg.model_latent_dim,
-        encoder_hidden=tuple(cfg.model_encoder_hidden),
-        decoder_hidden=tuple(cfg.model_decoder_hidden),
-        uncertainty_hidden=tuple(cfg.model_uncertainty_hidden),
-        classifier_hidden=tuple(cfg.model_classifier_hidden),
+        encoder_hidden=cfg.model_encoder_hidden,
+        decoder_hidden=cfg.model_decoder_hidden,
+        uncertainty_hidden=cfg.model_uncertainty_hidden,
+        classifier_hidden=cfg.model_classifier_hidden,
     )
     queue = FeatureQueue(dim, num_classes, cfg.queue_capacity)
     ae_params = nn.parameters(bundle.encoder) + nn.parameters(bundle.decoder)
@@ -485,80 +470,81 @@ def _fit(
     ws = nn.Workspace()
     fp_cycle = _Cycle(u_fp, rng_train)
     history: list[dict] = []
-    schedule = (
-        (1, effective_epochs(cfg.train_phase1_epochs, cfg.train_epoch_scale), 0.0),
-        (2, effective_epochs(cfg.train_phase2_epochs, cfg.train_epoch_scale), cfg.loss_lambda),
-    )
     batch = cfg.train_batch_size
-    spans = [(start, min(start + batch, len(u_id))) for start in range(0, len(u_id), batch)]
-    # n_per_class of each VOS call, in call order, from the steps run below
+    # (phase, epoch, lam, start, stop) of every step, in the order they run
+    steps = [
+        (phase, epoch, lam, start, min(start + batch, len(u_id)))
+        for phase, epochs, lam in (
+            (1, cfg.train_phase1_epochs, 0.0),
+            (2, cfg.train_phase2_epochs, cfg.loss_lambda),
+        )
+        for epoch in range(effective_epochs(epochs, cfg.train_epoch_scale))
+        for start in range(0, len(u_id), batch)
+    ]
+    # n_per_class of each VOS call, in call order
     sizes = [
         _vos_per_class(stop - start, num_classes)
-        for _, n_epochs, lam in schedule
+        for *_, lam, start, stop in steps
         if lam > 0.0 and cfg.synth_method == "vos"
-        for _ in range(n_epochs)
-        for start, stop in spans
     ]
     # one block that every job refills; a run without VOS calls allocates
     # none, since even the untouched block read +3 MB train-desk peak RSS
     block = np.empty((VOS_CANDIDATES, dim)) if sizes else None
-    jobs = (
-        pool.submit(rank_candidates, rng_synth, num_classes, n, VOS_CANDIDATES, dim, block)
-        for n in sizes
-    )
     # the largest call banks the most ranked rows
     n_map = mapped_rows(VOS_CANDIDATES, max(sizes, default=1), dim)
     depth = max(1, VOS_CANDIDATES // (num_classes * n_map))
-    pending = deque(islice(jobs, depth))  # phase 1 never draws from rng_synth
-    step = 0
-    for phase, n_epochs, lam in schedule:
-        for epoch in range(n_epochs):
-            order = rng_train.permutation(len(u_id))
-            for start, stop in spans:
-                idx = order[start:stop]
-                feats, cls = u_id[idx], id_cls[idx]
-                queue.push_many(feats, cls)
-                x_ae = queue.sample(cfg.sample_n_per_class, rng_train)
-                try:
-                    loss_ae, ae_g = ae_gradients(bundle.encoder, bundle.decoder, x_ae, ws=ws)
-                    nn.adam_step(ae_params, ae_g, ae_state, lr=cfg.train_lr)
-                    loss_clf, clf_g = classifier_gradients(bundle.classifier, feats, cls, ws=ws)
-                    nn.adam_step(clf_params, clf_g, clf_state, lr=cfg.train_lr)
-                    loss_unc = 0.0
-                    if lam > 0.0:
-                        ranked = pending.popleft().result() if pending else None
-                        pending.extend(islice(jobs, 1))
-                        synth = _synthesize(
-                            cfg, bundle, queue, feats, cls, u_fp, rng_synth, ranked
-                        )
-                        # a train split without FP rows takes a (0, D) batch
-                        u_ood = np.vstack([synth.vectors, fp_cycle.take(len(feats))])
-                        loss_unc, unc_g = uncertainty_gradients(
-                            bundle.uncertainty, feats, u_ood, cfg.loss_variant, ws=ws
-                        )
-                        nn.adam_step(
-                            unc_params, [lam * g for g in unc_g], unc_state, lr=cfg.train_lr
-                        )
-                    loss_total = total_loss(loss_clf, loss_ae, loss_unc, lam)
-                    if not math.isfinite(loss_total):
-                        raise NumericalFailure(f"non-finite total loss {loss_total}")
-                except NumericalFailure as exc:
-                    raise NumericalFailure(
-                        f"training diverged in phase {phase}, step {step}: {exc}"
-                    ) from exc
-                history.append(
-                    {
-                        "phase": phase,
-                        "epoch": epoch,
-                        "step": step,
-                        "loss_total": loss_total,
-                        "loss_ae": loss_ae,
-                        "loss_clf": loss_clf,
-                        "loss_unc": loss_unc,
-                        "queue_occupancy": sum(queue.occupancy()),
-                    }
-                )
-                step += 1
+    pool = ThreadPoolExecutor(1)
+    try:
+        jobs = (
+            pool.submit(rank_candidates, rng_synth, num_classes, n, VOS_CANDIDATES, dim, block)
+            for n in sizes
+        )
+        pending = deque(islice(jobs, depth))  # phase 1 never draws from rng_synth
+        for step, (phase, epoch, lam, start, stop) in enumerate(steps):
+            if start == 0:
+                order = rng_train.permutation(len(u_id))
+            idx = order[start:stop]
+            feats, cls = u_id[idx], id_cls[idx]
+            queue.push_many(feats, cls)
+            x_ae = queue.sample(cfg.sample_n_per_class, rng_train)
+            try:
+                loss_ae, ae_g = ae_gradients(bundle.encoder, bundle.decoder, x_ae, ws=ws)
+                nn.adam_step(ae_params, ae_g, ae_state, lr=cfg.train_lr)
+                loss_clf, clf_g = classifier_gradients(bundle.classifier, feats, cls, ws=ws)
+                nn.adam_step(clf_params, clf_g, clf_state, lr=cfg.train_lr)
+                loss_unc = 0.0
+                if lam > 0.0:
+                    ranked = pending.popleft().result() if pending else None
+                    pending.extend(islice(jobs, 1))
+                    synth = _synthesize(cfg, bundle, queue, feats, cls, u_fp, rng_synth, ranked)
+                    # a train split without FP rows takes a (0, D) batch
+                    u_ood = np.vstack([synth.vectors, fp_cycle.take(len(feats))])
+                    loss_unc, unc_g = uncertainty_gradients(
+                        bundle.uncertainty, feats, u_ood, cfg.loss_variant, ws=ws
+                    )
+                    nn.adam_step(unc_params, [lam * g for g in unc_g], unc_state, lr=cfg.train_lr)
+                loss_total = total_loss(loss_clf, loss_ae, loss_unc, lam)
+                if not math.isfinite(loss_total):
+                    raise NumericalFailure(f"non-finite total loss {loss_total}")
+            except NumericalFailure as exc:
+                raise NumericalFailure(
+                    f"training diverged in phase {phase}, step {step}: {exc}"
+                ) from exc
+            history.append(
+                {
+                    "phase": phase,
+                    "epoch": epoch,
+                    "step": step,
+                    "loss_total": loss_total,
+                    "loss_ae": loss_ae,
+                    "loss_clf": loss_clf,
+                    "loss_unc": loss_unc,
+                    "queue_occupancy": sum(queue.occupancy()),
+                }
+            )
+    finally:
+        # a step that raised leaves queued jobs: drop them, wait for the running one
+        pool.shutdown(cancel_futures=True)
     return bundle, history
 
 
@@ -687,8 +673,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         train_ds, val_ds = generate_features(generator_spec(cfg))
     else:
         train_ds, val_ds = load_feature_dir(cfg.dataset)
-    if train_ds.num_classes < 2:
-        raise InputError("training needs at least 2 classes")
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, k])) for k in (1, 2, 3)]
     train_id, train_cls = train_ds.select(Label.ID)
     train_fp, _ = train_ds.select(Label.FP)

@@ -50,6 +50,12 @@ class TestGeneratorSpec:
         with pytest.raises(InputError):
             small_spec(fp_overlap=-0.1)
 
+    @pytest.mark.parametrize("field", ["class_separation", "cov_scale", "fp_displacement"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_scales(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be finite"):
+            small_spec(**{field: value})
+
     def test_rejects_nonpositive_counts(self):
         for field in ("n_id_train", "n_fp_train", "n_id_val", "n_fp_val"):
             with pytest.raises(InputError):

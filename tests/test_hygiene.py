@@ -1,13 +1,14 @@
 """Source hygiene: no module-level import goes unused, no package name or
 method goes unnamed, README's module table lists exactly the package's
-modules, JSON goes through one reader and writer, and threads start in
-two functions only.
+modules, JSON goes through one reader and writer, threads start in two
+functions only, and the package version is written down once.
 
 A stdlib `ast` scan of every file in src/lsvos, tests and demos.  Package
 `__init__.py` files are skipped: their imports are re-exports.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,3 +184,13 @@ def test_threads_start_only_where_the_readme_rules_cover_them():
                     names = {getattr(sub, "id", None), getattr(sub, "attr", None)}
                 stray += [f"{path.name}:{sub.lineno} {name}" for name in names & THREAD_NAMES]
     assert not stray, f"threads outside {sorted(THREAD_HOMES)}: {', '.join(stray)}"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_pyproject_and_the_package_give_one_version():
+    import tomllib
+
+    import lsvos
+
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())["project"]
+    assert project["version"] == lsvos.__version__

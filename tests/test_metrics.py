@@ -193,6 +193,8 @@ class TestEce:
             metrics.ece(np.array([]), np.array([], dtype=bool))
         with pytest.raises(InputError):
             metrics.ece(np.array([1.2]), np.array([True]))
+        with pytest.raises(InputError, match=r"\[0, 1\]"):
+            metrics.ece(np.array([np.nan, 0.5]), np.array([True, True]))
         with pytest.raises(InputError):
             metrics.ece(np.array([0.5, 0.5]), np.array([True]))
 

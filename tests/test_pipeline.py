@@ -690,6 +690,20 @@ class TestRunExperiment:
         assert res.report.n_id == 150
         assert res.report.n_ood == 80
 
+    def test_a_one_class_feature_dir_is_refused_before_any_output(self, tmp_path):
+        from lsvos.datagen import GeneratorSpec, generate_features
+
+        spec = GeneratorSpec(
+            dim=8, num_classes=1, n_id_train=300, n_fp_train=120, n_id_val=150, n_fp_val=80, seed=3
+        )
+        train, val = generate_features(spec)
+        save_features(tmp_path / "train.vosf", train)
+        save_features(tmp_path / "val.vosf", val)
+        out_dir = tmp_path / "run"
+        with pytest.raises(InputError, match="at least 2 classes"):
+            run_experiment(micro_cfg(dataset=str(tmp_path)), out_dir=out_dir)
+        assert not out_dir.exists()
+
     @staticmethod
     def _id_only_feature_dir(tmp_path, monkeypatch) -> str:
         """A feature dir whose train split has no FP rows, at a relative path
@@ -823,8 +837,8 @@ class TestDrawAhead:
             replay.standard_normal((pipeline.VOS_CANDIDATES, cfg.data_dim))
         assert rngs[2].bit_generator.state == replay.bit_generator.state
 
-    def test_the_helper_banks_at_most_a_draw_block_of_ranked_rows(self):
-        from concurrent.futures import ThreadPoolExecutor
+    def test_the_helper_banks_at_most_a_draw_block_of_ranked_rows(self, monkeypatch):
+        import concurrent.futures
 
         cfg = micro_cfg(**self.DEEP)
         u_id, id_cls, u_fp, k, rngs = _train_inputs(cfg)
@@ -860,15 +874,13 @@ class TestDrawAhead:
                     banked.pop(0)
                 return ranked
 
-        class RecordingPool:
-            def __init__(self, pool):
-                self.pool = pool
-
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def submit(self, fn, *args):
-                return Job(self.pool.submit(recorded, fn, *args))
+                return Job(super().submit(recorded, fn, *args))
 
-        with ThreadPoolExecutor(1) as pool:
-            _, history = pipeline._fit(cfg, u_id, id_cls, u_fp, k, rngs, RecordingPool(pool))
+        # _train imports the executor when it is called
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        _, history = pipeline._train(cfg, u_id, id_cls, u_fp, k, rngs)
         assert taken[0] == started[0] == sum(row["phase"] == 2 for row in history) == 18
         assert max(ahead) == depth
         assert max(banked_bytes) <= pipeline.VOS_CANDIDATES * cfg.data_dim * 8
