@@ -128,6 +128,8 @@ class FeatureQueue:
     """
 
     def __init__(self, dim: int, num_classes: int, capacity_per_class: int = 1000):
+        if dim < 1 or num_classes < 1:
+            raise InputError(f"dim and num_classes must be positive, got {dim} and {num_classes}")
         if capacity_per_class <= 0:
             raise InputError("capacity_per_class must be positive")
         self.dim = dim

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
 import struct
 from dataclasses import dataclass
 
@@ -147,8 +148,18 @@ def _check_batch(net: DenseNet, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_activation(a: np.ndarray, index: int) -> None:
-    if not np.all(np.isfinite(a)):
+def _check_activation(a: np.ndarray, index: int, activation: str) -> None:
+    """Raise if layer index's output a holds a NaN or an inf.
+
+    A relu output is NaN or at least 0, so its max, which propagates NaN,
+    decides: faster than np.isfinite, and without a temporary the size
+    of a.
+    """
+    if activation == "relu" and a.size:
+        finite = np.isfinite(a.max())
+    else:
+        finite = np.all(np.isfinite(a))
+    if not finite:
         raise NumericalFailure(f"non-finite activation after layer {index}")
 
 
@@ -178,33 +189,126 @@ def _block_rows(net: DenseNet) -> int:
     return -(-rows // 64) * 64
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: len(os.sched_getaffinity(0)), or
+    os.cpu_count() where that call is missing (1 if that knows none)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def run_threads(work, shared: tuple, per_thread: list[tuple]) -> None:
+    """Call work(*shared, *bufs) once for each bufs in per_thread: the
+    first on the calling thread, every other on a worker of a pool that
+    ends with the call.
+
+    One entry submits no job, so no thread starts and work runs inline.
+    Leaving the pool waits for every helper, even when the caller's own
+    call raises, so no thread outlives the call; an exception in a helper
+    is raised again in the caller.  The package starts threads only here
+    and in pipeline._train.
+    """
+    # imported here, not with the package: concurrent.futures pulls in
+    # logging, ~0.4 MB of RSS that only this pool needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max(1, len(per_thread) - 1)) as pool:
+        helpers = [pool.submit(work, *shared, *bufs) for bufs in per_thread[1:]]
+        work(*shared, *per_thread[0])
+    for helper in helpers:
+        helper.result()
+
+
+def _forward_threads(n_blocks: int) -> int:
+    """Threads running n_blocks inference blocks: one per usable CPU, and
+    no more than there are blocks."""
+    return min(usable_cpus(), n_blocks)
+
+
+def _forward_rows(net: DenseNet, a: np.ndarray, out=None, hidden=(None, None)) -> np.ndarray:
+    """Run one block of rows through every layer and return the output.
+
+    Hidden layer i writes into the front of the flat buffer hidden[i % 2],
+    the last layer into out; a None gets a fresh array.
+    """
+    last = len(net.layers) - 1
+    for i, layer in enumerate(net.layers):
+        if i == last:
+            dest = out
+        elif hidden[i % 2] is None:
+            dest = None
+        else:
+            dest = hidden[i % 2][: len(a) * layer.fan_out].reshape(len(a), layer.fan_out)
+        a = _layer_forward(a, layer, dest)
+        _check_activation(a, i, layer.activation)
+    return a
+
+
+def _forward_blocks(net, x, spans, out, failures, even, odd) -> None:
+    """Run every (k, (r0, r1)) taken from spans into out[r0:r1], through
+    the thread's own hidden buffers even and odd.
+
+    Runs only _layer_forward and _check_activation, and writes only its
+    own rows of out, so several threads can share one spans iterator.  A
+    NumericalFailure goes into failures as (k, error), and from then on
+    every thread stops at the next block it takes: spans hands blocks out
+    in order, so every block below a failing one has been taken already
+    and runs to its end.
+    """
+    for k, (r0, r1) in spans:
+        if failures:
+            return
+        try:
+            _forward_rows(net, x[r0:r1], out[r0:r1], (even, odd))
+        except NumericalFailure as failure:
+            failures.append((k, failure))
+            return
+
+
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Run the net on a (B, D_in) batch, returning (B, D_out).
 
     The batch runs in blocks of _block_rows(net) rows, the last block
-    taking the tail, so a batch of fewer than two blocks is one block and
-    memory grows with the batch only by its input and output.  Each
-    layer's bias and relu are written into its ``a @ W`` product, so at
-    most two activations of a block are alive at a time, and x is not
-    written.  A layer's rows do not depend on the rows beside them in the
-    blocked GEMM kernel, so the output has the bits of one pass.  A
-    non-finite activation names the first failing layer of the first
-    failing block.
+    taking the tail.  Each layer's bias and relu are written into its
+    ``a @ W`` product, so at most two activations of a block are alive at
+    a time, and x is not written.  A batch of fewer than two blocks is
+    one block of fresh arrays on the calling thread.
+
+    A larger batch spreads its blocks over _forward_threads(blocks)
+    threads (see run_threads), which take them from one shared iterator.
+    The calling thread allocates each thread two flat hidden buffers,
+    sized for the largest block, which its hidden layers write into in
+    turn, and one (B, D_out) output that every block's last layer writes
+    its rows of.  Memory is then x, the output and two buffers per
+    thread.  A layer's rows do not depend on the rows beside them in the
+    blocked GEMM kernel, and each block is the same matmul call whichever
+    thread runs it, so the output has the bits of one pass at any thread
+    count; the tests hold 1, 2, 3 and 7 threads to it, and 2 threads at 2
+    OpenBLAS threads to 1.  A non-finite activation names the first
+    failing layer of the first failing block.
     """
     x = _check_batch(net, x)
     n = x.shape[0]
     block_rows = _block_rows(net)
-    n_blocks = max(1, n // block_rows)
-    outputs = []
-    for k in range(n_blocks):
-        stop = n if k == n_blocks - 1 else (k + 1) * block_rows
-        a = x[k * block_rows : stop]
-        for i, layer in enumerate(net.layers):
-            # rebinding a frees the layer's input before the check's temporary
-            a = _layer_forward(a, layer)
-            _check_activation(a, i)
-        outputs.append(a)
-    return outputs[0] if n_blocks == 1 else np.concatenate(outputs)
+    n_blocks = n // block_rows
+    if n_blocks < 2:
+        return _forward_rows(net, x)
+    starts = list(range(0, n_blocks * block_rows, block_rows))
+    # each block goes to one thread: a list iterator's next() holds the GIL
+    spans = iter(list(enumerate(zip(starts, starts[1:] + [n]))))
+    tallest = n - starts[-1]
+    widths = [layer.fan_out for layer in net.layers[:-1]]
+    sizes = [tallest * max(widths[j::2], default=0) for j in (0, 1)]
+    per_thread = [
+        tuple(np.empty(size) for size in sizes) for _ in range(_forward_threads(n_blocks))
+    ]
+    out = np.empty((n, net.output_dim))
+    failures: list[tuple[int, NumericalFailure]] = []
+    run_threads(_forward_blocks, (net, x, spans, out, failures), per_thread)
+    if failures:
+        raise min(failures)[1]  # block indices differ, so no error is compared
+    return out
 
 
 def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None):
@@ -219,7 +323,7 @@ def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None):
     acts = [a]
     for i, layer in enumerate(net.layers):
         a = _layer_forward(a, layer, ws.take((a.shape[0], layer.fan_out)))
-        _check_activation(a, i)
+        _check_activation(a, i, layer.activation)
         acts.append(a)
     return a, acts
 

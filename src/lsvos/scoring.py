@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
 from .errors import InputError
 
 DEFAULT_ORIENTATION = "higher=more_anomalous"
@@ -131,11 +131,7 @@ def _block_rows(dim: int) -> int:
 def _score_threads(n: int) -> int:
     """Threads scoring n query rows: one per usable CPU, each with at
     least _ROWS_PER_THREAD rows, and never fewer than one."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n // _ROWS_PER_THREAD))
+    return max(1, min(nn.usable_cpus(), n // _ROWS_PER_THREAD))
 
 
 def _score_blocks(spans, queries, model, p_rows, wide, per_class, centered, partial):
@@ -183,10 +179,10 @@ def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
     C-contiguous copy.  Checked bitwise with numpy 2.4 for D up to 512;
     D > 8192 is unverified.
 
-    Large inputs spread their blocks over _score_threads(N) threads: the
-    caller and the workers of a pool that ends with the call, each with its
-    own centered and partial buffers.  A block's sums do not depend on
-    which thread runs it, so neither do the scores.
+    Large inputs spread their blocks over _score_threads(N) threads (see
+    nn.run_threads), each with its own centered and partial buffers.  A
+    block's sums do not depend on which thread runs it, so neither do the
+    scores.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != model.means.shape[1]:
@@ -212,18 +208,7 @@ def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
     buffers = [
         (np.empty(dim * width), np.empty(width)) for _ in range(_score_threads(n))
     ]
-    args = (spans, queries, model, p_rows, wide, per_class)
-    # imported here, not with the package: concurrent.futures pulls in
-    # logging, ~0.4 MB of RSS that only this pool needs
-    from concurrent.futures import ThreadPoolExecutor
-
-    # a pool that gets no job starts no thread; leaving the block waits for
-    # every helper, even when the caller's own blocks raise
-    with ThreadPoolExecutor(max(1, len(buffers) - 1)) as pool:
-        helpers = [pool.submit(_score_blocks, *args, *bufs) for bufs in buffers[1:]]
-        _score_blocks(*args, *buffers[0])
-    for helper in helpers:
-        helper.result()
+    nn.run_threads(_score_blocks, (spans, queries, model, p_rows, wide, per_class), buffers)
     return per_class.min(axis=0)
 
 

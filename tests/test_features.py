@@ -164,6 +164,17 @@ class TestQueue:
         with pytest.raises(InputError):
             _push(q, [1.0, 2.0], 2)
 
+    @pytest.mark.parametrize("dim", [-1, 0])
+    def test_rejects_a_width_below_one(self, dim):
+        # unchecked, -1 fails in numpy's empty() and 0 only at sample time
+        with pytest.raises(InputError, match="dim and num_classes must be positive"):
+            FeatureQueue(dim, 3)
+
+    @pytest.mark.parametrize("num_classes", [-1, 0])
+    def test_rejects_a_class_count_below_one(self, num_classes):
+        with pytest.raises(InputError, match="dim and num_classes must be positive"):
+            FeatureQueue(2, num_classes)
+
     def test_stored_rows_carry_one_hot(self):
         q = FeatureQueue(dim=2, num_classes=3)
         _push(q, [0.5, -1.0], 1)

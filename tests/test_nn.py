@@ -1,5 +1,11 @@
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,9 +213,12 @@ class TestForwardBlocks:
             nn.forward(net, x)
         assert np.all(np.isfinite(oracles.forward_reference(net, x[: 2 * b])))
 
-    def test_memory_is_bounded_by_the_block(self):
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_memory_is_bounded_by_the_block(self, monkeypatch, threads):
         # 4 blocks of a 64-128-128-1 net: one pass peaked at two (N, 128)
-        # activations, the blocks at 0.54 of one
+        # activations, one thread's blocks at 0.54 of one; each further
+        # thread adds its two hidden buffers of one block
+        monkeypatch.setattr(nn, "_forward_threads", lambda n_blocks: threads)
         b = nn.FORWARD_BLOCK_ROWS
         rows = 4 * b
         rng = np.random.default_rng(3)
@@ -221,7 +230,158 @@ class TestForwardBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.6 * rows * 128 * 8
+        assert peak < 0.6 * rows * 128 * 8 + (threads - 1) * 2 * b * 128 * 8
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestForwardThreads:
+    """Row blocks spread over threads keep the bits of one pass."""
+
+    COUNTS = (1, 2, 3, 7)
+
+    def test_thread_count_follows_cpus_and_blocks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert nn.usable_cpus() == 4
+        assert [nn._forward_threads(k) for k in (2, 3, 4, 5, 100)] == [2, 3, 4, 4, 4]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert nn._forward_threads(100) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert nn._forward_threads(100) == 1
+
+    @pytest.mark.parametrize(
+        "dims, final",
+        [
+            ([16, 128, 128, 1], "identity"),  # a one-output (gemv) last layer
+            ([8, 40, 40, 4], "relu"),
+            ([4, 30, 4], "identity"),  # blocks of more than 8,192 rows
+            ([64, 2], "identity"),  # one layer, no hidden buffers
+        ],
+    )
+    @pytest.mark.parametrize("order", "CF")
+    def test_bitwise_equal_to_one_pass_at_any_thread_count(self, monkeypatch, dims, final, order):
+        rng = np.random.default_rng(len(dims) + dims[-1])
+        net = _biased_net(dims, rng, final)
+        # three blocks and a tail merged into the last one
+        x = np.asarray(rng.normal(size=(3 * nn._block_rows(net) + 17, dims[0])), order=order)
+        before = x.copy()
+        reference = oracles.forward_reference(net, x).tobytes()
+        # switch threads often: a block taken twice or never leaves rows of
+        # the np.empty output wrong
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in self.COUNTS:
+                monkeypatch.setattr(nn, "_forward_threads", lambda n_blocks: threads)
+                alive = threading.active_count()
+                out = nn.forward(net, x)
+                assert threading.active_count() == alive
+                assert out.shape == (len(x), dims[-1])
+                assert out.tobytes() == reference, threads
+                assert x.tobytes() == before.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_in_two_blocks_names_the_lower_blocks_layer(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        net = _biased_net([64, 128, 128, 1], rng)
+        net.layers[1].weights *= 1e100
+        net.layers[2].weights *= 1e100
+        b = nn._block_rows(net)
+        x = rng.normal(size=(4 * b, 64))
+        # block 1 overflows after layer 2 only, the later block 3 already
+        # after layer 1
+        x[b + 10 : b + 20] *= 1e150
+        x[3 * b + 10 : 3 * b + 20] *= 1e250
+        with pytest.raises(NumericalFailure, match="after layer 2$"):
+            oracles.forward_reference(net, x[b : 2 * b])
+        with pytest.raises(NumericalFailure, match="after layer 1$"):
+            oracles.forward_reference(net, x[3 * b :])
+        for threads in self.COUNTS:
+            monkeypatch.setattr(nn, "_forward_threads", lambda n_blocks: threads)
+            with pytest.raises(NumericalFailure, match="after layer 2$"):
+                nn.forward(net, x)
+
+    def _record(self, monkeypatch):
+        """The thread of every _forward_blocks call, and every thread started."""
+        forward_blocks = nn._forward_blocks
+        runners, started = [], []
+
+        def record(*args):
+            runners.append(threading.current_thread())
+            forward_blocks(*args)
+
+        start = threading.Thread.start
+
+        def record_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(nn, "_forward_blocks", record)
+        monkeypatch.setattr(threading.Thread, "start", record_start)
+        return runners, started
+
+    def test_one_block_or_one_thread_starts_no_thread(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        net = nn.dense_net([64, 128, 128, 1], rng)
+        runners, started = self._record(monkeypatch)
+        # 2,700 rows, as in every desk val split, are one block
+        nn.forward(net, rng.normal(size=(2700, 64)))
+        assert runners == [] and started == []
+        monkeypatch.setattr(nn, "_forward_threads", lambda n_blocks: 1)
+        nn.forward(net, rng.normal(size=(2 * nn._block_rows(net), 64)))
+        assert runners == [threading.current_thread()]
+        assert started == []
+
+    def test_helper_threads_end_with_the_call(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        net = nn.dense_net([16, 128, 128, 1], rng)
+        monkeypatch.setattr(nn, "_forward_threads", lambda n_blocks: 3)
+        runners, started = self._record(monkeypatch)
+        alive = threading.active_count()
+        nn.forward(net, rng.normal(size=(4 * nn._block_rows(net), 16)))
+        assert threading.active_count() == alive
+        # the caller runs blocks beside two helpers
+        assert len(runners) == 3 and len(started) == 2
+        assert runners.count(threading.current_thread()) == 1
+
+    def test_spread_keeps_the_bits_at_two_blas_threads(self):
+        # helpers make BLAS calls: at 2 OpenBLAS threads, 2 forward threads
+        # give the bytes of the one-thread path
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from lsvos import nn
+
+            rng = np.random.default_rng(0)
+            net = nn.dense_net([64, 128, 128, 1], rng)
+            for layer in net.layers:
+                layer.bias[:] = rng.normal(size=layer.fan_out)
+            x = rng.normal(size=(3 * nn._block_rows(net) + 17, 64))
+            outs = []
+            for threads in (1, 2):
+                nn._forward_threads = lambda n_blocks: threads
+                outs.append(nn.forward(net, x).tobytes())
+            assert outs[0] == outs[1], "2 threads changed the bits"
+            print("same bits")
+            """
+        )
+        inherited = os.environ.get("PYTHONPATH")
+        pythonpath = os.pathsep.join([str(REPO_ROOT / "src")] + ([inherited] if inherited else []))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        env.update(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "same bits\n"
 
 
 class TestLosses:
