@@ -28,6 +28,7 @@ import mmap
 import os
 import struct
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -99,22 +100,30 @@ def dense_net(dims: list[int] | tuple[int, ...], rng: np.random.Generator) -> De
 
 
 class Workspace:
-    """One float64 scratch buffer that a gradient call carves its arrays from.
+    """One float64 scratch buffer that a gradient call carves its arrays
+    from, and the worker that may run part of the call.
 
     ``gradients`` calls reset(), then forward_cached and backward take views
-    of the buffer with take(shape).  A call that outgrows the buffer gets fresh arrays for the rest, and the
-    next reset() grows the buffer to that call's total, so the buffer ends
-    the size of the largest call made on it and is reused from then on
-    instead of being freed and page-faulted back in every step.
+    of the buffer with take(shape).  Only the calling thread takes views,
+    and it takes every view a part writes before it hands the part to the
+    worker.  A call that outgrows the buffer gets fresh arrays for the rest,
+    and the next reset() grows the buffer to that call's total, so the
+    buffer ends the size of the largest call made on it and is reused from
+    then on instead of being freed and page-faulted back in every step.
+
+    worker is an executor with one thread (pipeline._train passes the pool
+    that ranks VOS candidates), or None to run every part on the caller;
+    see run_parts.  The bits do not depend on it.
 
     Aliasing contract: every array taken from a workspace, including the
     gradients ``gradients(..., ws)`` returns, is valid only until the next
     call on that workspace.
     """
 
-    def __init__(self):
+    def __init__(self, worker=None):
         self._buf = np.empty(0)
         self._used = 0
+        self.worker = worker
 
     def reset(self) -> None:
         if self._used > self._buf.size:
@@ -189,6 +198,51 @@ def _block_rows(net: DenseNet) -> int:
     return -(-rows // 64) * 64
 
 
+def _blocked(rows: int, inner: int, cols: int) -> bool:
+    """Whether a (rows, inner) @ (inner, cols) product runs in BLAS's
+    blocked GEMM kernel, where an output does not depend on the rows and
+    columns beside it, at any BLAS thread count: more than
+    BLOCKED_GEMM_MACS multiply-adds, and no size of 1, which numpy sends
+    to gemv or its own loop."""
+    return min(rows, inner, cols) > 1 and rows * inner * cols > BLOCKED_GEMM_MACS
+
+
+def _row_cut(net: DenseNet, rows: int) -> int:
+    """The row where a gradient call splits into two parts, or 0 for none.
+
+    The cut is the multiple of 64 nearest half the rows, as block edges
+    are multiples of 64 (see _block_rows).  The call splits when every
+    layer with more than one output has a _blocked product over either
+    part; a one-output layer runs whole (see forward_cached).
+    """
+    cut = (rows + 64) // 128 * 64
+    wide = [layer for layer in net.layers if layer.fan_out > 1]
+    part = min(cut, rows - cut)
+    if wide and all(_blocked(part, layer.fan_in, layer.fan_out) for layer in wide):
+        return cut
+    return 0
+
+
+def _backward_spans(layer: Layer, rows: int, cut: int, da) -> list[tuple]:
+    """(da, c0, c1) of each part of one layer's backward step: columns
+    c0:c1 of dW and db, and the input gradient da unless it is None.
+
+    Without a cut the step is one part.  With one, dW and da, which take
+    the same multiply-adds, are two parts, each the whole product that one
+    pass makes.  The first layer has no da: dW splits its columns in half
+    if both halves stay _blocked, and is one part otherwise.
+    """
+    fan_in, fan_out = layer.weights.shape
+    if not cut:
+        return [(da, 0, fan_out)]
+    if da is not None:
+        return [(None, 0, fan_out), (da, 0, 0)]
+    half = fan_out // 2
+    if _blocked(fan_in, rows, half):
+        return [(None, 0, half), (None, half, fan_out)]
+    return [(None, 0, fan_out)]
+
+
 def usable_cpus() -> int:
     """CPUs this process may run on: len(os.sched_getaffinity(0)), or
     os.cpu_count() where that call is missing (1 if that knows none)."""
@@ -218,6 +272,39 @@ def run_threads(work, shared: tuple, per_thread: list[tuple]) -> None:
         work(*shared, *per_thread[0])
     for helper in helpers:
         helper.result()
+
+
+def _run_each(work, calls) -> None:
+    for args in calls:
+        work(*args)
+
+
+def run_parts(worker, work, parts: list[tuple]) -> None:
+    """Call work(*args) once for each args in parts, on the calling thread
+    and on worker, a one-thread executor or None.
+
+    The caller and one job on worker take parts from one shared iterator.
+    The worker may be busy with other jobs: once the caller has run out of
+    parts, it cancels the job if it has not started, and otherwise waits
+    for it, so no part outlives the call and the caller never waits for
+    the worker's other jobs.  A None worker or a single part submits no
+    job.  An exception in the job is raised again in the caller.  The
+    package starts threads only here, in run_threads and in
+    pipeline._train.
+    """
+    # the job holds only the iterator, which drops the list, and with it
+    # the parts' arrays, once the caller has taken the last part: a
+    # cancelled job can wait in the worker's queue behind other jobs
+    calls = iter(parts)
+    if worker is None or len(parts) < 2:
+        _run_each(work, calls)
+        return
+    job = worker.submit(_run_each, work, calls)
+    try:
+        _run_each(work, calls)
+    finally:
+        if not job.cancel():
+            job.result()
 
 
 def _forward_threads(n_blocks: int) -> int:
@@ -311,21 +398,78 @@ def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _forward_part(net, acts, failures, first, stop, r0, r1) -> None:
+    """Run rows r0:r1 of acts[first] through layers first:stop into the
+    same rows of acts[first + 1 : stop + 1], checking the rows after each
+    layer.
+
+    A NumericalFailure goes into failures as (layer index, error) and ends
+    the part.  Runs only _layer_forward and _check_activation, so it may
+    run on a worker; floating-point warnings are off, since the checks
+    catch every value a warning would report.
+    """
+    a = acts[first][r0:r1]
+    with np.errstate(all="ignore"):
+        for i in range(first, stop):
+            layer = net.layers[i]
+            a = _layer_forward(a, layer, acts[i + 1][r0:r1])
+            try:
+                _check_activation(a, i, layer.activation)
+            except NumericalFailure as failure:
+                failures.append((i, failure))
+                return
+
+
 def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None):
     """Forward pass that keeps every layer's output for backprop.
 
     Returns the output and the activation list [x, a_1, ..., a_L], where
     a_i is layer i-1's output, written by _layer_forward into a view taken
     from ``ws`` (a fresh workspace when none is given).
+
+    With a _row_cut, each run of layers with more than one output runs as
+    two parts, each its own rows through every layer of the run, on the
+    caller and on ws.worker (see run_parts).  A one-output layer runs
+    whole on the caller: OpenBLAS splits a gemv's rows over its own
+    threads, and where a split falls changes the rows' bits.  A non-finite
+    activation names the lowest layer that failed in any part, the layer
+    one pass would name.
     """
     ws = Workspace() if ws is None else ws
-    a = _check_batch(net, x)
-    acts = [a]
-    for i, layer in enumerate(net.layers):
-        a = _layer_forward(a, layer, ws.take((a.shape[0], layer.fan_out)))
-        _check_activation(a, i, layer.activation)
-        acts.append(a)
-    return a, acts
+    x = _check_batch(net, x)
+    rows = x.shape[0]
+    acts = [x] + [ws.take((rows, layer.fan_out)) for layer in net.layers]
+    cut = _row_cut(net, rows) if ws.worker else 0
+    failures: list[tuple[int, NumericalFailure]] = []
+    first = 0
+    for wide, run in groupby(net.layers, key=lambda layer: layer.fan_out > 1):
+        stop = first + len(list(run))
+        spans = [(0, cut), (cut, rows)] if wide and cut else [(0, rows)]
+        parts = [(net, acts, failures, first, stop, *span) for span in spans]
+        run_parts(ws.worker, _forward_part, parts)
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        first = stop
+    return acts[-1], acts
+
+
+def _backward_part(layer, a_prev, dz, dw, db, relu, da, c0, c1) -> None:
+    """Columns c0:c1 of one layer's dW and db, and, unless da is None, the
+    input gradient da, masked by the relu of a_prev when relu is set.
+
+    The mask multiplies da, not a_prev, which another part may be reading
+    for dW: (a_prev > 0) * da, the bits of the mask as 1.0/0.0 times da.
+    Runs only np.matmul, np.sum and np.multiply, so it may run on a worker,
+    with floating-point warnings off as in _forward_part.
+    """
+    with np.errstate(all="ignore"):
+        if c1 > c0:
+            np.matmul(a_prev.T, dz[:, c0:c1], out=dw[:, c0:c1])
+            np.sum(dz[:, c0:c1], axis=0, out=db[c0:c1])
+        if da is not None:
+            np.matmul(dz, layer.weights.T, out=da)
+            if relu:
+                np.multiply(da, a_prev > 0.0, out=da)
 
 
 def backward(
@@ -336,31 +480,37 @@ def backward(
     acts is the activation list of forward_cached.  Returns grads matching
     parameters(net): [dW0, db0, dW1, db1, ...], as views taken from ``ws``
     (a fresh workspace when none is given).  The gradient with respect to
-    the net's input is never formed.  A relu layer's output is dead once
-    the layers above have their gradients (for the last layer, once the
-    loss has given d_out), so the layer's relu mask is written over its own
-    output and acts is spent: relu(z) > 0 exactly where the finite z > 0.
+    the net's input is never formed.  A relu layer's mask comes from its
+    output: relu(z) > 0 exactly where the finite z > 0.  The last layer's
+    output is no layer's input, so its mask is written over it; the other
+    layers' outputs are left as they are.
+
+    With ws.worker and a _row_cut, each layer's step runs as its
+    _backward_spans parts, on the caller and on the worker (see
+    run_parts), and every part ends before the layer below starts.
     """
     ws = Workspace() if ws is None else ws
+    rows = d_out.shape[0]
+    cut = _row_cut(net, rows) if ws.worker else 0
     grads: list[np.ndarray] = []
-    da = d_out
+    dz = d_out
+    if net.layers[-1].activation == "relu":
+        # mask as 1.0/0.0 times da: the same bits as da * (z > 0.0)
+        dz = np.greater(acts[-1], 0.0, out=acts[-1])
+        dz *= d_out
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        a_prev = acts[i]
-        if layer.activation == "relu":
-            # mask as 1.0/0.0 times da: the same bits as da * (z > 0.0)
-            dz = np.greater(acts[i + 1], 0.0, out=acts[i + 1])
-            dz *= da
-        else:
-            dz = da
-        dw = np.matmul(a_prev.T, dz, out=ws.take(layer.weights.shape))
-        db = np.sum(dz, axis=0, out=ws.take(layer.bias.shape))
+        dw = ws.take(layer.weights.shape)
+        db = ws.take(layer.bias.shape)
+        da = ws.take(acts[i].shape) if i else None
+        shared = (layer, acts[i], dz, dw, db, i > 0 and net.layers[i - 1].activation == "relu")
+        spans = _backward_spans(layer, rows, cut, da)
+        run_parts(ws.worker, _backward_part, [shared + span for span in spans])
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
             raise NumericalFailure(f"non-finite gradient at layer {i}")
         grads.append(db)
         grads.append(dw)
-        if i:
-            da = np.matmul(dz, layer.weights.T, out=ws.take(a_prev.shape))
+        dz = da
     grads.reverse()
     return grads
 

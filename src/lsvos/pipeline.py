@@ -439,8 +439,10 @@ def _train(
     runs them in call order, so rng_synth has one user at a time and ends
     as if every call had drawn its own.  `depth` is the most calls whose
     ranked rows fit in the bytes of the draw block, and at least 1: 13 at
-    D = 64 and K = 3, 1 at D = 8.  A run with no VOS call submits nothing,
-    so its pool starts no thread.
+    D = 64 and K = 3, 1 at D = 8.  A run with no VOS call submits no rank
+    job.  The workspace hands the worker part of every gradient call large
+    enough to split (see nn.run_parts); a run whose calls are all too small
+    and that has no VOS call starts no thread.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -465,9 +467,6 @@ def _train(
     ae_state = nn.init_adam(ae_params)
     clf_state = nn.init_adam(clf_params)
     unc_state = nn.init_adam(unc_params)
-    # one scratch buffer for all three nets: each gradient call reuses it, and
-    # adam_step consumes the gradients before the next call overwrites them
-    ws = nn.Workspace()
     fp_cycle = _Cycle(u_fp, rng_train)
     history: list[dict] = []
     batch = cfg.train_batch_size
@@ -494,6 +493,10 @@ def _train(
     n_map = mapped_rows(VOS_CANDIDATES, max(sizes, default=1), dim)
     depth = max(1, VOS_CANDIDATES // (num_classes * n_map))
     pool = ThreadPoolExecutor(1)
+    # one scratch buffer for all three nets: each gradient call reuses it, and
+    # adam_step consumes the gradients before the next call overwrites them;
+    # a large call runs part of its rows on the pool's worker
+    ws = nn.Workspace(pool)
     try:
         jobs = (
             pool.submit(rank_candidates, rng_synth, num_classes, n, VOS_CANDIDATES, dim, block)

@@ -698,6 +698,279 @@ class TestReluMaskFromOutput:
         assert ws._buf.size == want
 
 
+def _desk_nets(seed):
+    """The desk preset's auto-encoder stack, uncertainty head and classifier,
+    with non-zero biases."""
+    rng = np.random.default_rng(seed)
+    encoder = _biased_net([67, 128, 32], rng)
+    decoder = _biased_net([32, 128, 64], rng)
+    return {
+        "ae": nn.DenseNet(encoder.layers + decoder.layers),
+        "unc": _biased_net([64, 128, 128, 1], rng),
+        "clf": _biased_net([64, 64, 3], rng),
+    }
+
+
+def _desk_batch(name, rows, rng):
+    x = rng.normal(size=(rows, 67 if name == "ae" else 64))
+    if name == "ae":
+        return x, "mse", x[:, :64]
+    if name == "clf":
+        return x, "cross-entropy", rng.integers(0, 3, size=rows)
+    return x, "uncertainty-sigmoid", rng.random(rows) < 0.5
+
+
+@pytest.fixture
+def worker():
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(1)
+    yield pool
+    pool.shutdown()
+
+
+class TestSplitGradients:
+    """A workspace's worker runs part of a large gradient call, same bits."""
+
+    def test_split_rule(self):
+        nets = _desk_nets(0)
+        # the desk auto-encoder and head split, the classifier never does
+        assert nn._row_cut(nets["ae"], 1500) == 768
+        assert nn._row_cut(nets["unc"], 1536) == 768
+        assert nn._row_cut(nets["unc"], 1104) == 576
+        assert nn._row_cut(nets["clf"], 512) == 0
+        # its 64 -> 3 layer needs 5,209 rows a part
+        assert nn._row_cut(nets["clf"], 10_400) == 0
+        assert nn._row_cut(nets["clf"], 10_500) == 5248
+        # the narrowest auto-encoder layer, 128 -> 32, needs 245 rows a part
+        assert nn._row_cut(nets["ae"], 2 * 245) == 0
+        assert nn._row_cut(nets["ae"], 2 * 256) == 256
+        # a net of one-output layers only has nothing to split
+        assert nn._row_cut(_biased_net([512, 1], np.random.default_rng(0)), 10**5) == 0
+        ae = nets["ae"].layers
+        # dW beside da, each whole; the first layer's dW in column halves
+        da = np.empty(0)
+        assert nn._backward_spans(ae[3], 1500, 768, da) == [(None, 0, 64), (da, 0, 0)]
+        assert nn._backward_spans(ae[0], 1500, 768, None) == [(None, 0, 64), (None, 64, 128)]
+        assert nn._backward_spans(ae[3], 1500, 0, da) == [(da, 0, 64)]
+        # a one-column half would go to gemv
+        one = nn.Layer(np.zeros((4096, 3)), np.zeros(3))
+        assert nn._backward_spans(one, 10**4, 5056, None) == [(None, 0, 3)]
+        assert nn._blocked(2, 10**6, 2) and not nn._blocked(1, 10**7, 2)
+        assert not nn._blocked(100, 100, 100) and nn._blocked(100, 100, 101)
+
+    @pytest.mark.parametrize(
+        "name, rows",
+        [("ae", 1500), ("ae", 1333), ("unc", 1536), ("unc", 1104), ("unc", 1201), ("clf", 512)],
+    )
+    def test_same_bits_as_one_thread_under_repetition(self, worker, name, rows):
+        # two copies of one net trained side by side on the same batch, one
+        # through a workspace with the worker: every loss, gradient, and
+        # parameter after adam_step has the same bits
+        one, split = _desk_nets(rows)[name], _desk_nets(rows)[name]
+        x, kind, targets = _desk_batch(name, rows, np.random.default_rng(rows))
+        plain, shared = nn.Workspace(), nn.Workspace(worker)
+        states = [nn.init_adam(nn.parameters(net)) for net in (one, split)]
+        runners = set()
+        forward_part = nn._forward_part
+
+        def recorded(*args):
+            runners.add(threading.current_thread())
+            forward_part(*args)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(nn, "_forward_part", recorded)
+                for _ in range(30):
+                    loss, grads = nn.gradients(one, x, kind, targets, plain)
+                    split_loss, split_grads = nn.gradients(split, x, kind, targets, shared)
+                    assert split_loss == loss
+                    assert [g.tobytes() for g in split_grads] == [g.tobytes() for g in grads]
+                    nn.adam_step(nn.parameters(one), grads, states[0], lr=1e-3)
+                    nn.adam_step(nn.parameters(split), split_grads, states[1], lr=1e-3)
+                    for p, q in zip(nn.parameters(one), nn.parameters(split), strict=True):
+                        assert p.tobytes() == q.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        ref_loss, ref = oracles.gradients_reference(split, x, kind, targets)
+        loss, grads = nn.gradients(split, x, kind, targets, shared)
+        assert loss == ref_loss
+        assert [g.tobytes() for g in grads] == [r.tobytes() for r in ref]
+        if name == "clf":
+            assert runners == {threading.current_thread()}
+        else:
+            # the worker took a part at least once in 30 calls
+            assert len(runners) == 2
+
+    def test_a_busy_worker_leaves_every_part_to_the_caller(self, worker):
+        nets = _desk_nets(1)
+        x, kind, targets = _desk_batch("ae", 1500, np.random.default_rng(1))
+        ref_loss, ref = oracles.gradients_reference(nets["ae"], x, kind, targets)
+        release = threading.Event()
+        busy = worker.submit(release.wait, 30)
+        try:
+            loss, grads = nn.gradients(nets["ae"], x, kind, targets, nn.Workspace(worker))
+            # the call ended while the worker was still busy
+            assert not busy.done()
+        finally:
+            release.set()
+        assert busy.result()
+        assert loss == ref_loss
+        assert [g.tobytes() for g in grads] == [r.tobytes() for r in ref]
+
+    def test_same_bits_at_two_blas_threads(self):
+        # parts make BLAS calls: at 2 OpenBLAS threads the worker's
+        # workspace gives the bytes of the one-thread path
+        script = textwrap.dedent(
+            """
+            from concurrent.futures import ThreadPoolExecutor
+
+            import numpy as np
+            from lsvos import nn
+
+            rng = np.random.default_rng(0)
+            encoder = nn.dense_net([67, 128, 32], rng)
+            decoder = nn.dense_net([32, 128, 64], rng)
+            ae = nn.DenseNet(encoder.layers + decoder.layers)
+            head = nn.dense_net([64, 128, 128, 1], rng)
+            with ThreadPoolExecutor(1) as pool:
+                for net, rows in [(ae, 1500), (head, 1536), (head, 1104), (head, 1201)]:
+                    x = rng.normal(size=(rows, net.input_dim))
+                    if net is ae:
+                        kind, targets = "mse", x[:, :64]
+                    else:
+                        kind, targets = "uncertainty-bce", rng.random(rows) < 0.5
+                    assert nn._row_cut(net, rows)
+                    plain, shared = nn.Workspace(), nn.Workspace(pool)
+                    for _ in range(5):
+                        loss, grads = nn.gradients(net, x, kind, targets, plain)
+                        split_loss, split_grads = nn.gradients(net, x, kind, targets, shared)
+                        assert split_loss == loss, "the worker changed the loss"
+                        for g, h in zip(grads, split_grads):
+                            assert g.tobytes() == h.tobytes(), "the worker changed the bits"
+            print("same bits")
+            """
+        )
+        inherited = os.environ.get("PYTHONPATH")
+        pythonpath = os.pathsep.join([str(REPO_ROOT / "src")] + ([inherited] if inherited else []))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        env.update(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "same bits\n"
+
+
+class TestSplitFailures:
+    """A failure in a split call names the layer one pass names, and leaves
+    no part running.  No floating-point warning escapes a part: the test
+    session turns every warning into an error."""
+
+    def _running(self, monkeypatch):
+        """How many parts are running, kept up to date."""
+        running = [0]
+        for name in ("_forward_part", "_backward_part"):
+            part = getattr(nn, name)
+
+            def counted(*args, part=part):
+                running[0] += 1
+                try:
+                    part(*args)
+                finally:
+                    running[0] -= 1
+
+            monkeypatch.setattr(nn, name, counted)
+        return running
+
+    @pytest.mark.parametrize("low, high", [(0, 1), (1, 0)], ids=["first-part", "second-part"])
+    def test_a_non_finite_activation_names_the_lowest_layer(self, worker, monkeypatch, low, high):
+        rng = np.random.default_rng(5)
+        net = _biased_net([64, 128, 128, 64], rng)
+        net.layers[1].weights *= 1e100
+        net.layers[2].weights *= 1e100
+        x, rows = rng.normal(size=(1500, 64)), [slice(0, 768), slice(768, 1500)]
+        assert nn._row_cut(net, 1500) == 768
+        # one part overflows after layer 2 only, the other already after layer 1
+        x[rows[high]][10:20] *= 1e150
+        x[rows[low]][30:40] *= 1e250
+        targets = rng.normal(size=(1500, 64))
+        with pytest.raises(NumericalFailure, match="after layer 1$"):
+            nn.gradients(net, x, "mse", targets)
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="after layer 1$"):
+            oracles.forward_reference(net, x)
+        running = self._running(monkeypatch)
+        ws = nn.Workspace(worker)
+        for _ in range(5):
+            with pytest.raises(NumericalFailure, match="after layer 1$"):
+                nn.gradients(net, x, "mse", targets, ws)
+            assert running == [0]
+        # with only the other part's rows overflowing, layer 2 fails
+        x[rows[low]][30:40] /= 1e250
+        with pytest.raises(NumericalFailure, match="after layer 2$"):
+            nn.gradients(net, x, "mse", targets, ws)
+
+    def test_a_non_finite_weight_gradient_names_its_layer(self, worker, monkeypatch):
+        # activations and the loss stay finite, but layer 1's dW = a_1.T @ dz
+        # sums products of ~1e300 and ~1e17
+        rng = np.random.default_rng(6)
+        net = _biased_net([64, 128, 128, 64], rng)
+        net.layers[0].weights *= 1e298
+        net.layers[1].weights *= 1e-300
+        net.layers[2].weights *= 1e10
+        x, targets = rng.normal(size=(1500, 64)), rng.normal(size=(1500, 64))
+        out, _ = nn.forward_cached(net, x)
+        assert np.all(np.isfinite(out))
+        with pytest.raises(NumericalFailure, match="non-finite gradient at layer 1$"):
+            nn.gradients(net, x, "mse", targets)
+        running = self._running(monkeypatch)
+        ws = nn.Workspace(worker)
+        for _ in range(5):
+            with pytest.raises(NumericalFailure, match="non-finite gradient at layer 1$"):
+                nn.gradients(net, x, "mse", targets, ws)
+            assert running == [0]
+
+    def test_the_first_layers_split_weight_gradient_names_it(self, worker):
+        # 1.7e308 inputs times 1e-307 weights are finite activations, whose
+        # layer 0 dW = x.T @ dz overflows in both column halves
+        rng = np.random.default_rng(7)
+        net = _biased_net([64, 128, 128, 64], rng)
+        net.layers[0].weights[...] = 1e-307
+        x = np.full((1500, 64), 1.7e308)
+        targets = rng.normal(size=(1500, 64))
+        assert len(nn._backward_spans(net.layers[0], 1500, 768, None)) == 2
+        for ws in (nn.Workspace(), nn.Workspace(worker)):
+            with pytest.raises(NumericalFailure, match="non-finite gradient at layer 0$"):
+                nn.gradients(net, x, "mse", targets, ws)
+
+    def test_the_workspace_is_reused_after_a_raise(self, worker, monkeypatch):
+        nets = _desk_nets(8)
+        net = nets["ae"]
+        x, kind, targets = _desk_batch("ae", 1500, np.random.default_rng(8))
+        ws = nn.Workspace(worker)
+        # the first call sizes the buffer, the second takes its views
+        for _ in range(2):
+            _, before = nn.gradients(net, x, kind, targets, ws)
+        running = self._running(monkeypatch)
+        saved = net.layers[2].weights[0, 0]
+        net.layers[2].weights[0, 0] = np.inf
+        with pytest.raises(NumericalFailure, match="layer 2"):
+            nn.gradients(net, x, kind, targets, ws)
+        assert running == [0]
+        net.layers[2].weights[0, 0] = saved
+        loss, grads = nn.gradients(net, x, kind, targets, ws)
+        ref_loss, ref = oracles.gradients_reference(net, x, kind, targets)
+        assert loss == ref_loss
+        assert [g.tobytes() for g in grads] == [r.tobytes() for r in ref]
+        assert all(np.shares_memory(g, b) for g, b in zip(grads, before))
+
+
 class TestAdam:
     def test_first_step_hand_value(self):
         # unit gradient: m_hat = v_hat = 1, so the step is -lr / (1 + eps)

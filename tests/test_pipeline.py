@@ -795,6 +795,20 @@ class TestDrawAhead:
     SHORT_TAIL = dict(synth_method="vos", train_batch_size=150, train_phase2_epochs=3)
     # 18 VOS calls at D = 64, five more than the 13 that are queued at the start
     DEEP = dict(SHORT_TAIL, data_dim=64, train_phase2_epochs=6)
+    # no VOS call, but the desk preset's nets, batches and auto-encoder sample
+    DESK_SIZED = dict(
+        data_dim=64,
+        model_latent_dim=32,
+        model_encoder_hidden=(128,),
+        model_decoder_hidden=(128,),
+        model_uncertainty_hidden=(128, 128),
+        model_classifier_hidden=(64,),
+        train_phase1_epochs=1,
+        train_phase2_epochs=1,
+        train_batch_size=512,
+        queue_capacity=1000,
+        sample_n_per_class=500,
+    )
 
     def test_a_run_with_a_short_last_batch_keeps_its_bytes(self, tmp_path, monkeypatch):
         sizes = []
@@ -885,7 +899,9 @@ class TestDrawAhead:
         assert max(ahead) == depth
         assert max(banked_bytes) <= pipeline.VOS_CANDIDATES * cfg.data_dim * 8
 
-    @pytest.mark.parametrize("overrides", [SHORT_TAIL, DEEP], ids=["D8", "D64"])
+    @pytest.mark.parametrize(
+        "overrides", [SHORT_TAIL, DEEP, DESK_SIZED], ids=["D8", "D64", "desk-sized"]
+    )
     def test_every_traced_function_runs_on_the_calling_thread(self, monkeypatch, overrides):
         # the tracer's span stack assumes one thread
         monkeypatch.syspath_prepend(str(README.parent / "bench"))
@@ -903,9 +919,10 @@ class TestDrawAhead:
 
                 return recorded
 
+        cfg = micro_cfg(**overrides)
         with ThreadRecorder().installed():
-            run_experiment(micro_cfg(**overrides))
-        assert len(threads) > 20 and "synthesis.vos_synthesize" in threads
+            run_experiment(cfg)
+        assert len(threads) > 20 and f"synthesis.{cfg.synth_method}_synthesize" in threads
         assert set().union(*threads.values()) == {threading.get_ident()}
 
     @pytest.mark.parametrize(
@@ -915,9 +932,14 @@ class TestDrawAhead:
             (dict(synth_method="vos", loss_lambda=0.0), 0),
             (dict(synth_method="vos", train_phase2_epochs=0), 0),
             (SHORT_TAIL, 1),
+            (DESK_SIZED, 1),
         ],
     )
-    def test_only_a_run_with_vos_calls_starts_a_thread(self, monkeypatch, overrides, n_threads):
+    def test_only_a_run_with_vos_calls_or_large_batches_starts_a_thread(
+        self, monkeypatch, overrides, n_threads
+    ):
+        # micro-config gradient calls are too small to split over the worker;
+        # the desk's 1,500-row auto-encoder sample splits, and starts it
         started = []
         start = threading.Thread.start
 
