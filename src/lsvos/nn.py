@@ -27,6 +27,7 @@ import math
 import mmap
 import os
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -113,7 +114,7 @@ class Workspace:
 
     worker is an executor with one thread (pipeline._train passes the pool
     that ranks VOS candidates), or None to run every part on the caller;
-    see run_parts.  The bits do not depend on it.
+    see run_threads.  The bits do not depend on it.
 
     Aliasing contract: every array taken from a workspace, including the
     gradients ``gradients(..., ws)`` returns, is valid only until the next
@@ -252,105 +253,89 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_threads(work, shared: tuple, per_thread: list[tuple]) -> None:
-    """Call work(*shared, *bufs) once for each bufs in per_thread: the
-    first on the calling thread, every other on a worker of a pool that
-    ends with the call.
+def run_threads(work, items: list[tuple], per_thread: list[tuple], worker=None) -> None:
+    """Call work(*item, *bufs) once for each item in items, on the calling
+    thread and on one job per further entry of per_thread; bufs is the
+    entry of the thread that takes the item.
 
-    One entry submits no job, so no thread starts and work runs inline.
-    Leaving the pool waits for every helper, even when the caller's own
-    call raises, so no thread outlives the call; an exception in a helper
-    is raised again in the caller.  The package starts threads only here
-    and in pipeline._train.
+    Every thread takes items from one shared iterator.  The jobs run on
+    worker, an executor that may be busy with other jobs (pipeline._train
+    passes its one-worker pool through Workspace), or else on a pool that
+    ends with the call.  Once the caller has run out of items, it cancels
+    the jobs that have not started and waits for the rest, even when its
+    own items raised, so no item outlives the call and the caller never
+    waits behind the worker's other jobs.  An exception in a job is raised
+    again in the caller.  One entry submits no job, so no thread starts
+    and work runs inline.  The package starts threads only here and in
+    pipeline._train.
     """
     # imported here, not with the package: concurrent.futures pulls in
     # logging, ~0.4 MB of RSS that only this pool needs
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max(1, len(per_thread) - 1)) as pool:
-        helpers = [pool.submit(work, *shared, *bufs) for bufs in per_thread[1:]]
-        work(*shared, *per_thread[0])
-    for helper in helpers:
-        helper.result()
+    # a list iterator's next() holds the GIL, so each item goes to one
+    # thread; it drops the list, and with it the items' arrays, once the
+    # last item is taken, as a cancelled job may wait in worker's queue
+    calls = iter(items)
+
+    def take(*bufs):
+        for item in calls:
+            work(*item, *bufs)
+
+    helpers = per_thread[1:]
+    with nullcontext(worker) if worker else ThreadPoolExecutor(max(1, len(helpers))) as pool:
+        jobs = [pool.submit(take, *bufs) for bufs in helpers]
+        try:
+            take(*per_thread[0])
+        finally:
+            errors = [job.exception() for job in jobs if not job.cancel()]
+    for error in errors:
+        if error is not None:
+            raise error
 
 
-def _run_each(work, calls) -> None:
-    for args in calls:
-        work(*args)
+def _forward_layers(net: DenseNet, a: np.ndarray, dests: list, first: int, key: int, failures):
+    """Run rows a through layers first, first + 1, ... of net, layer
+    first + j writing into dests[j] (a fresh array if None), and return
+    the last output.
 
-
-def run_parts(worker, work, parts: list[tuple]) -> None:
-    """Call work(*args) once for each args in parts, on the calling thread
-    and on worker, a one-thread executor or None.
-
-    The caller and one job on worker take parts from one shared iterator.
-    The worker may be busy with other jobs: once the caller has run out of
-    parts, it cancels the job if it has not started, and otherwise waits
-    for it, so no part outlives the call and the caller never waits for
-    the worker's other jobs.  A None worker or a single part submits no
-    job.  An exception in the job is raised again in the caller.  The
-    package starts threads only here, in run_threads and in
-    pipeline._train.
+    key is the block the rows belong to.  A non-finite activation goes
+    into failures as ((key, layer index), error) and ends the run, which
+    returns None, and rows of a block above one that has failed do not
+    run.  Runs only _layer_forward and _check_activation, so it may run on
+    any thread, with floating-point warnings off: every value a warning
+    would report fails a check, which names its layer.
     """
-    # the job holds only the iterator, which drops the list, and with it
-    # the parts' arrays, once the caller has taken the last part: a
-    # cancelled job can wait in the worker's queue behind other jobs
-    calls = iter(parts)
-    if worker is None or len(parts) < 2:
-        _run_each(work, calls)
-        return
-    job = worker.submit(_run_each, work, calls)
-    try:
-        _run_each(work, calls)
-    finally:
-        if not job.cancel():
-            job.result()
-
-
-def _forward_threads(n_blocks: int) -> int:
-    """Threads running n_blocks inference blocks: one per usable CPU, and
-    no more than there are blocks."""
-    return min(usable_cpus(), n_blocks)
-
-
-def _forward_rows(net: DenseNet, a: np.ndarray, out=None, hidden=(None, None)) -> np.ndarray:
-    """Run one block of rows through every layer and return the output.
-
-    Hidden layer i writes into the front of the flat buffer hidden[i % 2],
-    the last layer into out; a None gets a fresh array.
-    """
-    last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
-        if i == last:
-            dest = out
-        elif hidden[i % 2] is None:
-            dest = None
-        else:
-            dest = hidden[i % 2][: len(a) * layer.fan_out].reshape(len(a), layer.fan_out)
-        a = _layer_forward(a, layer, dest)
-        _check_activation(a, i, layer.activation)
+    if any(where[0] < key for where, _ in failures):
+        return None
+    with np.errstate(all="ignore"):
+        for i, dest in enumerate(dests, first):
+            layer = net.layers[i]
+            a = _layer_forward(a, layer, dest)
+            try:
+                _check_activation(a, i, layer.activation)
+            except NumericalFailure as failure:
+                failures.append(((key, i), failure))
+                return None
     return a
 
 
-def _forward_blocks(net, x, spans, out, failures, even, odd) -> None:
-    """Run every (k, (r0, r1)) taken from spans into out[r0:r1], through
-    the thread's own hidden buffers even and odd.
+def _raise_first(failures) -> None:
+    """Raise the recorded failure one pass meets first: the lowest block,
+    then the lowest layer."""
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
 
-    Runs only _layer_forward and _check_activation, and writes only its
-    own rows of out, so several threads can share one spans iterator.  A
-    NumericalFailure goes into failures as (k, error), and from then on
-    every thread stops at the next block it takes: spans hands blocks out
-    in order, so every block below a failing one has been taken already
-    and runs to its end.
-    """
-    for k, (r0, r1) in spans:
-        if failures:
-            return
-        try:
-            _forward_rows(net, x[r0:r1], out[r0:r1], (even, odd))
-        except NumericalFailure as failure:
-            failures.append((k, failure))
-            return
+
+def _forward_block(net: DenseNet, a, out, key, failures, even, odd) -> None:
+    """_forward_layers of one block a: hidden layer i writes into the front
+    of the flat buffer (even, odd)[i % 2], the last layer into out."""
+    rows = len(a)
+    dests = [
+        (even, odd)[i % 2][: rows * layer.fan_out].reshape(rows, layer.fan_out)
+        for i, layer in enumerate(net.layers[:-1])
+    ]
+    _forward_layers(net, a, dests + [out], 0, key, failures)
 
 
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
@@ -362,62 +347,39 @@ def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     a time, and x is not written.  A batch of fewer than two blocks is
     one block of fresh arrays on the calling thread.
 
-    A larger batch spreads its blocks over _forward_threads(blocks)
-    threads (see run_threads), which take them from one shared iterator.
-    The calling thread allocates each thread two flat hidden buffers,
-    sized for the largest block, which its hidden layers write into in
-    turn, and one (B, D_out) output that every block's last layer writes
-    its rows of.  Memory is then x, the output and two buffers per
-    thread.  A layer's rows do not depend on the rows beside them in the
-    blocked GEMM kernel, and each block is the same matmul call whichever
-    thread runs it, so the output has the bits of one pass at any thread
-    count; the tests hold 1, 2, 3 and 7 threads to it, and 2 threads at 2
-    OpenBLAS threads to 1.  A non-finite activation names the first
-    failing layer of the first failing block.
+    A larger batch spreads its blocks over min(usable_cpus(), blocks)
+    threads (see run_threads).  The calling thread allocates each thread
+    two flat hidden buffers, sized for the largest block, which its hidden
+    layers write into in turn, and one (B, D_out) output that every
+    block's last layer writes its rows of.  Memory is then x, the output
+    and two buffers per thread.  A layer's rows do not depend on the rows
+    beside them in the blocked GEMM kernel, and each block is the same
+    matmul call whichever thread runs it, so the output has the bits of
+    one pass at any thread count; the tests hold 1, 2, 3 and 7 threads to
+    it, and 2 threads at 2 OpenBLAS threads to 1.  A non-finite
+    activation names the first failing layer of the first failing block.
     """
     x = _check_batch(net, x)
     n = x.shape[0]
     block_rows = _block_rows(net)
     n_blocks = n // block_rows
+    failures: list = []
     if n_blocks < 2:
-        return _forward_rows(net, x)
-    starts = list(range(0, n_blocks * block_rows, block_rows))
-    # each block goes to one thread: a list iterator's next() holds the GIL
-    spans = iter(list(enumerate(zip(starts, starts[1:] + [n]))))
-    tallest = n - starts[-1]
-    widths = [layer.fan_out for layer in net.layers[:-1]]
-    sizes = [tallest * max(widths[j::2], default=0) for j in (0, 1)]
-    per_thread = [
-        tuple(np.empty(size) for size in sizes) for _ in range(_forward_threads(n_blocks))
-    ]
-    out = np.empty((n, net.output_dim))
-    failures: list[tuple[int, NumericalFailure]] = []
-    run_threads(_forward_blocks, (net, x, spans, out, failures), per_thread)
-    if failures:
-        raise min(failures)[1]  # block indices differ, so no error is compared
+        out = _forward_layers(net, x, [None] * len(net.layers), 0, 0, failures)
+    else:
+        starts = list(range(0, n_blocks * block_rows, block_rows))
+        spans = list(zip(starts, starts[1:] + [n]))
+        tallest = n - starts[-1]
+        widths = [layer.fan_out for layer in net.layers[:-1]]
+        sizes = [tallest * max(widths[j::2], default=0) for j in (0, 1)]
+        per_thread = [
+            tuple(np.empty(size) for size in sizes) for _ in range(min(usable_cpus(), n_blocks))
+        ]
+        out = np.empty((n, net.output_dim))
+        blocks = [(net, x[r0:r1], out[r0:r1], k, failures) for k, (r0, r1) in enumerate(spans)]
+        run_threads(_forward_block, blocks, per_thread)
+    _raise_first(failures)
     return out
-
-
-def _forward_part(net, acts, failures, first, stop, r0, r1) -> None:
-    """Run rows r0:r1 of acts[first] through layers first:stop into the
-    same rows of acts[first + 1 : stop + 1], checking the rows after each
-    layer.
-
-    A NumericalFailure goes into failures as (layer index, error) and ends
-    the part.  Runs only _layer_forward and _check_activation, so it may
-    run on a worker; floating-point warnings are off, since the checks
-    catch every value a warning would report.
-    """
-    a = acts[first][r0:r1]
-    with np.errstate(all="ignore"):
-        for i in range(first, stop):
-            layer = net.layers[i]
-            a = _layer_forward(a, layer, acts[i + 1][r0:r1])
-            try:
-                _check_activation(a, i, layer.activation)
-            except NumericalFailure as failure:
-                failures.append((i, failure))
-                return
 
 
 def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None):
@@ -429,7 +391,7 @@ def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None):
 
     With a _row_cut, each run of layers with more than one output runs as
     two parts, each its own rows through every layer of the run, on the
-    caller and on ws.worker (see run_parts).  A one-output layer runs
+    caller and on ws.worker (see run_threads).  A one-output layer runs
     whole on the caller: OpenBLAS splits a gemv's rows over its own
     threads, and where a split falls changes the rows' bits.  A non-finite
     activation names the lowest layer that failed in any part, the layer
@@ -440,15 +402,18 @@ def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None):
     rows = x.shape[0]
     acts = [x] + [ws.take((rows, layer.fan_out)) for layer in net.layers]
     cut = _row_cut(net, rows) if ws.worker else 0
-    failures: list[tuple[int, NumericalFailure]] = []
+    failures: list = []
     first = 0
     for wide, run in groupby(net.layers, key=lambda layer: layer.fan_out > 1):
         stop = first + len(list(run))
         spans = [(0, cut), (cut, rows)] if wide and cut else [(0, rows)]
-        parts = [(net, acts, failures, first, stop, *span) for span in spans]
-        run_parts(ws.worker, _forward_part, parts)
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
+        dests = acts[first + 1 : stop + 1]
+        parts = [
+            (net, acts[first][r0:r1], [a[r0:r1] for a in dests], first, 0, failures)
+            for r0, r1 in spans
+        ]
+        run_threads(_forward_layers, parts, [()] * len(parts), ws.worker)
+        _raise_first(failures)
         first = stop
     return acts[-1], acts
 
@@ -460,7 +425,7 @@ def _backward_part(layer, a_prev, dz, dw, db, relu, da, c0, c1) -> None:
     The mask multiplies da, not a_prev, which another part may be reading
     for dW: (a_prev > 0) * da, the bits of the mask as 1.0/0.0 times da.
     Runs only np.matmul, np.sum and np.multiply, so it may run on a worker,
-    with floating-point warnings off as in _forward_part.
+    with floating-point warnings off as in _forward_layers.
     """
     with np.errstate(all="ignore"):
         if c1 > c0:
@@ -487,7 +452,7 @@ def backward(
 
     With ws.worker and a _row_cut, each layer's step runs as its
     _backward_spans parts, on the caller and on the worker (see
-    run_parts), and every part ends before the layer below starts.
+    run_threads), and every part ends before the layer below starts.
     """
     ws = Workspace() if ws is None else ws
     rows = d_out.shape[0]
@@ -505,7 +470,8 @@ def backward(
         da = ws.take(acts[i].shape) if i else None
         shared = (layer, acts[i], dz, dw, db, i > 0 and net.layers[i - 1].activation == "relu")
         spans = _backward_spans(layer, rows, cut, da)
-        run_parts(ws.worker, _backward_part, [shared + span for span in spans])
+        parts = [shared + span for span in spans]
+        run_threads(_backward_part, parts, [()] * len(parts), ws.worker)
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
             raise NumericalFailure(f"non-finite gradient at layer {i}")
         grads.append(db)
@@ -634,7 +600,9 @@ def gradients(
     ws = Workspace() if ws is None else ws
     ws.reset()
     out, acts = forward_cached(net, x, ws)
-    loss, d_out = loss_and_grad(out, loss_kind, targets)
+    # a non-finite loss fails the check below, so its warnings are off
+    with np.errstate(all="ignore"):
+        loss, d_out = loss_and_grad(out, loss_kind, targets)
     if not np.isfinite(loss):
         raise NumericalFailure(f"non-finite {loss_kind} loss")
     return loss, backward(net, acts, d_out, ws)

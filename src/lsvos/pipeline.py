@@ -441,7 +441,7 @@ def _train(
     ranked rows fit in the bytes of the draw block, and at least 1: 13 at
     D = 64 and K = 3, 1 at D = 8.  A run with no VOS call submits no rank
     job.  The workspace hands the worker part of every gradient call large
-    enough to split (see nn.run_parts); a run whose calls are all too small
+    enough to split (see nn.run_threads); a run whose calls are all too small
     and that has no VOS call starts no thread.
     """
     from concurrent.futures import ThreadPoolExecutor

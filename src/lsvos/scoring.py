@@ -134,26 +134,26 @@ def _score_threads(n: int) -> int:
     return max(1, min(nn.usable_cpus(), n // _ROWS_PER_THREAD))
 
 
-def _score_blocks(spans, queries, model, p_rows, wide, per_class, centered, partial):
-    """Fill per_class[:, r0:r1] for every (r0, r1) taken from spans.
+def _score_block(queries, model, p_rows, wide, per_class, r0, r1, centered, partial):
+    """Fill per_class[:, r0:r1] through the thread's own buffers centered
+    and partial.
 
     Runs only np.subtract, np.einsum and an in-place add, which release
-    the GIL, reads the shared wide only, and writes only the columns of
-    the spans it takes, so several threads can share one spans iterator.
+    the GIL, reads the shared wide only, and writes only its own columns,
+    so several threads can fill one per_class.
     """
     dim = queries.shape[1]
-    for r0, r1 in spans:
-        w = r1 - r0
-        c = centered[: dim * w].reshape(dim, w)
-        for cid, mean in enumerate(model.means):
-            np.subtract(queries[r0:r1].T, mean[:, None], out=c)
-            out = per_class[cid, r0:r1]
-            for j0 in range(0, dim, p_rows):
-                j1 = j0 + p_rows
-                dest = out if j0 == 0 else partial[:w]
-                np.einsum("ji,jki,ki->i", c[j0:j1], wide[j0:j1, :, :w], c, out=dest)
-                if j0:
-                    out += dest
+    w = r1 - r0
+    c = centered[: dim * w].reshape(dim, w)
+    for cid, mean in enumerate(model.means):
+        np.subtract(queries[r0:r1].T, mean[:, None], out=c)
+        out = per_class[cid, r0:r1]
+        for j0 in range(0, dim, p_rows):
+            j1 = j0 + p_rows
+            dest = out if j0 == 0 else partial[:w]
+            np.einsum("ji,jki,ki->i", c[j0:j1], wide[j0:j1, :, :w], c, out=dest)
+            if j0:
+                out += dest
 
 
 def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
@@ -198,8 +198,6 @@ def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
         starts = list(range(0, n, block))
         if n - starts[-1] == 1:
             starts.pop()
-    # each span goes to one thread: a list iterator's next() holds the GIL
-    spans = iter(list(zip(starts, starts[1:] + [n])))
     width = min(n, block + 1)
     wide = np.empty((dim, dim, width))
     wide[...] = model.precision[:, :, None]
@@ -208,7 +206,9 @@ def mahalanobis_score(model: GaussianModel, queries: np.ndarray) -> np.ndarray:
     buffers = [
         (np.empty(dim * width), np.empty(width)) for _ in range(_score_threads(n))
     ]
-    nn.run_threads(_score_blocks, (spans, queries, model, p_rows, wide, per_class), buffers)
+    shared = (queries, model, p_rows, wide, per_class)
+    blocks = [shared + span for span in zip(starts, starts[1:] + [n])]
+    nn.run_threads(_score_block, blocks, buffers)
     return per_class.min(axis=0)
 
 

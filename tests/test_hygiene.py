@@ -165,9 +165,10 @@ def test_json_text_is_written_and_read_in_one_place():
     assert not stray, f"JSON handled outside metrics.json_text/read_json: {', '.join(stray)}"
 
 
-# the only functions that start threads or hand work to one; README states
-# the rules their helpers keep (no traced function, bits independent of them)
-THREAD_HOMES = {("nn.py", "run_threads"), ("nn.py", "run_parts"), ("pipeline.py", "_train")}
+# the one runner that starts threads or hands work to one, and the pool
+# that _train owns; README's "Threads" states the rules their jobs keep
+# (no traced function, bits independent of the thread count)
+THREAD_HOMES = {("nn.py", "run_threads"), ("pipeline.py", "_train")}
 THREAD_NAMES = {"ThreadPoolExecutor", "Thread", "submit"}
 
 

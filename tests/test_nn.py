@@ -4,7 +4,9 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +102,6 @@ class TestForwardInPlace:
         assert out.tobytes() == a.tobytes()
         assert x.tobytes() == before.tobytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_inf_weight_names_the_layer(self):
         net = nn.dense_net([4, 8, 8, 2], np.random.default_rng(2))
         net.layers[1].weights[0, 0] = np.inf
@@ -198,7 +199,6 @@ class TestForwardBlocks:
         assert narrow * 122 > nn.BLOCKED_GEMM_MACS
         assert (narrow - 64) * 122 <= nn.BLOCKED_GEMM_MACS
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_in_the_last_block_names_the_layer(self):
         rng = np.random.default_rng(4)
         net = _biased_net([64, 128, 128, 1], rng)
@@ -207,7 +207,7 @@ class TestForwardBlocks:
         x = rng.normal(size=(3 * b + 17, 64))
         # layer 1 overflows only on the rows of the last block
         x[-100:] *= 1e160
-        with pytest.raises(NumericalFailure, match="after layer 1$"):
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="after layer 1$"):
             oracles.forward_reference(net, x)
         with pytest.raises(NumericalFailure, match="after layer 1$"):
             nn.forward(net, x)
@@ -218,7 +218,7 @@ class TestForwardBlocks:
         # 4 blocks of a 64-128-128-1 net: one pass peaked at two (N, 128)
         # activations, one thread's blocks at 0.54 of one; each further
         # thread adds its two hidden buffers of one block
-        monkeypatch.setattr(nn, "_forward_threads", lambda n_blocks: threads)
+        monkeypatch.setattr(nn, "usable_cpus", lambda: threads)
         b = nn.FORWARD_BLOCK_ROWS
         rows = 4 * b
         rng = np.random.default_rng(3)
@@ -242,14 +242,27 @@ class TestForwardThreads:
     COUNTS = (1, 2, 3, 7)
 
     def test_thread_count_follows_cpus_and_blocks(self, monkeypatch):
+        run_threads, counts = nn.run_threads, []
+
+        def record(work, items, per_thread, worker=None):
+            counts.append(len(per_thread))
+            run_threads(work, items, per_thread, worker)
+
+        monkeypatch.setattr(nn, "run_threads", record)
+        rng = np.random.default_rng(0)
+        net = nn.dense_net([2, 64, 2], rng)
+        b = nn._block_rows(net)
+        x = rng.normal(size=(5 * b, 2))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         assert nn.usable_cpus() == 4
-        assert [nn._forward_threads(k) for k in (2, 3, 4, 5, 100)] == [2, 3, 4, 4, 4]
+        for blocks in (2, 3, 4, 5):
+            nn.forward(net, x[: blocks * b])
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert nn._forward_threads(100) == 3
+        nn.forward(net, x)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert nn._forward_threads(100) == 1
+        nn.forward(net, x)
+        assert counts == [2, 3, 4, 4, 3, 1]
 
     @pytest.mark.parametrize(
         "dims, final",
@@ -274,7 +287,7 @@ class TestForwardThreads:
         sys.setswitchinterval(1e-6)
         try:
             for threads in self.COUNTS:
-                monkeypatch.setattr(nn, "_forward_threads", lambda n_blocks: threads)
+                monkeypatch.setattr(nn, "usable_cpus", lambda: threads)
                 alive = threading.active_count()
                 out = nn.forward(net, x)
                 assert threading.active_count() == alive
@@ -284,7 +297,6 @@ class TestForwardThreads:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_in_two_blocks_names_the_lower_blocks_layer(self, monkeypatch):
         rng = np.random.default_rng(5)
         net = _biased_net([64, 128, 128, 1], rng)
@@ -296,23 +308,42 @@ class TestForwardThreads:
         # after layer 1
         x[b + 10 : b + 20] *= 1e150
         x[3 * b + 10 : 3 * b + 20] *= 1e250
-        with pytest.raises(NumericalFailure, match="after layer 2$"):
-            oracles.forward_reference(net, x[b : 2 * b])
-        with pytest.raises(NumericalFailure, match="after layer 1$"):
-            oracles.forward_reference(net, x[3 * b :])
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalFailure, match="after layer 2$"):
+                oracles.forward_reference(net, x[b : 2 * b])
+            with pytest.raises(NumericalFailure, match="after layer 1$"):
+                oracles.forward_reference(net, x[3 * b :])
         for threads in self.COUNTS:
-            monkeypatch.setattr(nn, "_forward_threads", lambda n_blocks: threads)
+            monkeypatch.setattr(nn, "usable_cpus", lambda: threads)
             with pytest.raises(NumericalFailure, match="after layer 2$"):
                 nn.forward(net, x)
 
+    @pytest.mark.parametrize("several", [False, True], ids=["one-block", "three-blocks"])
+    def test_no_warning_comes_before_the_failure(self, monkeypatch, several):
+        # every row of layer 0 overflows, on one block of 10 rows and on
+        # three blocks over two threads
+        monkeypatch.setattr(nn, "usable_cpus", lambda: 2)
+        net = nn.dense_net([8, 16, 1], np.random.default_rng(0))
+        net.layers[0].weights[...] = 1e308
+        x = np.ones((3 * nn._block_rows(net) if several else 10, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="after layer 0$"):
+                nn.forward(net, x)
+
     def _record(self, monkeypatch):
-        """The thread of every _forward_blocks call, and every thread started."""
-        forward_blocks = nn._forward_blocks
-        runners, started = [], []
+        """The thread of every _forward_block call, and every thread started.
+        A helper starts its first block only once the caller has started
+        one, so the helpers cannot take every block."""
+        forward_block = nn._forward_block
+        runners, started, caller_ran = [], [], threading.Event()
 
         def record(*args):
+            if threading.current_thread() is threading.main_thread():
+                caller_ran.set()
+            caller_ran.wait(30)
             runners.append(threading.current_thread())
-            forward_blocks(*args)
+            forward_block(*args)
 
         start = threading.Thread.start
 
@@ -320,7 +351,7 @@ class TestForwardThreads:
             started.append(thread)
             start(thread)
 
-        monkeypatch.setattr(nn, "_forward_blocks", record)
+        monkeypatch.setattr(nn, "_forward_block", record)
         monkeypatch.setattr(threading.Thread, "start", record_start)
         return runners, started
 
@@ -331,22 +362,23 @@ class TestForwardThreads:
         # 2,700 rows, as in every desk val split, are one block
         nn.forward(net, rng.normal(size=(2700, 64)))
         assert runners == [] and started == []
-        monkeypatch.setattr(nn, "_forward_threads", lambda n_blocks: 1)
+        monkeypatch.setattr(nn, "usable_cpus", lambda: 1)
         nn.forward(net, rng.normal(size=(2 * nn._block_rows(net), 64)))
-        assert runners == [threading.current_thread()]
+        assert runners == [threading.current_thread()] * 2
         assert started == []
 
     def test_helper_threads_end_with_the_call(self, monkeypatch):
         rng = np.random.default_rng(10)
         net = nn.dense_net([16, 128, 128, 1], rng)
-        monkeypatch.setattr(nn, "_forward_threads", lambda n_blocks: 3)
+        monkeypatch.setattr(nn, "usable_cpus", lambda: 3)
         runners, started = self._record(monkeypatch)
         alive = threading.active_count()
         nn.forward(net, rng.normal(size=(4 * nn._block_rows(net), 16)))
         assert threading.active_count() == alive
-        # the caller runs blocks beside two helpers
-        assert len(runners) == 3 and len(started) == 2
-        assert runners.count(threading.current_thread()) == 1
+        # the caller runs blocks beside two helpers, and each block runs once
+        assert len(started) == 2 and len(runners) == 4
+        assert threading.current_thread() in runners
+        assert set(runners) <= {threading.current_thread(), *started}
 
     def test_spread_keeps_the_bits_at_two_blas_threads(self):
         # helpers make BLAS calls: at 2 OpenBLAS threads, 2 forward threads
@@ -363,7 +395,7 @@ class TestForwardThreads:
             x = rng.normal(size=(3 * nn._block_rows(net) + 17, 64))
             outs = []
             for threads in (1, 2):
-                nn._forward_threads = lambda n_blocks: threads
+                nn.usable_cpus = lambda: threads
                 outs.append(nn.forward(net, x).tobytes())
             assert outs[0] == outs[1], "2 threads changed the bits"
             print("same bits")
@@ -382,6 +414,118 @@ class TestForwardThreads:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "same bits\n"
+
+
+@pytest.fixture
+def worker():
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(1)
+    yield pool
+    pool.shutdown()
+
+
+class TestRunThreads:
+    """The one runner: every item once, on the caller and on its jobs."""
+
+    @pytest.mark.parametrize("entries", [1, 2, 3])
+    @pytest.mark.parametrize("on_worker", [False, True], ids=["own-pool", "worker"])
+    def test_every_item_runs_exactly_once(self, worker, entries, on_worker):
+        taken = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            alive = threading.active_count()
+            nn.run_threads(
+                lambda i, tag: taken.append((i, tag)),
+                [(i,) for i in range(500)],
+                [(f"entry {k}",) for k in range(entries)],
+                worker if on_worker else None,
+            )
+            if not on_worker:
+                assert threading.active_count() == alive
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(i for i, _ in taken) == list(range(500))
+        # each call got the entry of the thread that ran it
+        assert {tag for _, tag in taken} <= {f"entry {k}" for k in range(entries)}
+
+    def test_a_busy_worker_leaves_every_item_to_the_caller(self, worker):
+        release = threading.Event()
+        busy = worker.submit(release.wait, 30)
+        runners = []
+        try:
+            nn.run_threads(
+                lambda i: runners.append(threading.current_thread()),
+                [(i,) for i in range(5)],
+                [(), ()],
+                worker,
+            )
+            # the call ended while the worker was still busy
+            assert not busy.done()
+        finally:
+            release.set()
+        assert busy.result()
+        assert runners == [threading.current_thread()] * 5
+
+    @pytest.mark.parametrize("on_worker", [False, True], ids=["own-pool", "worker"])
+    def test_one_entry_starts_no_thread(self, worker, monkeypatch, on_worker):
+        started = []
+        start = threading.Thread.start
+
+        def record_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record_start)
+        runners = []
+        nn.run_threads(
+            lambda i, tag: runners.append((threading.current_thread(), tag)),
+            [(i,) for i in range(3)],
+            [("only",)],
+            worker if on_worker else None,
+        )
+        assert runners == [(threading.current_thread(), "only")] * 3
+        assert started == []
+
+    @pytest.mark.parametrize("on_worker", [False, True], ids=["own-pool", "worker"])
+    def test_a_jobs_exception_is_raised_in_the_caller(self, worker, on_worker):
+        helped = threading.Event()
+
+        def work(i):
+            if threading.current_thread() is not threading.main_thread():
+                helped.set()
+                raise MemoryError("job")
+            # leave an item to the job
+            helped.wait(30)
+
+        alive, items = threading.active_count(), [(i,) for i in range(10)]
+        with pytest.raises(MemoryError, match="job"):
+            nn.run_threads(work, items, [(), ()], worker if on_worker else None)
+        if not on_worker:
+            assert threading.active_count() == alive
+
+    def test_the_callers_exception_waits_for_the_jobs(self):
+        caller_took, job_took, running, done = threading.Event(), threading.Event(), [0], []
+
+        def work(i):
+            if threading.current_thread() is threading.main_thread():
+                caller_took.set()
+                job_took.wait(30)
+                raise MemoryError("caller")
+            caller_took.wait(30)
+            running[0] += 1
+            job_took.set()
+            time.sleep(0.001)
+            done.append(i)
+            running[0] -= 1
+
+        alive = threading.active_count()
+        with pytest.raises(MemoryError, match="caller"):
+            nn.run_threads(work, [(i,) for i in range(100)], [(), ()])
+        # the job ran every item the caller did not take
+        assert running == [0] and len(done) == 99
+        assert threading.active_count() == alive
 
 
 class TestLosses:
@@ -500,6 +644,19 @@ class TestGradients:
         with pytest.raises(NumericalFailure):
             nn.gradients(net, np.ones((1, 2)), "mse", np.ones((1, 2)))
 
+    def test_an_overflowed_mse_loss_raises_before_any_warning(self):
+        # layer 0's 8e300 activations give finite outputs, whose squared
+        # errors overflow
+        net = nn.dense_net([8, 16, 1], np.random.default_rng(0))
+        net.layers[0].weights[...] = 1e300
+        x = np.ones((10, 8))
+        out, _ = nn.forward_cached(net, x)
+        assert np.all(np.isfinite(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="^non-finite mse loss$"):
+                nn.gradients(net, x, "mse", np.zeros((10, 1)))
+
     def test_an_overflowed_weight_gradient_names_its_layer(self):
         # activations 17 and 340 and the loss stay finite, but layer 0's
         # dW = x.T @ dz holds 1.7e308 * 20
@@ -513,9 +670,7 @@ class TestGradients:
         out, _ = nn.forward_cached(net, x)
         assert np.all(np.isfinite(out))
         assert np.isfinite(nn.loss_and_grad(out, "cross-entropy", np.array([1]))[0])
-        with np.errstate(over="ignore"), pytest.raises(
-            NumericalFailure, match="non-finite gradient at layer 0$"
-        ):
+        with pytest.raises(NumericalFailure, match="non-finite gradient at layer 0$"):
             nn.gradients(net, x, "cross-entropy", np.array([1]))
 
     @pytest.mark.parametrize("loss_kind", ["uncertainty-sigmoid", "uncertainty-bce"])
@@ -526,9 +681,7 @@ class TestGradients:
         net.layers[1].weights[...] = 1e200
         x = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
         is_out = np.array([True, False])
-        with np.errstate(over="ignore"), pytest.raises(
-            NumericalFailure, match="after layer 1$"
-        ):
+        with pytest.raises(NumericalFailure, match="after layer 1$"):
             nn.gradients(net, x, loss_kind, is_out)
         # past that check the loss is finite and the outlier's gradient a
         # silent -0: a check on the loss and gradients alone would train on
@@ -622,7 +775,6 @@ class TestWorkspace:
         _, again = nn.gradients(nets["clf"], *_workspace_batch("clf", 512, rng))
         assert not np.shares_memory(fresh[0], again[0])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failure_names_the_layer_and_leaves_the_workspace_usable(self):
         rng = np.random.default_rng(4)
         net = _workspace_nets()["unc"]
@@ -720,15 +872,6 @@ def _desk_batch(name, rows, rng):
     return x, "uncertainty-sigmoid", rng.random(rows) < 0.5
 
 
-@pytest.fixture
-def worker():
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(1)
-    yield pool
-    pool.shutdown()
-
-
 class TestSplitGradients:
     """A workspace's worker runs part of a large gradient call, same bits."""
 
@@ -772,17 +915,17 @@ class TestSplitGradients:
         plain, shared = nn.Workspace(), nn.Workspace(worker)
         states = [nn.init_adam(nn.parameters(net)) for net in (one, split)]
         runners = set()
-        forward_part = nn._forward_part
+        forward_layers = nn._forward_layers
 
         def recorded(*args):
             runners.add(threading.current_thread())
-            forward_part(*args)
+            forward_layers(*args)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(nn, "_forward_part", recorded)
+                patch.setattr(nn, "_forward_layers", recorded)
                 for _ in range(30):
                     loss, grads = nn.gradients(one, x, kind, targets, plain)
                     split_loss, split_grads = nn.gradients(split, x, kind, targets, shared)
@@ -876,7 +1019,7 @@ class TestSplitFailures:
     def _running(self, monkeypatch):
         """How many parts are running, kept up to date."""
         running = [0]
-        for name in ("_forward_part", "_backward_part"):
+        for name in ("_forward_layers", "_backward_part"):
             part = getattr(nn, name)
 
             def counted(*args, part=part):

@@ -663,7 +663,6 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert abs(res.report.methods["uncertainty"].auroc - 0.5) < 0.05
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_phase_and_step(self):
         with pytest.raises(NumericalFailure) as err:
             run_experiment(micro_cfg(train_lr=1e200))

@@ -376,15 +376,20 @@ class TestMahalanobisThreads:
             assert scoring.mahalanobis_score(model, queries).tobytes() == reference, threads
 
     def _record_runners(self, monkeypatch):
-        """The thread of every _score_blocks call, in call order."""
-        score_blocks = scoring._score_blocks
-        runners = []
+        """The thread of every _score_block call, in call order.  A helper
+        starts its first block only once the caller has started one, so
+        the helpers cannot take every block."""
+        score_block = scoring._score_block
+        runners, caller_ran = [], threading.Event()
 
         def record(*args):
+            if threading.current_thread() is threading.main_thread():
+                caller_ran.set()
+            caller_ran.wait(30)
             runners.append(threading.current_thread())
-            score_blocks(*args)
+            score_block(*args)
 
-        monkeypatch.setattr(scoring, "_score_blocks", record)
+        monkeypatch.setattr(scoring, "_score_block", record)
         return runners
 
     def test_a_desk_val_split_scores_inline_and_starts_no_thread(self, monkeypatch):
@@ -403,7 +408,7 @@ class TestMahalanobisThreads:
 
         monkeypatch.setattr(threading.Thread, "start", record_start)
         scores = scoring.mahalanobis_score(model, queries)
-        assert runners == [threading.current_thread()]
+        assert set(runners) == {threading.current_thread()}
         assert started == []
         assert scores.tobytes() == mahalanobis_reference(model, queries).tobytes()
 
@@ -413,26 +418,40 @@ class TestMahalanobisThreads:
         queries = rng.normal(size=(self.N, 8))
         monkeypatch.setattr(scoring, "_score_threads", lambda n: 3)
         runners = self._record_runners(monkeypatch)
+        started = []
+        start = threading.Thread.start
+
+        def record_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record_start)
         before = threading.active_count()
         scoring.mahalanobis_score(model, queries)
         assert threading.active_count() == before
-        # the caller scores blocks beside two helpers
-        assert len(runners) == 3
-        assert runners.count(threading.current_thread()) == 1
+        # the caller scores blocks beside two helpers, and each block once
+        assert len(started) == 2
+        assert len(runners) == self.N // scoring._block_rows(8)
+        assert threading.current_thread() in runners
+        assert set(runners) <= {threading.current_thread(), *started}
 
     def test_a_failing_helper_raises_in_the_caller(self, monkeypatch):
         rng = np.random.default_rng(7)
         model = _random_model(rng, 8, 2)
         queries = rng.normal(size=(self.N, 8))
-        score_blocks = scoring._score_blocks
+        score_block = scoring._score_block
+        helped = threading.Event()
 
         def fail_off_the_main_thread(*args):
             if threading.current_thread() is not threading.main_thread():
+                helped.set()
                 raise MemoryError("helper")
-            score_blocks(*args)
+            # leave blocks for the helpers
+            helped.wait(30)
+            score_block(*args)
 
         monkeypatch.setattr(scoring, "_score_threads", lambda n: 3)
-        monkeypatch.setattr(scoring, "_score_blocks", fail_off_the_main_thread)
+        monkeypatch.setattr(scoring, "_score_block", fail_off_the_main_thread)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="helper"):
             scoring.mahalanobis_score(model, queries)
