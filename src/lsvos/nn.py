@@ -28,7 +28,7 @@ import mmap
 import os
 import struct
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
@@ -107,7 +107,8 @@ class Workspace:
     ``gradients`` calls reset(), then forward_cached and backward take views
     of the buffer with take(shape).  Only the calling thread takes views,
     and it takes every view a part writes before it hands the part to the
-    worker.  A call that outgrows the buffer gets fresh arrays for the rest,
+    worker (backward all of them before its first phase), so each part
+    writes only its own rows or its own layers' gradients.  A call that outgrows the buffer gets fresh arrays for the rest,
     and the next reset() grows the buffer to that call's total, so the
     buffer ends the size of the largest call made on it and is reused from
     then on instead of being freed and page-faulted back in every step.
@@ -222,26 +223,6 @@ def _row_cut(net: DenseNet, rows: int) -> int:
     if wide and all(_blocked(part, layer.fan_in, layer.fan_out) for layer in wide):
         return cut
     return 0
-
-
-def _backward_spans(layer: Layer, rows: int, cut: int, da) -> list[tuple]:
-    """(da, c0, c1) of each part of one layer's backward step: columns
-    c0:c1 of dW and db, and the input gradient da unless it is None.
-
-    Without a cut the step is one part.  With one, dW and da, which take
-    the same multiply-adds, are two parts, each the whole product that one
-    pass makes.  The first layer has no da: dW splits its columns in half
-    if both halves stay _blocked, and is one part otherwise.
-    """
-    fan_in, fan_out = layer.weights.shape
-    if not cut:
-        return [(da, 0, fan_out)]
-    if da is not None:
-        return [(None, 0, fan_out), (da, 0, 0)]
-    half = fan_out // 2
-    if _blocked(fan_in, rows, half):
-        return [(None, 0, half), (None, half, fan_out)]
-    return [(None, 0, fan_out)]
 
 
 def usable_cpus() -> int:
@@ -418,23 +399,26 @@ def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None):
     return acts[-1], acts
 
 
-def _backward_part(layer, a_prev, dz, dw, db, relu, da, c0, c1) -> None:
-    """Columns c0:c1 of one layer's dW and db, and, unless da is None, the
-    input gradient da, masked by the relu of a_prev when relu is set.
-
-    The mask multiplies da, not a_prev, which another part may be reading
-    for dW: (a_prev > 0) * da, the bits of the mask as 1.0/0.0 times da.
-    Runs only np.matmul, np.sum and np.multiply, so it may run on a worker,
-    with floating-point warnings off as in _forward_layers.
-    """
+def _input_gradients(net: DenseNet, acts, dzs, r0: int, r1: int) -> None:
+    """Rows r0:r1 of every layer's input gradient, top layer down: layer
+    i > 0 writes da = dzs[i] @ W.T into dzs[i - 1], times the relu mask
+    (acts[i] > 0) as 1.0/0.0 when layer i - 1 is relu.  Runs only np.matmul
+    and np.multiply, so it may run on a worker, with floating-point
+    warnings off as in _forward_layers."""
     with np.errstate(all="ignore"):
-        if c1 > c0:
-            np.matmul(a_prev.T, dz[:, c0:c1], out=dw[:, c0:c1])
-            np.sum(dz[:, c0:c1], axis=0, out=db[c0:c1])
-        if da is not None:
-            np.matmul(dz, layer.weights.T, out=da)
-            if relu:
-                np.multiply(da, a_prev > 0.0, out=da)
+        for i in range(len(net.layers) - 1, 0, -1):
+            da = dzs[i - 1][r0:r1]
+            np.matmul(dzs[i][r0:r1], net.layers[i].weights.T, out=da)
+            if net.layers[i - 1].activation == "relu":
+                np.multiply(da, acts[i][r0:r1] > 0.0, out=da)
+
+
+def _weight_gradient(a_prev, dz, dw, db) -> None:
+    """One layer's whole dW = a_prev.T @ dz and db, the column sums of dz;
+    a worker may run it, as _input_gradients."""
+    with np.errstate(all="ignore"):
+        np.matmul(a_prev.T, dz, out=dw)
+        np.sum(dz, axis=0, out=db)
 
 
 def backward(
@@ -450,35 +434,34 @@ def backward(
     output is no layer's input, so its mask is written over it; the other
     layers' outputs are left as they are.
 
-    With ws.worker and a _row_cut, each layer's step runs as its
-    _backward_spans parts, on the caller and on the worker (see
-    run_threads), and every part ends before the layer below starts.
+    Two run_threads calls run on the caller and, with ws.worker and a
+    _row_cut, on the worker: _input_gradients over each of the cut's two
+    row parts, then each layer's _weight_gradient as one item, the largest
+    first.  Every dW is the whole product one pass makes, and a row part of
+    a da product stays on the blocked kernel (or has an inner size of 1),
+    so the bits do not depend on the split.  dW and db are checked top
+    layer first, as one pass meets them.
     """
     ws = Workspace() if ws is None else ws
     rows = d_out.shape[0]
     cut = _row_cut(net, rows) if ws.worker else 0
-    grads: list[np.ndarray] = []
     dz = d_out
     if net.layers[-1].activation == "relu":
         # mask as 1.0/0.0 times da: the same bits as da * (z > 0.0)
         dz = np.greater(acts[-1], 0.0, out=acts[-1])
         dz *= d_out
+    dzs = [ws.take(a.shape) for a in acts[1:-1]] + [dz]
+    dws = [ws.take(layer.weights.shape) for layer in net.layers]
+    dbs = [ws.take(layer.bias.shape) for layer in net.layers]
+    spans = [(0, cut), (cut, rows)] if cut else [(0, rows)]
+    per_thread = [()] * len(spans)
+    run_threads(_input_gradients, [(net, acts, dzs) + span for span in spans], per_thread, ws.worker)
+    items = sorted(zip(acts[:-1], dzs, dws, dbs), key=lambda item: -item[2].size)
+    run_threads(_weight_gradient, items, per_thread, ws.worker)
     for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        dw = ws.take(layer.weights.shape)
-        db = ws.take(layer.bias.shape)
-        da = ws.take(acts[i].shape) if i else None
-        shared = (layer, acts[i], dz, dw, db, i > 0 and net.layers[i - 1].activation == "relu")
-        spans = _backward_spans(layer, rows, cut, da)
-        parts = [shared + span for span in spans]
-        run_threads(_backward_part, parts, [()] * len(parts), ws.worker)
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
+        if not (np.all(np.isfinite(dws[i])) and np.all(np.isfinite(dbs[i]))):
             raise NumericalFailure(f"non-finite gradient at layer {i}")
-        grads.append(db)
-        grads.append(dw)
-        dz = da
-    grads.reverse()
-    return grads
+    return [grad for pair in zip(dws, dbs) for grad in pair]
 
 
 def parameters(net: DenseNet) -> list[np.ndarray]:
@@ -533,7 +516,9 @@ def loss_and_grad(
             raise InputError(f"mse targets shape {t.shape} != outputs {y.shape}")
         diff = y - t
         loss = float(np.mean(diff * diff))
-        return loss, 2.0 * diff / diff.size
+        diff *= 2.0
+        diff /= diff.size  # in place, the bits of 2.0 * diff / diff.size
+        return loss, diff
 
     if loss_kind == "cross-entropy":
         t = np.asarray(targets)
@@ -610,11 +595,13 @@ def gradients(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """First/second moment accumulators, one pair per parameter array, and
+    the new m, v, parameter and one temporary that adam_step computes in."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
+    scratch: list[tuple[np.ndarray, ...]] = field(default_factory=list)
 
 
 def init_adam(params: list[np.ndarray]) -> AdamState:
@@ -622,6 +609,7 @@ def init_adam(params: list[np.ndarray]) -> AdamState:
         m=[np.zeros_like(p) for p in params],
         v=[np.zeros_like(p) for p in params],
         step=0,
+        scratch=[tuple(np.empty_like(p) for _ in range(4)) for p in params],
     )
 
 
@@ -638,29 +626,39 @@ def adam_step(
     with Adam's published constants b1 = 0.9, b2 = 0.999, eps = 1e-8.
 
     Every new value is computed and checked before any is stored, so a
-    NumericalFailure leaves the parameters and the state untouched.
+    NumericalFailure leaves the parameters and the state untouched.  The
+    update runs in state.scratch, one numpy call per operation of the
+    formula in its order, so it has the formula's bits; its warnings are
+    off, as every value a warning would report fails the check.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if not len(params) == len(grads) == len(state.m) == len(state.scratch):
         raise InputError("params, grads and Adam state must have equal length")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise InputError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = state.step + 1
-    updates = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m1 = beta1 * m + (1.0 - beta1) * g
-        v1 = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m1 / (1.0 - beta1**t)
-        v_hat = v1 / (1.0 - beta2**t)
-        p1 = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-        if not np.all(np.isfinite(p1)):
-            raise NumericalFailure("non-finite parameter after Adam step")
-        updates.append((p1, m1, v1))
-    for k, (p1, m1, v1) in enumerate(updates):
+    with np.errstate(all="ignore"):
+        for p, g, m, v, (m1, v1, p1, tmp) in zip(params, grads, state.m, state.v, state.scratch):
+            np.multiply(m, beta1, out=m1)
+            m1 += np.multiply(g, 1.0 - beta1, out=tmp)
+            np.multiply(v, beta2, out=v1)
+            np.multiply(g, 1.0 - beta2, out=tmp)
+            tmp *= g
+            v1 += tmp
+            np.divide(m1, 1.0 - beta1**t, out=p1)
+            p1 *= lr
+            np.divide(v1, 1.0 - beta2**t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            p1 /= tmp
+            np.subtract(p, p1, out=p1)
+            if not np.all(np.isfinite(p1)):
+                raise NumericalFailure("non-finite parameter after Adam step")
+    for k, (m1, v1, p1, tmp) in enumerate(state.scratch):
         params[k][...] = p1
-        state.m[k] = m1
-        state.v[k] = v1
+        state.scratch[k] = (state.m[k], state.v[k], p1, tmp)
+        state.m[k], state.v[k] = m1, v1
     state.step = t
 
 

@@ -1,13 +1,16 @@
 """Source hygiene: no module-level import goes unused, no package name or
 method goes unnamed, README's module table lists exactly the package's
-modules, JSON goes through one reader and writer, threads start in two
-functions only, and the package version is written down once.
+modules, every package name README gives is defined, JSON goes through
+one reader and writer, threads start in two functions only, and the
+package version is written down once.
 
 A stdlib `ast` scan of every file in src/lsvos, tests and demos.  Package
 `__init__.py` files are skipped: their imports are re-exports.
 """
 
 import ast
+import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -195,3 +198,23 @@ def test_pyproject_and_the_package_give_one_version():
 
     project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())["project"]
     assert project["version"] == lsvos.__version__
+
+
+# a backticked `module.name`, maybe with a `lsvos.` prefix, further
+# attributes or call arguments: `nn.run_threads(work, items, ...)`
+README_NAME = re.compile(r"`(?:lsvos\.)?([a-z_]+)\.([A-Za-z_][\w.]*)(?:\([^`]*\))?`")
+
+
+def test_every_package_name_the_readme_gives_is_defined():
+    modules = {path.stem for path in DEFINING}
+    readme = (REPO_ROOT / "README.md").read_text()
+    named = {(module, attrs) for module, attrs in README_NAME.findall(readme) if module in modules}
+    stale = []
+    for module, attrs in sorted(named):
+        target = importlib.import_module(f"lsvos.{module}")
+        for attr in attrs.split("."):
+            target = getattr(target, attr, None)
+        if target is None:
+            stale.append(f"{module}.{attrs}")
+    assert named, "README names no package function"
+    assert not stale, f"README names what the package does not define: {', '.join(stale)}"

@@ -890,21 +890,15 @@ class TestSplitGradients:
         assert nn._row_cut(nets["ae"], 2 * 256) == 256
         # a net of one-output layers only has nothing to split
         assert nn._row_cut(_biased_net([512, 1], np.random.default_rng(0)), 10**5) == 0
-        ae = nets["ae"].layers
-        # dW beside da, each whole; the first layer's dW in column halves
-        da = np.empty(0)
-        assert nn._backward_spans(ae[3], 1500, 768, da) == [(None, 0, 64), (da, 0, 0)]
-        assert nn._backward_spans(ae[0], 1500, 768, None) == [(None, 0, 64), (None, 64, 128)]
-        assert nn._backward_spans(ae[3], 1500, 0, da) == [(da, 0, 64)]
-        # a one-column half would go to gemv
-        one = nn.Layer(np.zeros((4096, 3)), np.zeros(3))
-        assert nn._backward_spans(one, 10**4, 5056, None) == [(None, 0, 3)]
         assert nn._blocked(2, 10**6, 2) and not nn._blocked(1, 10**7, 2)
         assert not nn._blocked(100, 100, 100) and nn._blocked(100, 100, 101)
 
     @pytest.mark.parametrize(
         "name, rows",
-        [("ae", 1500), ("ae", 1333), ("unc", 1536), ("unc", 1104), ("unc", 1201), ("clf", 512)],
+        [
+            ("ae", 1500), ("ae", 1333), ("unc", 1536), ("unc", 1104), ("unc", 1201),
+            ("unc", 4100), ("clf", 512),
+        ],
     )
     def test_same_bits_as_one_thread_under_repetition(self, worker, name, rows):
         # two copies of one net trained side by side on the same batch, one
@@ -947,6 +941,27 @@ class TestSplitGradients:
             # the worker took a part at least once in 30 calls
             assert len(runners) == 2
 
+    def test_a_split_call_hands_the_worker_three_jobs(self, worker):
+        # one for forward_cached's wide layers and one for each of backward's
+        # two phases, however many layers the net has; the classifier does
+        # not split and hands over none
+        class Counting:
+            jobs = 0
+
+            def submit(self, *args):
+                self.jobs += 1
+                return worker.submit(*args)
+
+        nets, rng = _desk_nets(2), np.random.default_rng(2)
+        for name, rows, jobs in [
+            ("ae", 1500, 3), ("unc", 1536, 3), ("unc", 1104, 3), ("unc", 4100, 3), ("clf", 512, 0)
+        ]:
+            counting = Counting()
+            ws = nn.Workspace(counting)
+            for calls in range(1, 3):
+                nn.gradients(nets[name], *_desk_batch(name, rows, rng), ws)
+                assert counting.jobs == calls * jobs, (name, rows)
+
     def test_a_busy_worker_leaves_every_part_to_the_caller(self, worker):
         nets = _desk_nets(1)
         x, kind, targets = _desk_batch("ae", 1500, np.random.default_rng(1))
@@ -979,7 +994,9 @@ class TestSplitGradients:
             ae = nn.DenseNet(encoder.layers + decoder.layers)
             head = nn.dense_net([64, 128, 128, 1], rng)
             with ThreadPoolExecutor(1) as pool:
-                for net, rows in [(ae, 1500), (head, 1536), (head, 1104), (head, 1201)]:
+                for net, rows in [
+                    (ae, 1500), (head, 1536), (head, 1104), (head, 1201), (head, 4100)
+                ]:
                     x = rng.normal(size=(rows, net.input_dim))
                     if net is ae:
                         kind, targets = "mse", x[:, :64]
@@ -1019,7 +1036,7 @@ class TestSplitFailures:
     def _running(self, monkeypatch):
         """How many parts are running, kept up to date."""
         running = [0]
-        for name in ("_forward_layers", "_backward_part"):
+        for name in ("_forward_layers", "_input_gradients", "_weight_gradient"):
             part = getattr(nn, name)
 
             def counted(*args, part=part):
@@ -1081,13 +1098,13 @@ class TestSplitFailures:
 
     def test_the_first_layers_split_weight_gradient_names_it(self, worker):
         # 1.7e308 inputs times 1e-307 weights are finite activations, whose
-        # layer 0 dW = x.T @ dz overflows in both column halves
+        # layer 0 dW = x.T @ dz, one item of a split call, overflows
         rng = np.random.default_rng(7)
         net = _biased_net([64, 128, 128, 64], rng)
         net.layers[0].weights[...] = 1e-307
         x = np.full((1500, 64), 1.7e308)
         targets = rng.normal(size=(1500, 64))
-        assert len(nn._backward_spans(net.layers[0], 1500, 768, None)) == 2
+        assert nn._row_cut(net, 1500) == 768
         for ws in (nn.Workspace(), nn.Workspace(worker)):
             with pytest.raises(NumericalFailure, match="non-finite gradient at layer 0$"):
                 nn.gradients(net, x, "mse", targets, ws)
@@ -1154,7 +1171,6 @@ class TestAdam:
                 assert state.m[k].tobytes() == ref_m[k].tobytes()
                 assert state.v[k].tobytes() == ref_v[k].tobytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_gradient_leaves_params_and_state_untouched(self, bad):
         rng = np.random.default_rng(1)
@@ -1172,6 +1188,12 @@ class TestAdam:
         assert state.step == 3
         for old, now in zip(before, params + state.m + state.v):
             assert old.tobytes() == now.tobytes()
+        # the scratch the failed step wrote does not leak into the next one
+        grads[1][0] = 1.0
+        want = oracles.adam_reference(params, grads, state.m, state.v, 4, lr=1e-3)
+        nn.adam_step(params, grads, state)
+        for ref, now in zip(want, (params, state.m, state.v)):
+            assert [a.tobytes() for a in ref] == [a.tobytes() for a in now]
 
     def test_shape_mismatch_rejected(self):
         params = [np.zeros(2)]
