@@ -21,6 +21,7 @@ from .pipeline import (
     desk_preset,
     evaluate_bundle,
     format_config,
+    gather_val,
     parse_config,
     run_experiment,
     sweep_from_specs,
@@ -42,6 +43,7 @@ __all__ = [
     "desk_preset",
     "evaluate_bundle",
     "format_config",
+    "gather_val",
     "parse_config",
     "run_experiment",
     "sweep_from_specs",

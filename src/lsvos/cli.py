@@ -27,6 +27,7 @@ from .pipeline import (
     desk_preset,
     evaluate_bundle,
     format_config,
+    gather_val,
     generator_spec,
     load_config,
     load_feature_dir,
@@ -98,9 +99,13 @@ def cmd_evaluate(args) -> int:
     methods = apply_overrides(ExperimentConfig(), {"methods": args.methods}).methods
     bundle = ModelBundle.load(args.checkpoint)
     train, val = load_feature_dir(args.data)
-    score_sets = evaluate_bundle(bundle, *train.select(Label.ID), val, methods)
-    # the datasets are dead once scored; build_report's sweeps need the room
+    train_id, train_cls = train.select(Label.ID)
+    val_rows = gather_val(bundle, val)
+    # the records are dead once gathered; the scorers need the room
     del train, val
+    score_sets = evaluate_bundle(bundle, train_id, train_cls, val_rows, methods)
+    # and so do build_report's sweeps once the rows are scored
+    del train_id, train_cls, val_rows
     report = build_report(score_sets, "recomputed", 0)
     print(render_table(report))
     return 0

@@ -15,6 +15,7 @@ outlier-like.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
@@ -127,32 +128,25 @@ def ece(confidences: np.ndarray, correct: np.ndarray) -> float:
 # --- plotting payloads ---------------------------------------------------------
 
 
-def roc_points(scores: ScoreSet | _Tally) -> dict[str, list[float]]:
+def roc_points(scores: ScoreSet | _Tally) -> dict[str, np.ndarray]:
     """ROC curve of the OOD detector (positive = OOD), threshold descending."""
     tally, n_id, n_ood = _both_classes(scores, "roc_points")
     tp, predicted = _sweep(tally, "ood")
-    return {
-        "fpr": [0.0] + ((predicted - tp) / n_id).tolist(),
-        "tpr": [0.0] + (tp / n_ood).tolist(),
-    }
+    return {"fpr": np.append(0.0, (predicted - tp) / n_id), "tpr": np.append(0.0, tp / n_ood)}
 
 
-def pr_points(scores: ScoreSet | _Tally) -> dict[str, list[float]]:
+def pr_points(scores: ScoreSet | _Tally) -> dict[str, np.ndarray]:
     """Precision-recall curve with ID, accepted at low scores, as the positive class."""
     precision, recall = _pr_sweep(scores, "id")
-    return {"precision": precision.tolist(), "recall": recall.tolist()}
+    return {"precision": precision, "recall": recall}
 
 
-def score_histograms(scores: ScoreSet) -> dict:
-    """ID and OOD score histograms over 20 shared equal-width bins."""
+def score_histograms(scores: ScoreSet) -> dict[str, np.ndarray]:
+    """ID and OOD score histograms (int64 counts) over 20 shared equal-width bins."""
     edges = np.histogram_bin_edges(scores.scores, bins=20)
     id_counts, _ = np.histogram(scores.id_scores, bins=edges)
     ood_counts, _ = np.histogram(scores.ood_scores, bins=edges)
-    return {
-        "edges": edges.tolist(),
-        "id_counts": id_counts.tolist(),
-        "ood_counts": ood_counts.tolist(),
-    }
+    return {"edges": edges, "id_counts": id_counts, "ood_counts": ood_counts}
 
 
 # --- report --------------------------------------------------------------------
@@ -178,16 +172,24 @@ class MethodReport:
             raise InputError(f"ece must be in [0, 1], got {self.ece}")
 
 
-@dataclass
+# method -> curve -> its point lists: float64 points, int64 histogram counts
+Curves = dict[str, dict[str, dict[str, np.ndarray]]]
+
+
+@dataclass(eq=False)  # `==` on arrays has no one truth value; reports compare by to_json
 class EvaluationReport:
-    """All methods' metrics for one run, JSON-serializable bit-for-bit."""
+    """All methods' metrics for one run, JSON-serializable bit-for-bit.
+
+    The curves stay arrays in memory: 10^5 val rows make ~1.2 M points,
+    which as Python floats would cost ~38 MB per report.
+    """
 
     methods: dict[str, MethodReport]
     n_id: int
     n_ood: int
     config_hash: str
     seed: int
-    curves: dict
+    curves: Curves
 
     def __post_init__(self):
         if self.methods and (self.n_id <= 0 or self.n_ood <= 0):
@@ -218,10 +220,21 @@ class EvaluationReport:
 def json_text(payload) -> str:
     """The JSON text of every file a run writes: sorted keys, 2-space indent.
 
-    A non-finite float raises ValueError: JSON has no NaN or Infinity, and
-    read_json refuses them.
+    An ndarray is written as its tolist(); any other type json has no form
+    for raises TypeError.  A non-finite float raises ValueError: JSON has
+    no NaN or Infinity, and read_json refuses them.  The chunks stream into
+    one buffer, where json.dumps with an indent would first list them all.
     """
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+    def as_list(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    text = io.StringIO()
+    json.dump(payload, text, sort_keys=True, indent=2, allow_nan=False, default=as_list)
+    text.write("\n")
+    return text.getvalue()
 
 
 def read_json(text: str, schema, what: str):
@@ -258,7 +271,8 @@ def _typed(hint, value, name: str, faults: list[str]):
 
     A dataclass or layout is read from an object with no other key; a
     dataclass field with a default may be missing.  dict[str, V] has each
-    value checked, a bare dict (the curves) only that it is an object.
+    value checked.  An ndarray (a curve's points) is read from a list of
+    numbers: int64 if every one is an integer, else float64.
     """
     dot = f"{name}." if name else ""
     if (is_dataclass(hint) or isinstance(hint, dict)) and type(value) is dict:
@@ -280,6 +294,13 @@ def _typed(hint, value, name: str, faults: list[str]):
     # or count, yet would print as 1.0000
     if type(value) is hint or (hint is float and type(value) is int):
         return value
+    if hint is np.ndarray and type(value) is list:  # a curve's points
+        kinds = set(map(type, value))
+        if kinds <= {int, float}:
+            try:
+                return np.array(value, dtype=np.int64 if kinds == {int} else np.float64)
+            except OverflowError:  # an integer that no int64 or float64 holds
+                pass
     if get_origin(hint) is Literal and value in args:  # a constant
         return value
     faults.append(f"{name or 'the top level'} of the wrong type")
@@ -295,7 +316,7 @@ def build_report(
     if not score_sets:
         raise InputError("no score sets to evaluate")
     methods: dict[str, MethodReport] = {}
-    curves: dict[str, dict] = {}
+    curves: Curves = {}
     n_id = n_ood = 0
     for name in sorted(score_sets):
         ss = score_sets[name]

@@ -554,18 +554,29 @@ def _train(
 # --- evaluation ----------------------------------------------------------------
 
 
-def evaluate_bundle(
-    bundle: ModelBundle, train_id, train_cls, val_ds, methods
-) -> dict[str, ScoreSet]:
-    """Score held-out ID vs FP rows with each configured scorer.
+@dataclass(frozen=True, eq=False)
+class ValRows:
+    """A val split's rows to score: its ID rows, then its FP rows, in one array."""
 
-    Every score set follows the repo orientation (higher = more
-    anomalous); max-softmax is negated accordingly.  A set's `ece` is filled
-    for the scorers that expose a probability: the classifier's max softmax
-    (class correctness on ID rows) and the uncertainty head's sigmoid
-    (OOD decision correctness on all rows).  The Mahalanobis scorer fits on
-    the train ID rows and their class ids.  val_ds must have the model's
-    feature dim and class count.
+    rows: np.ndarray
+    n_id: int
+    id_class_ids: np.ndarray  # int64, one per ID row
+
+    @property
+    def id_rows(self) -> np.ndarray:
+        return self.rows[: self.n_id]
+
+    @property
+    def fp_rows(self) -> np.ndarray:
+        return self.rows[self.n_id :]
+
+
+def gather_val(bundle: ModelBundle, val_ds: FeatureDataset) -> ValRows:
+    """The val ID and FP rows, each in file order, in one gather.
+
+    val_ds must have the model's feature dim and class count, and both ID
+    and FP rows.  Nothing returned is a view of its records, so the caller
+    can free the dataset before scoring.
     """
     if (val_ds.dim, val_ds.num_classes) != (bundle.feature_dim, bundle.num_classes):
         raise InputError(
@@ -578,13 +589,28 @@ def evaluate_bundle(
     fp_idx = np.flatnonzero(labels == Label.FP)
     if len(id_idx) == 0 or len(fp_idx) == 0:
         raise InputError("evaluation needs both ID and FP rows in the val split")
-    # one gather, the ID rows then the FP rows, each in file order; the ID
-    # rows are a view of it
-    rows = val_ds.records["vec"][np.concatenate([id_idx, fp_idx])]
-    val_id = rows[: len(id_idx)]
-    val_id_cls = val_ds.records["class_id"][id_idx].astype(np.int64)
+    return ValRows(
+        rows=val_ds.records["vec"][np.concatenate([id_idx, fp_idx])],
+        n_id=len(id_idx),
+        id_class_ids=val_ds.records["class_id"][id_idx].astype(np.int64),
+    )
+
+
+def evaluate_bundle(
+    bundle: ModelBundle, train_id, train_cls, val: ValRows, methods
+) -> dict[str, ScoreSet]:
+    """Score held-out ID vs FP rows with each configured scorer.
+
+    Every score set follows the repo orientation (higher = more
+    anomalous); max-softmax is negated accordingly.  A set's `ece` is filled
+    for the scorers that expose a probability: the classifier's max softmax
+    (class correctness on ID rows) and the uncertainty head's sigmoid
+    (OOD decision correctness on all rows).  The Mahalanobis scorer fits on
+    the train ID rows and their class ids.  `val` comes from gather_val.
+    """
+    rows = val.rows
     is_ood = np.zeros(len(rows), dtype=bool)
-    is_ood[len(val_id) :] = True
+    is_ood[val.n_id :] = True
     score_sets: dict[str, ScoreSet] = {}
     for method in methods:
         calibration = None
@@ -597,8 +623,8 @@ def evaluate_bundle(
         elif method == "default_score":
             # negated max-softmax: keeps higher = more anomalous
             scores = -default_score(bundle.classifier, rows)
-            probs = softmax_probs(bundle.classifier, val_id)
-            correct = probs.argmax(axis=1) == val_id_cls
+            probs = softmax_probs(bundle.classifier, val.id_rows)
+            correct = probs.argmax(axis=1) == val.id_class_ids
             calibration = ece(probs.max(axis=1), correct)
         elif method == "mahalanobis":
             model = fit_gaussian_model(train_id, train_cls, bundle.num_classes)
@@ -646,7 +672,11 @@ def _write_plot_files(
 ) -> list[str]:
     tables = {}  # file name -> (header, rows), in write order
     for method, payload in report.curves.items():
-        roc, pr, hist = payload["roc"], payload["pr_id"], payload["histogram"]
+        # the point arrays as Python floats and ints, as report.json has them
+        roc, pr, hist = (
+            {key: points.tolist() for key, points in payload[curve].items()}
+            for curve in ("roc", "pr_id", "histogram")
+        )
         edges = hist["edges"]
         tables[f"roc_{method}.csv"] = ("fpr,tpr", zip(roc["fpr"], roc["tpr"]))
         tables[f"pr_{method}.csv"] = ("recall,precision", zip(pr["recall"], pr["precision"]))
@@ -680,7 +710,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     train_id, train_cls = train_ds.select(Label.ID)
     train_fp, _ = train_ds.select(Label.FP)
     bundle, history = _train(cfg, train_id, train_cls, train_fp, train_ds.num_classes, rngs)
-    score_sets = evaluate_bundle(bundle, train_id, train_cls, val_ds, cfg.methods)
+    val = gather_val(bundle, val_ds)
+    score_sets = evaluate_bundle(bundle, train_id, train_cls, val, cfg.methods)
     report = build_report(score_sets, config_hash(cfg), cfg.seed)
     out_path: Path | None = None
     outputs: dict[str, str] = {}
@@ -707,9 +738,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
             }
         )
         (out_path / "model_card.json").write_text(json_text(card))
-        val_id, _ = val_ds.select(Label.ID)
-        val_fp, _ = val_ds.select(Label.FP)
-        pca_groups = {"id": val_id, "fp": val_fp}
+        pca_groups = {"id": val.id_rows, "fp": val.fp_rows}
         # synthesized rows are plotted once phase 1 has fit the auto-encoder
         if cfg.loss_lambda > 0.0 and cfg.train_phase1_epochs > 0:
             head = min(len(train_id), 500)

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -230,6 +232,30 @@ class TestEvaluateAndReport:
         stdout = capsys.readouterr().out
         assert "uncertainty" in stdout
         assert "default_score" not in stdout
+
+    def test_evaluate_frees_the_feature_records_before_scoring(
+        self, run_dir, tmp_path, monkeypatch
+    ):
+        # the scorers and build_report's sweeps take the room the records held
+        data = tmp_path / "data"
+        assert main(["generate", "--set", "seed=5", "--out", str(data), *GEN_SMALL]) == 0
+        records, alive = [], []
+
+        def loading(root, _load=cli.load_feature_dir):
+            datasets = _load(root)
+            records.extend(weakref.ref(ds.records) for ds in datasets)
+            return datasets
+
+        def scoring(*args, _evaluate=cli.evaluate_bundle, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in records])
+            return _evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_feature_dir", loading)
+        monkeypatch.setattr(cli, "evaluate_bundle", scoring)
+        argv = ["evaluate", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data)]
+        assert main(argv) == 0
+        assert alive == [[False, False]]  # train's and val's records, at the one scoring call
 
     @pytest.mark.parametrize(
         "methods, message",

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,19 @@ class TestCurves:
         assert len(hist["edges"]) == 21
 
 
+def _assert_same_curves(got, expected):
+    """The same methods, curves and keys; every leaf an equal array of the same dtype."""
+    assert got.keys() == expected.keys()
+    for method, named in expected.items():
+        assert got[method].keys() == named.keys()
+        for curve, points in named.items():
+            assert got[method][curve].keys() == points.keys()
+            for key, values in points.items():
+                leaf = got[method][curve][key]
+                assert type(leaf) is np.ndarray and leaf.dtype == values.dtype, (curve, key)
+                assert np.array_equal(leaf, values), (curve, key)
+
+
 class TestReport:
     def _sets(self):
         rng = np.random.default_rng(6)
@@ -242,8 +256,93 @@ class TestReport:
         back = EvaluationReport.from_json(text)
         assert back.config_hash == "abc123" and back.seed == 7
         assert back.methods == report.methods
-        assert back.curves == report.curves
+        _assert_same_curves(back.curves, report.curves)
         assert back.to_json() == text
+
+    def test_curves_are_arrays_whichever_way_the_report_was_made(self):
+        report = metrics.build_report(self._sets(), "h", 1)
+        for named in report.curves.values():
+            for curve, points in named.items():
+                for key, values in points.items():
+                    counts = key.endswith("_counts")
+                    assert values.dtype == (np.int64 if counts else np.float64), (curve, key)
+        # integer counts stay integers, and an empty point list reads back
+        block = MethodReport(0.5, 0.5, 0.5, 0.5, None, "o")
+        made = EvaluationReport(
+            {"m": block}, 3, 2, "h", 0,
+            {"m": {
+                "histogram": {"edges": np.array([0.0, 0.5, 1.0]), "id_counts": np.array([1, 2])},
+                "roc": {"fpr": np.array([], dtype=np.float64)},
+            }},
+        )
+        text = made.to_json()
+        assert '"id_counts": [\n          1,\n          2\n        ]' in text
+        assert '"fpr": []' in text
+        back = EvaluationReport.from_json(text)
+        _assert_same_curves(back.curves, made.curves)
+        assert back.to_json() == text
+        assert EvaluationReport.from_json(report.to_json()).to_json() == report.to_json()
+
+    @pytest.mark.parametrize(
+        "leaf",
+        [
+            [0.5, True],  # a bool is no number
+            [0.0, "0.5"],
+            [[0.5]],  # a nested value
+            [{"a": 1}],
+            [None],
+            [2**70],  # no int64 holds it
+            [0.5, 10**400],  # nor a float64
+            0.5,  # no list
+            "points",
+            {"a": [0.5]},
+        ],
+    )
+    def test_from_json_refuses_a_curve_leaf_that_is_no_list_of_numbers(self, leaf):
+        payload = json.loads(metrics.build_report(self._sets(), "h", 1).to_json())
+        payload["curves"]["mahalanobis"]["roc"]["fpr"] = leaf
+        with pytest.raises(
+            InputError, match=r"field: curves\.mahalanobis\.roc\.fpr of the wrong type$"
+        ):
+            EvaluationReport.from_json(json.dumps(payload))
+
+    def test_from_json_refuses_a_curve_that_is_no_object(self):
+        payload = json.loads(metrics.build_report(self._sets(), "h", 1).to_json())
+        payload["curves"]["uncertainty"]["histogram"] = [1, 2]
+        with pytest.raises(InputError, match=r"field: curves\.uncertainty\.histogram of the wrong"):
+            EvaluationReport.from_json(json.dumps(payload))
+
+    def test_reports_compare_without_raising(self):
+        report = metrics.build_report(self._sets(), "h", 1)
+        assert report == report
+        assert report != metrics.build_report(self._sets(), "h", 1)  # by identity
+
+    def test_json_text_streams_a_large_report(self):
+        # 10^5 distinct scores make ~10^5 points per ROC and PR list;
+        # json.dumps with an indent lists every chunk before it joins them
+        rng = np.random.default_rng(9)
+        n = 100_001
+        ss = ScoreSet(rng.normal(size=n), rng.random(n) < 0.25)
+        report = metrics.build_report({"m": ss}, "h", 0)
+        assert min(map(len, (*report.curves["m"]["roc"].values(),
+                             *report.curves["m"]["pr_id"].values()))) >= 10**5
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            text = report.to_json()
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text), peak / len(text)
+
+    def test_json_text_still_refuses_what_json_cannot_write(self):
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            metrics.json_text({"a": {1, 2}})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            metrics.json_text({"a": np.array([0.5, np.nan])})
+        assert metrics.json_text({"b": np.arange(2), "a": 1}) == (
+            '{\n  "a": 1,\n  "b": [\n    0,\n    1\n  ]\n}\n'
+        )
 
     def test_json_is_deterministic(self):
         a = metrics.build_report(self._sets(), "h", 1)
@@ -381,6 +480,24 @@ class TestOneSortPerScorer:
         sets = {name: _random_tied_set(rng) for name in ("a", "b", "c")}
         metrics.build_report(sets, "h", 0)
         assert len(calls) == 3
+
+
+class TestOraclesOverDrawnSets:
+    """The seeded oracle loops above, over drawn score sets, so a failure shrinks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_score_sets())
+    def test_auroc_matches_the_pairwise_oracle(self, ss):
+        expected = oracles.pairwise_auroc(ss.id_scores, ss.ood_scores)
+        assert metrics.auroc(ss) == pytest.approx(expected, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_score_sets(), st.sampled_from(metrics.AUPR_POSITIVE_CHOICES))
+    def test_aupr_matches_the_exhaustive_oracle(self, ss, positive):
+        toward = ss.scores if positive == "ood" else -ss.scores
+        pos = ss.is_ood if positive == "ood" else ~ss.is_ood
+        expected = oracles.exhaustive_aupr(toward, pos)
+        assert metrics.aupr(ss, positive) == pytest.approx(expected, abs=1e-9)
 
 
 # --- the typed JSON reader ------------------------------------------------------

@@ -30,6 +30,7 @@ from lsvos.pipeline import (
     effective_epochs,
     evaluate_bundle,
     format_config,
+    gather_val,
     parse_config,
     run_experiment,
     sweep_from_specs,
@@ -1020,11 +1021,11 @@ class TestEvaluateBundle:
             dim=8, num_classes=3, n_id_train=60, n_fp_train=30,
             n_id_val=30, n_fp_val=20, seed=0,
         )
-        train, val = generate_features(spec)
+        _, val = generate_features(spec)
         id_only = FeatureDataset(8, 3, val.records[val.records["label"] == Label.ID])
         res = run_experiment(cfg)
         with pytest.raises(InputError):
-            evaluate_bundle(res.bundle, *train.select(Label.ID), id_only, ("mahalanobis",))
+            gather_val(res.bundle, id_only)
 
     @pytest.mark.parametrize("split", ["train", "val"])
     @pytest.mark.parametrize("dim, classes", [(6, 3), (8, 4)])
@@ -1043,16 +1044,17 @@ class TestEvaluateBundle:
             decoder_hidden=(8,), uncertainty_hidden=(8,), classifier_hidden=(8,),
         )
         train, val = data(8, 3)
-        evaluate_bundle(bundle, *train.select(Label.ID), val, ("uncertainty", "mahalanobis"))
+        rows = gather_val(bundle, val)
+        evaluate_bundle(bundle, *train.select(Label.ID), rows, ("uncertainty", "mahalanobis"))
         other_train, other_val = data(dim, classes)
         if split == "train":
             # only the Mahalanobis fit reads the train rows: it or its
             # scorer refuses rows of another dim or class ids out of range
             with pytest.raises(InputError):
-                evaluate_bundle(bundle, *other_train.select(Label.ID), val, ("mahalanobis",))
+                evaluate_bundle(bundle, *other_train.select(Label.ID), rows, ("mahalanobis",))
         else:
             with pytest.raises(InputError, match="the data has"):
-                evaluate_bundle(bundle, *train.select(Label.ID), other_val, ("uncertainty",))
+                gather_val(bundle, other_val)
 
 
 class TestAblate:
