@@ -30,7 +30,7 @@ from .pipeline import (
     gather_val,
     generator_spec,
     load_config,
-    load_feature_dir,
+    open_feature_dir,
     run_experiment,
     sweep_from_specs,
 )
@@ -98,13 +98,13 @@ def cmd_evaluate(args) -> int:
     # the config's own parser and checks for the methods key
     methods = apply_overrides(ExperimentConfig(), {"methods": args.methods}).methods
     bundle = ModelBundle.load(args.checkpoint)
-    train, val = load_feature_dir(args.data)
+    train, val = open_feature_dir(args.data)
     train_id, train_cls = train.select(Label.ID)
+    # the plan keeps val's float32 records, which the scorers widen span by span
     val_rows = gather_val(bundle, val)
-    # the records are dead once gathered; the scorers need the room
     del train, val
     score_sets = evaluate_bundle(bundle, train_id, train_cls, val_rows, methods)
-    # and so do build_report's sweeps once the rows are scored
+    # build_report's sweeps need the room once the rows are scored
     del train_id, train_cls, val_rows
     report = build_report(score_sets, "recomputed", 0)
     print(render_table(report))

@@ -16,11 +16,13 @@ Binary, little-endian:
     count    u64      number of records
     per record: class_id u16, label u8, D float32 feature values
 Labels on the wire: 0 = ID, 1 = FP, 2 = SYNTH_OUTLIER.  In memory the
-records keep the same fields with float64 vectors.
+records keep the same fields with float64 vectors, or, as open_features
+reads them, the wire's float32 vectors.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -69,7 +71,13 @@ def make_records(vectors: np.ndarray, class_ids: np.ndarray, labels) -> np.ndarr
 
 @dataclass
 class FeatureDataset:
-    """Records of one dtype, record_dtype(dim), and a class count K."""
+    """Records of one dtype and a class count K.
+
+    The dtype is record_dtype(dim), or the wire's record_dtype(dim, "<f4")
+    as open_features reads a file.  The finiteness check takes the
+    vectors' min and max, which propagate NaN, so it makes no (N, D)
+    temporary.
+    """
 
     dim: int
     num_classes: int
@@ -80,8 +88,12 @@ class FeatureDataset:
             raise InputError("dim and num_classes must be positive")
         expected = record_dtype(self.dim)
         records = self.records
-        if not (isinstance(records, np.ndarray) and records.ndim == 1 and records.dtype == expected):
-            raise InputError(f"records must be a 1-D array of {expected}")
+        if not (
+            isinstance(records, np.ndarray)
+            and records.ndim == 1
+            and records.dtype in (expected, record_dtype(self.dim, "<f4"))
+        ):
+            raise InputError(f"records must be a 1-D array of {expected} or its float32 form")
         if len(records):
             top = int(records["class_id"].max())
             if top >= self.num_classes:
@@ -89,8 +101,9 @@ class FeatureDataset:
             code = int(records["label"].max())
             if code >= len(Label):
                 raise InputError(f"unknown label code {code}")
-        if not np.isfinite(records["vec"]).all():
-            raise InputError("feature vectors contain non-finite values")
+            vec = records["vec"]
+            if not (np.isfinite(vec.min()) and np.isfinite(vec.max())):
+                raise InputError("feature vectors contain non-finite values")
 
     def select(self, label: Label) -> tuple[np.ndarray, np.ndarray]:
         """(vectors, class_ids) for records with the given label."""
@@ -231,20 +244,31 @@ def save_features(path, dataset: FeatureDataset) -> None:
         fh.write(wire.tobytes())
 
 
-def load_features(path) -> FeatureDataset:
-    """Read a binary feature file written by save_features."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def open_features(path) -> FeatureDataset:
+    """Read a binary feature file written by save_features as its float32 wire records.
+
+    The header and size are checked before the records are read, in one
+    np.fromfile call; the dataset then checks the class ids, labels and
+    values.
+    """
     head_len = 4 + struct.calcsize("<IIIQ")
-    if len(data) < head_len or data[:4] != FEATURE_MAGIC:
-        raise InputError("not a lsvos feature file (bad magic)")
-    version, dim, num_classes, count = struct.unpack("<IIIQ", data[4:head_len])
-    if version != FEATURE_VERSION:
-        raise InputError(f"unsupported feature file version {version}")
-    if num_classes > 1 << 16:
-        raise InputError(f"{num_classes} classes do not fit the u16 class_id field")
-    wire = record_dtype(dim, "<f4")
-    if len(data) - head_len != count * wire.itemsize:
-        raise InputError("feature file truncated or padded")
-    records = np.frombuffer(data, wire, offset=head_len).astype(record_dtype(dim))
+    with open(path, "rb") as fh:
+        head = fh.read(head_len)
+        if len(head) < head_len or head[:4] != FEATURE_MAGIC:
+            raise InputError("not a lsvos feature file (bad magic)")
+        version, dim, num_classes, count = struct.unpack("<IIIQ", head[4:])
+        if version != FEATURE_VERSION:
+            raise InputError(f"unsupported feature file version {version}")
+        if num_classes > 1 << 16:
+            raise InputError(f"{num_classes} classes do not fit the u16 class_id field")
+        wire = record_dtype(dim, "<f4")
+        if os.fstat(fh.fileno()).st_size - head_len != count * wire.itemsize:
+            raise InputError("feature file truncated or padded")
+        records = np.fromfile(fh, wire, count)
     return FeatureDataset(dim, num_classes, records)
+
+
+def load_features(path) -> FeatureDataset:
+    """Read a binary feature file written by save_features, vectors widened to float64."""
+    wire = open_features(path)
+    return FeatureDataset(wire.dim, wire.num_classes, wire.records.astype(record_dtype(wire.dim)))

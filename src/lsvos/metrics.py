@@ -241,7 +241,8 @@ def read_json(text: str, schema, what: str):
     """A dataclass or {key: hint} layout read from JSON text; one InputError names every fault.
 
     A key given twice in one object, or a NaN or Infinity (which JSON does
-    not have), is refused before any field is read.
+    not have), is refused before any field is read; a number that
+    overflows a float, such as 1e400, is refused as its field.
     """
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -293,18 +294,34 @@ def _typed(hint, value, name: str, faults: list[str]):
     # type(), not isinstance: a JSON true is a bool, which is no number, seed
     # or count, yet would print as 1.0000
     if type(value) is hint or (hint is float and type(value) is int):
-        return value
+        if hint is not float or _fits_float(value):
+            return value
+        faults.append(f"{name} overflows a float")
+        return None
     if hint is np.ndarray and type(value) is list:  # a curve's points
         kinds = set(map(type, value))
         if kinds <= {int, float}:
             try:
-                return np.array(value, dtype=np.int64 if kinds == {int} else np.float64)
+                points = np.array(value, dtype=np.int64 if kinds == {int} else np.float64)
             except OverflowError:  # an integer that no int64 or float64 holds
                 pass
+            else:
+                if points.dtype == np.int64 or np.isfinite(points).all():
+                    return points
+                faults.append(f"{name} has a number that overflows a float")
+                return None
     if get_origin(hint) is Literal and value in args:  # a constant
         return value
     faults.append(f"{name or 'the top level'} of the wrong type")
     return None
+
+
+def _fits_float(number: int | float) -> bool:
+    """Whether a JSON number is a finite float: json reads 1e400 as inf."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an integer past float's range
+        return False
 
 
 def build_report(

@@ -31,10 +31,17 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import nn
+from . import nn, scoring
 from .datagen import GeneratorSpec, generate_features
 from .errors import InputError, LsvosError, NotReadyError, NumericalFailure
-from .features import FEATURE_VERSION, FeatureDataset, FeatureQueue, Label, load_features
+from .features import (
+    FEATURE_VERSION,
+    FeatureDataset,
+    FeatureQueue,
+    Label,
+    load_features,
+    open_features,
+)
 from .metrics import EvaluationReport, build_report, ece, json_text, read_json
 from .models import (
     UNCERTAINTY_VARIANTS,
@@ -378,8 +385,10 @@ class _Cycle:
         return self.rows[np.concatenate(picks)]
 
 
-def load_feature_dir(root) -> tuple[FeatureDataset, FeatureDataset]:
-    """train.vosf and val.vosf under root, checked to agree on dim and classes."""
+def open_feature_dir(root) -> tuple[FeatureDataset, FeatureDataset]:
+    """train.vosf under root, loaded, and val.vosf, opened as its float32
+    wire records (evaluation widens a span of rows at a time), checked to
+    agree on dim and classes."""
     root = Path(root)
     train_path = root / "train.vosf"
     val_path = root / "val.vosf"
@@ -388,7 +397,7 @@ def load_feature_dir(root) -> tuple[FeatureDataset, FeatureDataset]:
             f"dataset directory {root} must contain train.vosf and val.vosf"
         )
     train = load_features(train_path)
-    val = load_features(val_path)
+    val = open_features(val_path)
     if train.dim != val.dim or train.num_classes != val.num_classes:
         raise InputError("train and val feature files disagree on dim or classes")
     return train, val
@@ -554,29 +563,51 @@ def _train(
 # --- evaluation ----------------------------------------------------------------
 
 
+# rows ValRows.rows gathers at a time: a 1,024-row float32 gather of
+# 64-dim rows takes 256 KB
+_GATHER_ROWS = 1024
+
+
 @dataclass(frozen=True, eq=False)
 class ValRows:
-    """A val split's rows to score: its ID rows, then its FP rows, in one array."""
+    """A val split's rows to score, as a plan over its records' vectors:
+    record indices of the ID rows, then of the FP rows, each in file order."""
 
-    rows: np.ndarray
+    vectors: np.ndarray  # the records' (N, D) vectors, float32 or float64
+    order: np.ndarray  # int64 record indices, n_id ID rows first
     n_id: int
     id_class_ids: np.ndarray  # int64, one per ID row
 
+    def rows(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Planned rows start:stop widened to float64, in the first rows of
+        out if given, else in a fresh array.
+
+        They are gathered _GATHER_ROWS at a time, so no float32 copy of
+        them all is made.
+        """
+        if out is None:
+            out = np.empty((stop - start, self.vectors.shape[1]))
+        out = out[: stop - start]
+        for c0 in range(start, stop, _GATHER_ROWS):
+            c1 = min(c0 + _GATHER_ROWS, stop)
+            out[c0 - start : c1 - start] = self.vectors[self.order[c0:c1]]
+        return out
+
     @property
     def id_rows(self) -> np.ndarray:
-        return self.rows[: self.n_id]
+        return self.rows(0, self.n_id)
 
     @property
     def fp_rows(self) -> np.ndarray:
-        return self.rows[self.n_id :]
+        return self.rows(self.n_id, len(self.order))
 
 
 def gather_val(bundle: ModelBundle, val_ds: FeatureDataset) -> ValRows:
-    """The val ID and FP rows, each in file order, in one gather.
+    """The plan of the val ID and FP rows, each in file order.
 
     val_ds must have the model's feature dim and class count, and both ID
-    and FP rows.  Nothing returned is a view of its records, so the caller
-    can free the dataset before scoring.
+    and FP rows.  The plan keeps the records' vectors, not a gathered copy
+    of the rows.
     """
     if (val_ds.dim, val_ds.num_classes) != (bundle.feature_dim, bundle.num_classes):
         raise InputError(
@@ -590,10 +621,33 @@ def gather_val(bundle: ModelBundle, val_ds: FeatureDataset) -> ValRows:
     if len(id_idx) == 0 or len(fp_idx) == 0:
         raise InputError("evaluation needs both ID and FP rows in the val split")
     return ValRows(
-        rows=val_ds.records["vec"][np.concatenate([id_idx, fp_idx])],
+        vectors=val_ds.records["vec"],
+        order=np.concatenate([id_idx, fp_idx]),
         n_id=len(id_idx),
         id_class_ids=val_ds.records["class_id"][id_idx].astype(np.int64),
     )
+
+
+def _span_rows(bundle: ModelBundle) -> int:
+    """Rows of one evaluate span: the least common multiple of both nets'
+    nn._block_rows and the scorer's block, times the usable CPUs.
+
+    A span then puts every row at the block offset that one pass over all
+    the rows gives it, and holds at least one block per CPU.
+    """
+    unit = math.lcm(
+        nn._block_rows(bundle.uncertainty),
+        nn._block_rows(bundle.classifier),
+        scoring._block_rows(bundle.feature_dim),
+    )
+    return unit * nn.usable_cpus()
+
+
+def _spans(n: int, span: int) -> list[tuple[int, int]]:
+    """(start, stop) of span-row spans over n rows, the last taking the
+    tail, as nn.forward's last block does."""
+    starts = list(range(0, max(1, n // span) * span, span))
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def evaluate_bundle(
@@ -607,31 +661,54 @@ def evaluate_bundle(
     (class correctness on ID rows) and the uncertainty head's sigmoid
     (OOD decision correctness on all rows).  The Mahalanobis scorer fits on
     the train ID rows and their class ids.  `val` comes from gather_val.
+
+    The planned rows are widened and scored one span of _span_rows(bundle)
+    rows at a time, the last span taking the tail, into preallocated
+    score arrays; the classifier's ECE pass runs over spans of the ID rows
+    alone.  Every row keeps the block offset of one pass over all the
+    rows, so the scores keep that pass's bits.
     """
-    rows = val.rows
-    is_ood = np.zeros(len(rows), dtype=bool)
+    unknown = [method for method in methods if method not in SCORER_NAMES]
+    if unknown:
+        raise InputError(f"unknown scorer {unknown[0]!r}")
+    n = len(val.order)
+    is_ood = np.zeros(n, dtype=bool)
     is_ood[val.n_id :] = True
+    if "mahalanobis" in methods:
+        model = fit_gaussian_model(train_id, train_cls, bundle.num_classes)
+    span = _span_rows(bundle)
+    spans = _spans(n, span)
+    id_spans = _spans(val.n_id, span)
+    # one float64 buffer, as tall as the tallest span, takes every span in turn
+    buffer = np.empty((max(r1 - r0 for r0, r1 in spans + id_spans), val.vectors.shape[1]))
+    scores = {method: np.empty(n) for method in methods}
+    for r0, r1 in spans:
+        rows = val.rows(r0, r1, buffer)
+        for method in methods:
+            if method == "uncertainty":
+                scores[method][r0:r1] = uncertainty_score(bundle.uncertainty, rows)
+            elif method == "default_score":
+                # negated max-softmax: keeps higher = more anomalous
+                scores[method][r0:r1] = -default_score(bundle.classifier, rows)
+            else:
+                scores[method][r0:r1] = mahalanobis_score(model, rows)
     score_sets: dict[str, ScoreSet] = {}
     for method in methods:
         calibration = None
         if method == "uncertainty":
-            scores = uncertainty_score(bundle.uncertainty, rows)
-            p_ood = nn.sigmoid(scores)
+            p_ood = nn.sigmoid(scores[method])
             conf = np.maximum(p_ood, 1.0 - p_ood)
             correct = (p_ood > 0.5) == is_ood
             calibration = ece(conf, correct)
         elif method == "default_score":
-            # negated max-softmax: keeps higher = more anomalous
-            scores = -default_score(bundle.classifier, rows)
-            probs = softmax_probs(bundle.classifier, val.id_rows)
-            correct = probs.argmax(axis=1) == val.id_class_ids
-            calibration = ece(probs.max(axis=1), correct)
-        elif method == "mahalanobis":
-            model = fit_gaussian_model(train_id, train_cls, bundle.num_classes)
-            scores = mahalanobis_score(model, rows)
-        else:
-            raise InputError(f"unknown scorer {method!r}")
-        score_sets[method] = ScoreSet(scores, is_ood, ece=calibration)
+            conf = np.empty(val.n_id)
+            correct = np.empty(val.n_id, dtype=bool)
+            for r0, r1 in id_spans:
+                probs = softmax_probs(bundle.classifier, val.rows(r0, r1, buffer))
+                conf[r0:r1] = probs.max(axis=1)
+                correct[r0:r1] = probs.argmax(axis=1) == val.id_class_ids[r0:r1]
+            calibration = ece(conf, correct)
+        score_sets[method] = ScoreSet(scores[method], is_ood, ece=calibration)
     return score_sets
 
 
@@ -705,7 +782,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     if cfg.dataset == "synthetic":
         train_ds, val_ds = generate_features(generator_spec(cfg))
     else:
-        train_ds, val_ds = load_feature_dir(cfg.dataset)
+        train_ds, val_ds = open_feature_dir(cfg.dataset)
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, k])) for k in (1, 2, 3)]
     train_id, train_cls = train_ds.select(Label.ID)
     train_fp, _ = train_ds.select(Label.FP)

@@ -4,20 +4,31 @@ Everything here is deliberately slow and simple: finite differences for
 gradients, Monte-Carlo volume estimates for box overlap, O(N^2) pair
 counting for ranking metrics.  None of it shares code paths with the
 package under test, apart from what `build_report_reference` wraps: the
-report classes, the score histogram and `scoring.calibrate_tau`.
+report classes, the score histogram and `scoring.calibrate_tau`; and
+`evaluate_reference`, which holds the span rule of evaluation to the one
+pass over all rows, so it runs the package's nets and scorers.
 """
 
 import numpy as np
 
 from lsvos import nn
 from lsvos.errors import InputError, NumericalFailure, UndefinedMetricError
+from lsvos.features import Label
 from lsvos.metrics import (
     AUPR_POSITIVE_CHOICES,
     EvaluationReport,
     MethodReport,
+    ece,
     score_histograms,
 )
-from lsvos.scoring import DEFAULT_ORIENTATION, calibrate_tau, fit_gaussian_model
+from lsvos.models import default_score, softmax_probs, uncertainty_score
+from lsvos.scoring import (
+    DEFAULT_ORIENTATION,
+    ScoreSet,
+    calibrate_tau,
+    fit_gaussian_model,
+    mahalanobis_score,
+)
 
 
 def vos_reference(queue, n_per_class, n_candidates, rng):
@@ -81,6 +92,39 @@ def forward_reference(net, x):
         if not np.all(np.isfinite(a)):
             raise NumericalFailure(f"non-finite activation after layer {i}")
     return a
+
+
+def evaluate_reference(bundle, train_id, train_cls, val_ds, methods):
+    """pipeline.evaluate_bundle before it scored the val split span by span.
+
+    Gathers every ID row, then every FP row, of val_ds into one float64
+    array and runs each scorer once over all of it; the classifier's ECE
+    pass runs once over the ID rows.
+    """
+    labels = val_ds.records["label"]
+    id_idx = np.flatnonzero(labels == Label.ID)
+    fp_idx = np.flatnonzero(labels == Label.FP)
+    rows = val_ds.records["vec"][np.concatenate([id_idx, fp_idx])].astype(np.float64)
+    id_rows = rows[: len(id_idx)]
+    id_class_ids = val_ds.records["class_id"][id_idx].astype(np.int64)
+    is_ood = np.zeros(len(rows), dtype=bool)
+    is_ood[len(id_idx) :] = True
+    score_sets = {}
+    for method in methods:
+        calibration = None
+        if method == "uncertainty":
+            scores = uncertainty_score(bundle.uncertainty, rows)
+            p_ood = nn.sigmoid(scores)
+            calibration = ece(np.maximum(p_ood, 1.0 - p_ood), (p_ood > 0.5) == is_ood)
+        elif method == "default_score":
+            scores = -default_score(bundle.classifier, rows)
+            probs = softmax_probs(bundle.classifier, id_rows)
+            calibration = ece(probs.max(axis=1), probs.argmax(axis=1) == id_class_ids)
+        else:
+            model = fit_gaussian_model(train_id, train_cls, bundle.num_classes)
+            scores = mahalanobis_score(model, rows)
+        score_sets[method] = ScoreSet(scores, is_ood, ece=calibration)
+    return score_sets
 
 
 def finite_difference_gradients(net, x, loss_kind, targets, step=1e-4):

@@ -1,19 +1,21 @@
-import gc
 import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
-import weakref
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lsvos import cli, nn
+from lsvos import cli, features, nn, pipeline
 from lsvos.cli import main
 from lsvos.datagen import generate_features
-from lsvos.features import save_features
+from lsvos.errors import InputError
+from lsvos.features import FeatureDataset, make_records, save_features
 from lsvos.models import ModelBundle
 from lsvos.pipeline import ExperimentConfig, format_config, generator_spec, load_config
 
@@ -233,29 +235,103 @@ class TestEvaluateAndReport:
         assert "uncertainty" in stdout
         assert "default_score" not in stdout
 
-    def test_evaluate_frees_the_feature_records_before_scoring(
-        self, run_dir, tmp_path, monkeypatch
+    def test_evaluate_memory_per_val_row_stays_below_a_float64_copy(
+        self, tmp_path, monkeypatch
     ):
-        # the scorers and build_report's sweeps take the room the records held
+        # A val row costs its float32 record, its plan index, three scores and
+        # its share of the report's curves; a float64 copy of the split would
+        # add 8 * 64 = 512 B.  At both sizes the tallest span of all rows is
+        # S + 4,096 rows and the ID rows' (3 in 4) are shorter, so the span
+        # buffer is one size and cancels out of the difference.
+        monkeypatch.setattr(nn, "usable_cpus", lambda: 1)
+        dim = 64
+        rng = np.random.default_rng(7)
+        bundle = ModelBundle.build(
+            dim, 3, rng, latent_dim=8, encoder_hidden=(16,), decoder_hidden=(16,),
+            uncertainty_hidden=(128,), classifier_hidden=(64,),
+        )
+        bundle.save(tmp_path / "model.ckpt")
+        span = pipeline._span_rows(bundle)
+        sizes = (span + 4096, 4 * span + 4096)
+        peaks = []
+        for n in sizes:
+            data = tmp_path / f"data{n}"
+            data.mkdir()
+            for name, rows in (("train", 600), ("val", n)):
+                records = make_records(
+                    rng.normal(size=(rows, dim)), np.arange(rows) % 3, np.arange(rows) % 4 == 0
+                )
+                save_features(data / f"{name}.vosf", FeatureDataset(dim, 3, records))
+            argv = ["evaluate", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(data)]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # measured 297 B a row; 820 with the split gathered as float64
+        assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < 400
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("bad magic", "not a lsvos feature file (bad magic)"),
+            ("version", "unsupported feature file version 2"),
+            ("dim", "feature dimension 2147483648 does not fit a record"),
+            ("classes", "65537 classes do not fit the u16 class_id field"),
+            ("truncated", "feature file truncated or padded"),
+            ("padded", "feature file truncated or padded"),
+            ("class id", "class_id 3 out of range [0, 3)"),
+            ("label", "unknown label code 3"),
+            ("nan", "feature vectors contain non-finite values"),
+            ("inf", "feature vectors contain non-finite values"),
+        ],
+    )
+    def test_a_malformed_feature_file_fails_alike_in_both_readers(
+        self, tmp_path, capsys, split, kind, message
+    ):
+        dim = 4
+        rng = np.random.default_rng(2)
+        bundle = ModelBundle.build(
+            dim, 3, rng, latent_dim=4, encoder_hidden=(8,), decoder_hidden=(8,),
+            uncertainty_hidden=(8,), classifier_hidden=(8,),
+        )
+        bundle.save(tmp_path / "model.ckpt")
         data = tmp_path / "data"
-        assert main(["generate", "--set", "seed=5", "--out", str(data), *GEN_SMALL]) == 0
-        records, alive = [], []
-
-        def loading(root, _load=cli.load_feature_dir):
-            datasets = _load(root)
-            records.extend(weakref.ref(ds.records) for ds in datasets)
-            return datasets
-
-        def scoring(*args, _evaluate=cli.evaluate_bundle, **kwargs):
-            gc.collect()
-            alive.append([ref() is not None for ref in records])
-            return _evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "load_feature_dir", loading)
-        monkeypatch.setattr(cli, "evaluate_bundle", scoring)
-        argv = ["evaluate", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data)]
-        assert main(argv) == 0
-        assert alive == [[False, False]]  # train's and val's records, at the one scoring call
+        data.mkdir()
+        for name in ("train", "val"):
+            records = make_records(rng.normal(size=(40, dim)), np.arange(40) % 3, np.arange(40) % 2)
+            save_features(data / f"{name}.vosf", FeatureDataset(dim, 3, records))
+        path = data / f"{split}.vosf"
+        wire = bytearray(path.read_bytes())
+        # the header is 24 bytes; the sixth record's class_id, label and second value
+        record = 24 + 5 * (3 + 4 * dim)
+        edits = {
+            "bad magic": (0, b"XXXX"),
+            "version": (4, struct.pack("<I", 2)),
+            "dim": (8, struct.pack("<I", 1 << 31)),
+            "classes": (12, struct.pack("<I", 65537)),
+            "class id": (record, struct.pack("<H", 3)),
+            "label": (record + 2, b"\x03"),
+            "nan": (record + 7, struct.pack("<f", float("nan"))),
+            "inf": (record + 7, struct.pack("<f", float("-inf"))),
+        }
+        if kind in edits:
+            at, new = edits[kind]
+            wire[at : at + len(new)] = new
+        else:
+            wire = wire[:-3] if kind == "truncated" else wire + b"\0"
+        path.write_bytes(bytes(wire))
+        with pytest.raises(InputError) as loaded:
+            features.load_features(path)
+        with pytest.raises(InputError) as opened:
+            features.open_features(path)
+        assert str(loaded.value) == str(opened.value) == message
+        capsys.readouterr()
+        argv = ["evaluate", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(data)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "methods, message",
@@ -325,12 +401,16 @@ class TestEvaluateAndReport:
         assert f"error: net 'uncertainty' layer {layer} is" in err
         assert "Traceback" not in err
 
-    def test_multi_block_evaluate_report_is_pinned(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus", [None, 1])
+    def test_multi_block_evaluate_report_is_pinned(self, tmp_path, monkeypatch, cpus):
         # 19,000 ID + 6,000 FP val rows: nn.forward runs every scorer's net
         # over at least three 8,192-row blocks (its rows; the classifier's
         # ECE pass over the ID rows alone takes two).  Recorded with numpy
         # 2.4 and OpenBLAS 0.3.31, 1 thread, when nn.forward ran every
-        # batch in one pass.
+        # batch in one pass.  At 1 CPU evaluate scores them in three spans
+        # of 8,192 rows and more, the ID rows' ECE pass in two.
+        if cpus is not None:
+            monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(
             micro_config_text(
@@ -357,6 +437,9 @@ class TestEvaluateAndReport:
         bundle = ModelBundle.load(run / "model.ckpt")
         for net in (bundle.uncertainty, bundle.classifier):
             assert 3 * nn._block_rows(net) <= 25000 and 2 * nn._block_rows(net) <= 19000
+        if cpus == 1:
+            span = pipeline._span_rows(bundle)
+            assert len(pipeline._spans(25000, span)) == 3 and len(pipeline._spans(19000, span)) == 2
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
         assert digest == "bd298a35f3ea901422132abacc2c6b36dbfdbbdb23ee851536f8fe8ae803c450"
 

@@ -637,6 +637,23 @@ class TestTypedReader:
             with pytest.raises(InputError, match=f"JSON: key '{key}' is given twice$"):
                 read(text)
 
+    @pytest.mark.parametrize("number", ["1e400", "-1e400", "1" + "0" * 400])
+    def test_a_number_that_overflows_a_float_is_refused_by_its_field(self, number):
+        # json.loads reads 1e400 as inf, and no float holds the integer
+        manifest = json.dumps({**_valid_manifest(), "wall_clock_seconds": 1.5})
+        text = manifest.replace('"wall_clock_seconds": 1.5', f'"wall_clock_seconds": {number}')
+        with pytest.raises(InputError, match="malformed field: wall_clock_seconds overflows a float$"):
+            RunManifest.from_json(text)
+        report = _valid_report()
+        report["curves"]["uncertainty"]["roc"]["fpr"][1] = 0.987654321
+        text = json.dumps(report).replace("0.987654321", number)
+        if number.startswith("1" + "0" * 20):  # past int64 too, as a curve's integer it is no number
+            fault = "curves.uncertainty.roc.fpr of the wrong type"
+        else:
+            fault = "curves.uncertainty.roc.fpr has a number that overflows a float"
+        with pytest.raises(InputError, match=f"malformed field: {re.escape(fault)}$"):
+            EvaluationReport.from_json(text)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_a_non_finite_number_is_neither_read_nor_written(self, value):
         # json.dumps writes them as NaN, Infinity and -Infinity by default

@@ -18,6 +18,7 @@ import lsvos.nn as nn
 import lsvos.pipeline as pipeline
 from lsvos.errors import InputError, NotReadyError, NumericalFailure
 from lsvos.features import Label, save_features
+from lsvos.metrics import build_report
 from lsvos.models import UNCERTAINTY_VARIANTS, ModelBundle
 from lsvos.pipeline import (
     SCORER_NAMES,
@@ -36,6 +37,7 @@ from lsvos.pipeline import (
     sweep_from_specs,
 )
 from lsvos.synthesis import METHODS, mapped_rows
+from oracles import evaluate_reference
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -1055,6 +1057,87 @@ class TestEvaluateBundle:
         else:
             with pytest.raises(InputError, match="the data has"):
                 gather_val(bundle, other_val)
+
+
+class TestEvaluateSpans:
+    """evaluate_bundle scores span by span with the bits of one pass over all rows."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        # data_dim=16 nets as in the pinned multi-block evaluate: 8,192-row
+        # blocks for both nets and 1,024-row scorer blocks, so S = 8,192 per CPU
+        rng = np.random.default_rng(31)
+        bundle = ModelBundle.build(
+            16, 3, rng, latent_dim=8, encoder_hidden=(16,), decoder_hidden=(16,),
+            uncertainty_hidden=(128,), classifier_hidden=(64,),
+        )
+        train_id = rng.normal(size=(600, 16))
+        train_cls = np.arange(600) % 3
+        return bundle, train_id, train_cls, rng
+
+    @staticmethod
+    def _val(rng, n, n_id):
+        # ID and FP rows interleave, with SYNTH_OUTLIER rows mixed in
+        labels = np.repeat([Label.ID, Label.FP, Label.SYNTH_OUTLIER], [n_id, n - n_id, n // 50])
+        labels = rng.permutation(labels)
+        vectors = rng.normal(size=(len(labels), 16)).astype(np.float32)
+        records = features.make_records(vectors, rng.integers(0, 3, len(labels)), labels)
+        return features.FeatureDataset(16, 3, records.astype(features.record_dtype(16, "<f4")))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "size, split",
+        [
+            ("S-1", "inside"),
+            ("S", "inside"),
+            ("S+1", "edge"),
+            ("S+1", "inside"),
+            ("2S+65", "edge"),
+            ("2S+65", "inside"),
+        ],
+    )
+    def test_matches_the_one_pass_reference(self, setup, monkeypatch, cpus, size, split):
+        bundle, train_id, train_cls, rng = setup
+        monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
+        span = pipeline._span_rows(bundle)
+        assert span == 8192 * cpus
+        n = {"S-1": span - 1, "S": span, "S+1": span + 1, "2S+65": 2 * span + 65}[size]
+        # on the edge the ID rows fill the first span; inside, the ID
+        # prefix's own last span ends inside a span of all the rows
+        n_id = span if split == "edge" else (n // 2 + 7 if n < 2 * span else 2 * span + 1)
+        val_ds = self._val(rng, n, n_id)
+        plan = gather_val(bundle, val_ds)
+        assert (len(plan.order), plan.n_id) == (n, n_id)
+        got = evaluate_bundle(bundle, train_id, train_cls, plan, SCORER_NAMES)
+        want = evaluate_reference(bundle, train_id, train_cls, val_ds, SCORER_NAMES)
+        for method in SCORER_NAMES:
+            assert got[method].scores.tobytes() == want[method].scores.tobytes(), method
+            assert got[method].ece == want[method].ece, method
+            assert (got[method].is_ood == want[method].is_ood).all()
+        if cpus == 1:  # the fewest rows, and every shape of span
+            report = build_report(got, "span", 0).to_json()
+            assert report == build_report(want, "span", 0).to_json()
+
+    def test_the_last_span_takes_the_tail(self):
+        assert pipeline._spans(5, 8) == [(0, 5)]
+        assert pipeline._spans(15, 8) == [(0, 15)]
+        assert pipeline._spans(16, 8) == [(0, 8), (8, 16)]
+        assert pipeline._spans(23, 8) == [(0, 8), (8, 23)]
+
+    def test_a_span_holds_whole_blocks_of_both_nets_and_the_scorer(self, monkeypatch):
+        monkeypatch.setattr(nn, "usable_cpus", lambda: 3)
+        bundle = ModelBundle.build(
+            100, 3, np.random.default_rng(0), latent_dim=8, encoder_hidden=(16,),
+            decoder_hidden=(16,), uncertainty_hidden=(128,), classifier_hidden=(64,),
+        )
+        # the scorer's block at D = 100 is 104 rows, 8 * 13
+        blocks = (
+            nn._block_rows(bundle.uncertainty),
+            nn._block_rows(bundle.classifier),
+            pipeline.scoring._block_rows(100),
+        )
+        assert blocks == (8192, 8192, 104)
+        assert pipeline._span_rows(bundle) == 3 * 8192 * 13
 
 
 class TestAblate:
